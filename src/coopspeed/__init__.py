@@ -35,12 +35,11 @@ from .signals import (
     state_at,
 )
 from .tokens import (
+    Approacher,
     TimeToken,
     TokenTable,
-    allocate,
+    allocation_round,
     detect_conflicts,
-    reassign,
-    release,
     slot_for_arrival,
     token_window,
 )

@@ -1,4 +1,4 @@
-"""Token-conflict games and the idling-time cost they are played over.
+"""Token-conflict games and two-player normal-form game analysis.
 
 A conflict between holders of the same time token is settled by a
 three-tier pairwise game: urgency mode first, credit points second, and
@@ -172,21 +172,3 @@ def pareto_optimal(game: NormalFormGame2x2) -> set[tuple[int, int]]:
             out.add(p)
     return out
 
-
-class TripCost:
-    """Idling-time cost of one trip: per-segment seconds stopped at a light."""
-
-    def __init__(self) -> None:
-        self._by_segment: dict[int, float] = {}
-
-    def observe(self, segment: int, stopped: bool, dt: float) -> float:
-        """Record one time step; returns the updated path cost."""
-        if stopped:
-            self._by_segment[segment] = self._by_segment.get(segment, 0.0) + dt
-        return self.path_cost()
-
-    def segment_cost(self, segment: int) -> float:
-        return self._by_segment.get(segment, 0.0)
-
-    def path_cost(self) -> float:
-        return sum(self._by_segment.values())

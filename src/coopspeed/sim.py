@@ -15,9 +15,13 @@ Three techniques share identical road physics:
   games, no exclusivity);
 * ``fixed`` -- no speed optimization; cruise and react.
 
-Tokens live in per-light allocation epochs: an epoch opens at a red
-start and closes when the following green ends, so slots granted during
-red carry into the green they target and everything expires with it.
+Each step, every light runs one ``tokens.allocation_round`` over the
+unqueued vehicles within activation distance: for ``csof`` against its
+token table, for ``ncso`` without it.  A vehicle's token is released
+when it crosses or joins the queue.  Tables live in per-light allocation
+epochs: an epoch opens at a red start and closes when the following
+green ends, so slots granted during red carry into the green they target
+and everything expires with it.
 """
 
 from __future__ import annotations
@@ -26,12 +30,18 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import tokens
 from .energy import EnergyLedger, EnergyParams, accel_energy
-from .games import CreditLedger, Mode, resolve_conflict
-from .planner import KinematicState, plan
-from .signals import Approach, SignalConfig, SignalState, departures_per_green, state_at
-from .tokens import TimeToken, TokenTable, detect_conflicts, slot_for_arrival
+from .games import CreditLedger, Mode
+from .planner import KinematicState, density_speed, plan
+from .signals import (
+    Approach,
+    SignalConfig,
+    SignalState,
+    departures_per_green,
+    queue_clear_time,
+    state_at,
+)
+from .tokens import Approacher, TimeToken, TokenTable, allocation_round
 
 TECHNIQUES = ("csof", "ncso", "fixed")
 
@@ -100,7 +110,6 @@ class SimConfig:
     segments: tuple[SegmentConfig, ...] = field(default_factory=_default_segments)
     initial_vehicles: tuple[InitialVehicle, ...] = ()
     scripted_arrivals: tuple[float, ...] | None = None
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.dt_s <= 0:
@@ -183,6 +192,7 @@ class MetricsReport:
     spawned: int
     completed: int
     in_network: int
+    waiting: int  # arrivals due but still held at a blocked entry
     per_intersection: list[IntersectionMetrics]
     total_mean_idling_s: float
     total_mean_stops: float
@@ -223,7 +233,6 @@ class World:
         self.next_vin = 1
         self.spawned = 0
         self.completed = 0
-        self.trace: list[str] = []
         base = cfg.seed
         self.rng_arrivals = random.Random(base * 6 + 0)
         self.rng_modes = random.Random(base * 6 + 1)
@@ -308,184 +317,27 @@ class World:
 
     # -- token protocol ----------------------------------------------------
 
-    def _usable_b(self, light: LightAgent, b: float) -> float:
-        """Slot upper edge pulled in so arrivals dodge the all-red gap."""
-        margin = light.cfg.all_red_gap_s + self.cfg.plan_margin_s
-        return min(b, light.cfg.green_s - margin)
-
-    def _build_token(self, light: LightAgent, tau: int, vin: int) -> TimeToken:
-        a, b = tokens.token_window(tau, light.cfg.departure_rate)
-        return TimeToken(tau=tau, a=a, b=self._usable_b(light, b),
-                         cycle_id=light.table.cycle_id, vin=vin)
-
-    def _token_feasible(self, v: Vehicle, state: SignalState, tok: TimeToken,
-                        seg: SegmentConfig, v_cap: float) -> bool:
-        if state.queue_len >= tok.tau:
-            # The standing queue will discharge through this slot.
-            return False
-        d = seg.length_m - v.pos
-        if state.approach_green:
-            elapsed = state.green_s - (state.remaining_green or 0.0)
-            lo, hi = max(0.0, tok.a - elapsed), tok.b - elapsed
-        else:
-            r_r = state.remaining_red or 0.0
-            lo, hi = r_r + tok.a, r_r + tok.b
-        if hi <= lo or hi <= 0:
-            return False
-        if d / hi > v_cap:
-            return False
-        return lo <= 0 or d / lo >= seg.v_min
-
-    def _request_tti(self, v: Vehicle, state: SignalState, seg: SegmentConfig,
-                     v_cap: float) -> float | None:
-        """Arrival time submitted with a token request, or None."""
-        d = seg.length_m - v.pos
-        if v.speed <= 0:
-            return None
-        cur = d / v.speed
-        if state.approach_green:
-            r_g = state.remaining_green or 0.0
-            if cur <= r_g:
-                return cur
-            # An achievable higher speed may still make this green.
-            if v_cap > 0 and d / v_cap <= r_g and cur <= r_g + state.red_s:
-                return d / v_cap
-            return None
-        r_r = state.remaining_red or 0.0
-        if r_r < cur <= r_r + state.green_s:
-            return cur
-        return None
-
-    def _slot_reachable(self, v: Vehicle, state: SignalState, light: LightAgent,
-                        slot: int, v_cap: float) -> bool:
-        """Can the vehicle still arrive inside this slot's usable window?"""
-        seg = self.cfg.segments[light.idx]
-        d = seg.length_m - v.pos
-        a, b = tokens.token_window(slot, light.cfg.departure_rate)
-        b = self._usable_b(light, b)
-        if state.approach_green:
-            elapsed = state.green_s - (state.remaining_green or 0.0)
-            lo, hi = max(0.0, a - elapsed), b - elapsed
-        else:
-            r_r = state.remaining_red or 0.0
-            lo, hi = r_r + a, r_r + b
-        if hi <= lo or hi <= 0:
-            return False
-        if d / hi > v_cap:
-            return False
-        return lo <= 0 or d / lo >= seg.v_min
-
-    def _first_free_reachable(self, v: Vehicle, state: SignalState, light: LightAgent,
-                              v_cap: float, occupied, start: int = 1) -> int | None:
-        """First unclaimed, reachable slot at or after ``start``.
-
-        Scanning forward from the natural arrival slot keeps allocation
-        roughly first-come-first-served: a vehicle slows into a later
-        free slot rather than racing ahead of traffic for an early one.
-        """
-        for j in range(max(start, state.queue_len + 1), light.n_dep + 1):
-            if j in occupied:
-                continue
-            if self._slot_reachable(v, state, light, j, v_cap):
-                return j
-        return None
-
-    def _maintain_tokens(self, light: LightAgent, state: SignalState,
-                         approach_vehicles: list[Vehicle],
+    def _maintain_tokens(self, states: list[SignalState], order: list[int],
                          caps: dict[int, float]) -> None:
-        """One allocation round for one light.
-
-        Standing reservations are binding: new requests never contest
-        them and instead take the first free slot they can still reach.
-        Requests within the same step act on the same table snapshot, so
-        simultaneous requests can land on one slot; those races are the
-        conflicts the games resolve.
-        """
-        seg = self.cfg.segments[light.idx]
-        table = light.table
-        occupied_before = {
-            j for j in range(1, light.n_dep + 1) if table.claimants(j)
-        }
-        fresh: list[int] = []
-        for v in approach_vehicles:
-            if v.queued:
-                continue
-            v_cap = caps[v.vin]
-            if v.token is not None:
-                if v.token.cycle_id != table.cycle_id or not self._token_feasible(
-                    v, state, v.token, seg, v_cap
-                ):
-                    table.release(v.vin)
-                    self._trace(f"{self.t:.1f},SI{light.idx + 1},release,{v.vin},{v.token.tau}")
-                    v.token = None
-            if v.token is not None:
-                upgrade = self._first_free_reachable(
-                    v, state, light, v_cap,
-                    {j for j in range(1, light.n_dep + 1) if table.claimants(j)},
-                )
-                if upgrade is not None and upgrade < v.token.tau:
-                    table.release(v.vin)
-                    table.claim(upgrade, v.vin)
-                    v.token = self._build_token(light, upgrade, v.vin)
-                    self._trace(f"{self.t:.1f},SI{light.idx + 1},grant,{v.vin},{upgrade}")
-            if v.token is None:
-                tti_req = self._request_tti(v, state, seg, v_cap)
-                if tti_req is None:
-                    continue
-                slot = slot_for_arrival(tti_req, state, light.cfg.departure_rate,
-                                        light.n_dep)
-                if slot is not None and slot not in occupied_before:
-                    table.claim(slot, v.vin)
-                    fresh.append(v.vin)
-                    continue
-                alt = self._first_free_reachable(v, state, light, v_cap,
-                                                 occupied_before)
-                if alt is not None:
-                    table.claim(alt, v.vin)
-                    fresh.append(v.vin)
-                else:
-                    self._trace(f"{self.t:.1f},SI{light.idx + 1},deny,{v.vin},0")
-
-        vehicles = self.vehicles
-        for tau, group in detect_conflicts(table.requests()).items():
-            group = [vin for vin in group if vin in vehicles]
-            if len(group) < 2:
-                continue
-            modes = {vin: vehicles[vin].mode for vin in group}
-            result = resolve_conflict(group, modes, self.ledger, self.rng_games, self.rng_tl)
-            tiers = ";".join(str(r.tier) for r in result.rounds)
-            losers = ";".join(str(x) for x in result.losers)
-            self._trace(f"{self.t:.1f},conflict,{tau},{result.winner},{losers},{tiers}")
-            live = {j for j in range(1, light.n_dep + 1) if table.claimants(j)}
-            for loser in result.losers:
-                table.release(loser)
-                lv = vehicles[loser]
-                lv.token = None
-                # The loser requests a different token right away; only a
-                # conflict-free slot will do.
-                alt = self._first_free_reachable(lv, state, light, caps[loser],
-                                                 live, start=tau)
-                if alt is not None:
-                    table.claim(alt, loser)
-                    live.add(alt)
-
-        for vin in fresh:
-            v = vehicles[vin]
-            slot = table.slot_of(vin)
-            if slot is not None and v.token is None and table.holder(slot) == vin:
-                v.token = self._build_token(light, slot, vin)
-                self._trace(f"{self.t:.1f},SI{light.idx + 1},grant,{vin},{slot}")
-
-    def _virtual_token(self, v: Vehicle, state: SignalState, light: LightAgent,
-                       seg: SegmentConfig, v_cap: float) -> TimeToken | None:
-        """Non-cooperative planning: the slot for my arrival, assumed free."""
-        tti_req = self._request_tti(v, state, seg, v_cap)
-        if tti_req is None:
-            return None
-        tau = slot_for_arrival(tti_req, state, light.cfg.departure_rate, light.n_dep)
-        if tau is None:
-            return None
-        return self._build_token(light, tau, v.vin)
+        """Run each light's allocation round over its approaching vehicles."""
+        cfg = self.cfg
+        per_light: list[list[Vehicle]] = [[] for _ in self.lights]
+        for vin in order:
+            v = self.vehicles[vin]
+            seg = cfg.segments[v.seg]
+            if not v.queued and seg.length_m - v.pos <= cfg.activation_distance_m:
+                per_light[v.seg].append(v)
+        for light, state, approaching in zip(self.lights, states, per_light):
+            seg = cfg.segments[light.idx]
+            entries = [
+                Approacher(v.vin, seg.length_m - v.pos, v.speed, caps[v.vin], v.mode, v.token)
+                for v in approaching
+            ]
+            allocation_round(light.table, state, seg.v_min, entries, self.ledger,
+                             self.rng_games, self.rng_tl,
+                             cooperative=cfg.technique == "csof")
+            for v, e in zip(approaching, entries):
+                v.token = e.token
 
     def _plan_cap(self, v: Vehicle, leader: Vehicle | None, seg: SegmentConfig) -> float:
         """Achievable speed ceiling for planning: the road limit, or what
@@ -497,10 +349,6 @@ class World:
         return max(seg.v_min, min(seg.v_max, max(leader.speed, safe)))
 
     # -- main loop ---------------------------------------------------------
-
-    def _trace(self, line: str) -> None:
-        if self.cfg.trace:
-            self.trace.append(line)
 
     def _signal_phase_bookkeeping(self) -> list[SignalState]:
         t = self.t
@@ -570,11 +418,8 @@ class World:
                 continue
             v_cap = caps[vin]
             k = KinematicState(speed=v.speed, dist=d, v_min=seg.v_min, v_max=v_cap)
-            t_q = len(light.queue) / light.cfg.departure_rate + cfg.arrival_bias_s
-            tok = v.token if cfg.technique == "csof" else self._virtual_token(
-                v, state, light, seg, v_cap
-            )
-            res = plan(k, state, tok, t_q)
+            t_q = queue_clear_time(len(light.queue), light.cfg.departure_rate) + cfg.arrival_bias_s
+            res = plan(k, state, v.token, t_q)
             v.cmd = res.speed
             targets[vin] = res.speed
         return targets
@@ -660,14 +505,8 @@ class World:
             for vin in order
         }
 
-        if cfg.technique == "csof":
-            per_light: list[list[Vehicle]] = [[] for _ in self.lights]
-            for vin in order:
-                v = self.vehicles[vin]
-                if cfg.segments[v.seg].length_m - v.pos <= cfg.activation_distance_m:
-                    per_light[v.seg].append(v)
-            for light, state in zip(self.lights, states):
-                self._maintain_tokens(light, state, per_light[light.idx], caps)
+        if cfg.technique != "fixed":
+            self._maintain_tokens(states, order, caps)
 
         # Per-segment density speed cap (density saturates at the cap ratio).
         counts = [0] * len(cfg.segments)
@@ -677,7 +516,7 @@ class World:
         for seg, n in zip(cfg.segments, counts):
             density = n / (seg.length_m / 1000.0) / seg.lanes
             density = min(density, cfg.density_cap_ratio * seg.d_max_veh_km_lane)
-            density_cap.append(seg.v_max * (1.0 - density / seg.d_max_veh_km_lane))
+            density_cap.append(density_speed(density, seg.d_max_veh_km_lane, seg.v_max))
 
         targets = self._plan_targets(order, states, caps)
         self._lane_changes(order, lanes)
@@ -874,6 +713,7 @@ class World:
             spawned=self.spawned,
             completed=n,
             in_network=len(self.vehicles),
+            waiting=self._pending_spawns,
             per_intersection=per,
             total_mean_idling_s=sum(self._sum_idle) / n if n else 0.0,
             total_mean_stops=sum(self._sum_stops) / n if n else 0.0,

@@ -1,20 +1,25 @@
-"""Green-window time tokens: slot arithmetic, allocation, conflicts.
+"""Green-window time tokens: slot arithmetic, the claim table, allocation.
 
 Each green phase is partitioned into service slots of duration ``1/mu``
 (one departure per slot).  Slots are anchored to the start of the green
 window; the first ``N_q`` slots are implicitly reserved for the standing
-queue and never offered to approaching vehicles.  Allocation maps a
-vehicle's time-to-intersection onto the slot containing its projected
-arrival.  Double allocation is possible by design (it is what triggers
-the conflict games); the table therefore tracks claimants per slot and
-conflict resolution trims each slot back to a single holder.
+queue and never offered to approaching vehicles.  A vehicle requests the
+slot containing its projected arrival.
+
+The table is keyed by vehicle: each vehicle claims at most one slot, and
+a new claim moves its old one.  Two vehicles can still claim one slot
+when their requests land on it in the same round; those are the conflicts
+the precedence games settle.  After ``allocation_round`` every slot has
+at most one claimant, and a vehicle holds a claim exactly when it holds
+that slot's token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
+from .games import CreditLedger, Mode, resolve_conflict
 from .signals import SignalState
 
 
@@ -44,7 +49,7 @@ def token_window(tau: int, mu: float, red_offset: float = 0.0) -> tuple[float, f
 
 
 class TokenTable:
-    """Per-approach, per-cycle claim table for green-window slots."""
+    """Per-approach, per-cycle claims on green-window slots, keyed by vehicle."""
 
     def __init__(self, mu: float, n_dep: int, cycle_id: int = 0) -> None:
         if mu <= 0:
@@ -52,68 +57,51 @@ class TokenTable:
         self.mu = mu
         self.n_dep = n_dep
         self.cycle_id = cycle_id
-        self._claims: dict[int, list[int]] = {}
-
-    @property
-    def tsd(self) -> float:
-        return 1.0 / self.mu
+        self._slot_of: dict[int, int] = {}
 
     def claim(self, slot: int, vin: int) -> None:
-        self._claims.setdefault(slot, []).append(vin)
+        """Claim ``slot`` for ``vin``, replacing any earlier claim of ``vin``."""
+        self._slot_of[vin] = slot
 
     def claimants(self, slot: int) -> tuple[int, ...]:
-        return tuple(self._claims.get(slot, ()))
+        return tuple(sorted(vin for vin, s in self._slot_of.items() if s == slot))
 
     def holder(self, slot: int) -> int | None:
         """Sole claimant of ``slot``, or None while free or contested."""
-        vins = self._claims.get(slot)
-        if vins and len(vins) == 1:
-            return vins[0]
-        return None
+        vins = self.claimants(slot)
+        return vins[0] if len(vins) == 1 else None
 
     def slot_of(self, vin: int) -> int | None:
-        for slot, vins in self._claims.items():
-            if vin in vins:
-                return slot
-        return None
+        return self._slot_of.get(vin)
+
+    def claimed(self) -> set[int]:
+        """Slots with at least one claimant."""
+        return set(self._slot_of.values())
 
     def requests(self) -> list[tuple[int, int]]:
         """All (vin, slot) claims, ordered by slot then vin."""
-        out = []
-        for slot in sorted(self._claims):
-            for vin in sorted(self._claims[slot]):
-                out.append((vin, slot))
-        return out
+        return sorted(self._slot_of.items(), key=lambda claim: (claim[1], claim[0]))
 
     def release(self, vin: int) -> bool:
         """Free the slot claimed by ``vin``; no-op returning False if none."""
-        slot = self.slot_of(vin)
-        if slot is None:
-            return False
-        self._claims[slot].remove(vin)
-        if not self._claims[slot]:
-            del self._claims[slot]
-        return True
+        return self._slot_of.pop(vin, None) is not None
 
     def clear(self, cycle_id: int) -> None:
         """Start a fresh cycle; all outstanding tokens expire."""
         self.cycle_id = cycle_id
-        self._claims.clear()
+        self._slot_of.clear()
 
 
-def slot_for_arrival(
-    tti: float, state: SignalState, mu: float, n_dep: int, n_q: int | None = None
-) -> int | None:
+def slot_for_arrival(tti: float, state: SignalState, mu: float, n_dep: int) -> int | None:
     """Slot index containing the projected arrival, or None.
 
-    Pure form of the allocation rule, shared by the table-backed
-    allocator and by non-cooperative planning (which assumes every slot
-    is free).  ``n_q`` defaults to the state's queue length.
+    Slots the standing queue (``state.queue_len``) discharges through are
+    never returned.
     """
     if tti <= 0:
         return None
     tsd = 1.0 / mu
-    n_q = state.queue_len if n_q is None else n_q
+    n_q = state.queue_len
     if state.approach_green:
         r_g = state.remaining_green or 0.0
         if tti > r_g:
@@ -133,31 +121,6 @@ def slot_for_arrival(
     return None
 
 
-def allocate(
-    vin: int,
-    tti: float,
-    state: SignalState,
-    table: TokenTable,
-    free_only: bool = False,
-) -> int | None:
-    """Claim the slot containing ``vin``'s projected arrival.
-
-    Returns the token index, or None when no slot covers the arrival
-    (arrival outside the upcoming green, or inside the queue-reserved
-    lead-in).  A claim on an already-claimed slot is recorded as well --
-    that is a conflict for the games to resolve -- unless ``free_only``
-    is set (used when re-assigning a game loser, so losers cannot
-    immediately re-contest the slot they just lost).
-    """
-    slot = slot_for_arrival(tti, state, table.mu, table.n_dep)
-    if slot is None:
-        return None
-    if free_only and table.claimants(slot):
-        return None
-    table.claim(slot, vin)
-    return slot
-
-
 def detect_conflicts(requests: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
     """Group request (vin, tau) pairs by token; keep groups of two or more."""
     by_tau: dict[int, list[int]] = {}
@@ -166,19 +129,171 @@ def detect_conflicts(requests: Iterable[tuple[int, int]]) -> dict[int, list[int]
     return {tau: sorted(vins) for tau, vins in sorted(by_tau.items()) if len(vins) > 1}
 
 
-def release(vin: int, table: TokenTable) -> bool:
-    """Free ``vin``'s slot; returns False (warning) if it held none."""
-    return table.release(vin)
+def _usable_window(tau: int, mu: float, state: SignalState) -> tuple[float, float]:
+    """Slot window with its end pulled in so arrivals dodge the all-red gap."""
+    a, b = token_window(tau, mu)
+    return a, min(b, state.green_s - state.green_end_margin_s)
 
 
-def reassign(
-    vin: int, tti: float, state: SignalState, table: TokenTable
-) -> int | None:
-    """Drop ``vin``'s current slot and re-allocate for a recomputed TTI."""
-    table.release(vin)
-    return allocate(vin, tti, state, table, free_only=True)
-
-
-def build_token(tau: int, table: TokenTable, vin: int) -> TimeToken:
-    a, b = token_window(tau, table.mu)
+def build_token(tau: int, vin: int, table: TokenTable, state: SignalState) -> TimeToken:
+    """Token for slot ``tau`` of ``table``'s cycle, over the slot's usable window."""
+    a, b = _usable_window(tau, table.mu, state)
     return TimeToken(tau=tau, a=a, b=b, cycle_id=table.cycle_id, vin=vin)
+
+
+@dataclass(slots=True)
+class Approacher:
+    """One vehicle taking part in a light's allocation round.
+
+    ``cap`` is the highest speed the vehicle can plan for (the road limit
+    or what its leader allows).  The round replaces ``token``.
+    """
+
+    vin: int
+    dist: float  # meters to the stop line
+    speed: float
+    cap: float
+    mode: Mode
+    token: TimeToken | None = None
+
+
+def _request_tti(e: Approacher, state: SignalState) -> float | None:
+    """Arrival time the vehicle submits with a request, or None.
+
+    In green, a vehicle that would miss the green at its current speed
+    submits its arrival at ``cap`` when that still makes it.
+    """
+    if e.speed <= 0:
+        return None
+    tti = e.dist / e.speed
+    if state.approach_green:
+        r_g = state.remaining_green or 0.0
+        if tti <= r_g:
+            return tti
+        if e.cap > 0 and e.dist / e.cap <= r_g and tti <= r_g + state.red_s:
+            return e.dist / e.cap
+        return None
+    r_r = state.remaining_red or 0.0
+    if r_r < tti <= r_r + state.green_s:
+        return tti
+    return None
+
+
+def _reachable(slot: int, e: Approacher, state: SignalState, table: TokenTable,
+               v_min: float) -> bool:
+    """Can the vehicle still arrive inside the slot's usable window?
+
+    Slots the standing queue discharges through never are.
+    """
+    if slot <= state.queue_len:
+        return False
+    a, b = _usable_window(slot, table.mu, state)
+    if state.approach_green:
+        elapsed = state.green_s - (state.remaining_green or 0.0)
+        lo, hi = max(0.0, a - elapsed), b - elapsed
+    else:
+        r_r = state.remaining_red or 0.0
+        lo, hi = r_r + a, r_r + b
+    if hi <= lo or hi <= 0:
+        return False
+    if e.dist / hi > e.cap:
+        return False
+    return lo <= 0 or e.dist / lo >= v_min
+
+
+def _first_free_reachable(e: Approacher, state: SignalState, table: TokenTable,
+                          v_min: float, occupied: set[int], start: int = 1) -> int | None:
+    """First unclaimed, reachable slot at or after ``start``.
+
+    Scanning forward from the natural arrival slot keeps allocation
+    roughly first-come-first-served: a vehicle slows into a later free
+    slot rather than racing ahead of traffic for an early one.
+    """
+    for j in range(max(start, state.queue_len + 1), table.n_dep + 1):
+        if j not in occupied and _reachable(j, e, state, table, v_min):
+            return j
+    return None
+
+
+def allocation_round(
+    table: TokenTable,
+    state: SignalState,
+    v_min: float,
+    vehicles: Sequence[Approacher],
+    ledger: CreditLedger,
+    rng,
+    tl_rng,
+    *,
+    cooperative: bool,
+) -> None:
+    """One allocation round for one light; sets every vehicle's ``token``.
+
+    ``vehicles`` are the light's approaching, unqueued vehicles in
+    ascending VIN order.  Without ``cooperative`` each vehicle takes the
+    token of its own arrival slot, assumed free, and the table is left
+    alone.  Otherwise, in order:
+
+    * a token from an expired cycle, or whose slot the vehicle can no
+      longer reach, is released;
+    * a token holder moves up to the first free slot it can reach, if
+      that is earlier than its own;
+    * a vehicle without a token requests its arrival slot, or else the
+      first free slot it can reach.  Requests act on the table as it
+      stood at the start of the round, so two can land on one slot;
+    * each contested slot is settled by the games (``rng`` and ``tl_rng``
+      drive their random tier, credits move in ``ledger``).  A loser
+      takes the first free slot it can reach at or after the lost one,
+      with its token, or is left without a claim;
+    * every request left holding its slot is granted the slot's token.
+    """
+    if not cooperative:
+        for e in vehicles:
+            tti = _request_tti(e, state)
+            slot = None if tti is None else slot_for_arrival(tti, state, table.mu, table.n_dep)
+            e.token = None if slot is None else build_token(slot, e.vin, table, state)
+        return
+
+    occupied_before = table.claimed()
+    fresh: list[Approacher] = []
+    for e in vehicles:
+        if e.token is not None and (
+            e.token.cycle_id != table.cycle_id
+            or not _reachable(e.token.tau, e, state, table, v_min)
+        ):
+            table.release(e.vin)
+            e.token = None
+        if e.token is not None:
+            upgrade = _first_free_reachable(e, state, table, v_min, table.claimed())
+            if upgrade is not None and upgrade < e.token.tau:
+                table.claim(upgrade, e.vin)
+                e.token = build_token(upgrade, e.vin, table, state)
+            continue
+        tti = _request_tti(e, state)
+        if tti is None:
+            continue
+        slot = slot_for_arrival(tti, state, table.mu, table.n_dep)
+        if slot is None or slot in occupied_before:
+            slot = _first_free_reachable(e, state, table, v_min, occupied_before)
+        if slot is not None:
+            table.claim(slot, e.vin)
+            fresh.append(e)
+
+    by_vin = {e.vin: e for e in vehicles}
+    for tau, group in detect_conflicts(table.requests()).items():
+        modes = {vin: by_vin[vin].mode for vin in group}
+        result = resolve_conflict(group, modes, ledger, rng, tl_rng)
+        live = table.claimed()
+        for vin in result.losers:
+            loser = by_vin[vin]
+            table.release(vin)
+            loser.token = None
+            alt = _first_free_reachable(loser, state, table, v_min, live, start=tau)
+            if alt is not None:
+                table.claim(alt, vin)
+                loser.token = build_token(alt, vin, table, state)
+                live.add(alt)
+
+    for e in fresh:
+        slot = table.slot_of(e.vin)
+        if slot is not None and e.token is None:
+            e.token = build_token(slot, e.vin, table, state)

@@ -6,7 +6,6 @@ from coopspeed.games import (
     CreditLedger,
     Mode,
     NormalFormGame2x2,
-    TripCost,
     pareto_optimal,
     play_pair,
     pure_nash,
@@ -176,23 +175,3 @@ def test_negative_costs_rejected():
     with pytest.raises(ValueError):
         NormalFormGame2x2(costs=(((-1, 0), (0, 0)), ((0, 0), (0, 0))))
 
-
-def test_trip_cost_examples():
-    cost = TripCost()
-    for _ in range(100):
-        cost.observe(0, stopped=False, dt=0.1)
-    assert cost.path_cost() == 0.0
-
-    cost = TripCost()
-    for _ in range(124):
-        cost.observe(0, stopped=True, dt=0.1)
-    assert cost.path_cost() == pytest.approx(12.4)
-
-    cost = TripCost()
-    for _ in range(30):
-        cost.observe(0, stopped=True, dt=0.1)
-    for _ in range(50):
-        cost.observe(1, stopped=True, dt=0.1)
-    assert cost.segment_cost(0) == pytest.approx(3.0)
-    assert cost.segment_cost(1) == pytest.approx(5.0)
-    assert cost.path_cost() == pytest.approx(8.0)

@@ -2,19 +2,22 @@ import random
 
 import pytest
 
+from coopspeed.games import CreditLedger, Mode
 from coopspeed.signals import SignalState, Phase
 from coopspeed.tokens import (
+    Approacher,
     TokenTable,
-    allocate,
+    allocation_round,
+    build_token,
     detect_conflicts,
-    reassign,
-    release,
     slot_for_arrival,
     token_window,
 )
 
 MU = 0.333
 TSD = 1.0 / MU
+V_MIN = 2.78
+V_MAX = 16.67
 
 
 def green_state(remaining: float, queue: int = 0, green_s: float = 24.0) -> SignalState:
@@ -33,8 +36,29 @@ def red_state(remaining: float, queue: int = 0, green_s: float = 24.0) -> Signal
     )
 
 
-def fresh_table() -> TokenTable:
-    return TokenTable(mu=MU, n_dep=8)
+def fresh_table(n_dep: int = 8) -> TokenTable:
+    return TokenTable(mu=MU, n_dep=n_dep)
+
+
+def approacher(vin: int, tti: float, mode: Mode = Mode.NORMAL, speed: float = 10.0,
+               token=None) -> Approacher:
+    """Vehicle arriving in ``tti`` seconds at its current speed."""
+    return Approacher(vin=vin, dist=tti * speed, speed=speed, cap=V_MAX, mode=mode,
+                      token=token)
+
+
+def run_round(table, state, vehicles, ledger=None, seed=0, cooperative=True):
+    ledger = CreditLedger() if ledger is None else ledger
+    allocation_round(table, state, V_MIN, vehicles, ledger, random.Random(seed),
+                     random.Random(seed + 1), cooperative=cooperative)
+    return ledger
+
+
+def assert_one_claim_per_token(table, vehicles):
+    requests = table.requests()
+    assert len({slot for _, slot in requests}) == len(requests)
+    for e in vehicles:
+        assert table.slot_of(e.vin) == (None if e.token is None else e.token.tau)
 
 
 def test_token_window_values():
@@ -55,56 +79,59 @@ def test_token_window_errors():
 
 def test_allocate_green_basic():
     table = fresh_table()
-    tau = allocate(11, 20.0, green_state(24.0), table)
-    assert tau == 7
-    a, b = token_window(7, MU)
-    assert a <= 20.0 <= b
+    e = approacher(11, 20.0)
+    run_round(table, green_state(24.0), [e])
+    assert e.token.tau == 7
+    assert e.token.a <= 20.0 <= e.token.b
     assert table.holder(7) == 11
 
 
 def test_allocate_green_beyond_remaining():
-    assert allocate(1, 30.0, green_state(24.0), fresh_table()) is None
+    assert slot_for_arrival(30.0, green_state(24.0), MU, 8) is None
 
 
 def test_allocate_red_too_close():
-    assert allocate(1, 10.0, red_state(12.0), fresh_table()) is None
+    assert slot_for_arrival(10.0, red_state(12.0), MU, 8) is None
 
 
 def test_allocate_red_window():
-    table = fresh_table()
-    tau = allocate(5, 13.0, red_state(12.0), table)
-    assert tau == 1  # one second into the upcoming green
+    # One second into the upcoming green.
+    assert slot_for_arrival(13.0, red_state(12.0), MU, 8) == 1
 
 
 def test_red_queue_reservation_is_strict():
     # The red branch requires a strictly later arrival than the queue zone.
     state = red_state(12.0, queue=2)
     boundary = 12.0 + 2 * TSD
-    assert allocate(1, boundary, state, fresh_table()) is None
-    assert allocate(1, boundary + 0.01, state, fresh_table()) == 3
+    assert slot_for_arrival(boundary, state, MU, 8) is None
+    assert slot_for_arrival(boundary + 0.01, state, MU, 8) == 3
 
 
 def test_green_queue_priority():
     state = green_state(24.0, queue=3)
     # Arrival inside the queue lead-in gets nothing.
-    assert allocate(1, 5.0, state, fresh_table()) is None
+    assert slot_for_arrival(5.0, state, MU, 8) is None
     # The boundary of the first offered slot is inclusive on the green side.
-    assert allocate(2, 3 * TSD, state, fresh_table()) == 4
-    assert allocate(3, 9.5, state, fresh_table()) == 4
+    assert slot_for_arrival(3 * TSD, state, MU, 8) == 4
+    assert slot_for_arrival(9.5, state, MU, 8) == 4
 
 
 def test_mid_green_allocation_shifts_to_green_start():
     # 6 s into the green, a 10 s TTI lands 16 s after the green start.
-    table = fresh_table()
-    assert allocate(9, 10.0, green_state(18.0), table) == 6
+    assert slot_for_arrival(10.0, green_state(18.0), MU, 8) == 6
 
 
-def test_double_claim_is_recorded_not_refused():
+def test_claim_moves_a_vehicles_earlier_claim():
     table = fresh_table()
-    assert allocate(1, 20.0, green_state(24.0), table) == 7
-    assert allocate(2, 19.0, green_state(24.0), table) == 7
-    assert table.claimants(7) == (1, 2)
-    assert table.holder(7) is None  # contested
+    table.claim(7, 1)
+    table.claim(5, 1)
+    assert table.slot_of(1) == 5
+    assert table.claimants(7) == ()
+    assert table.requests() == [(1, 5)]
+    # Two vehicles on one slot is a contested slot, with no holder.
+    table.claim(5, 2)
+    assert table.claimants(5) == (1, 2)
+    assert table.holder(5) is None
 
 
 def test_detect_conflicts_examples():
@@ -115,28 +142,131 @@ def test_detect_conflicts_examples():
 
 def test_release_restores_uniqueness():
     table = fresh_table()
-    allocate(1, 20.0, green_state(24.0), table)
-    allocate(2, 19.0, green_state(24.0), table)
-    assert release(2, table) is True
+    table.claim(7, 1)
+    table.claim(7, 2)
+    assert table.release(2) is True
     assert table.holder(7) == 1
-    assert release(2, table) is False  # no-op with warning flag
+    assert table.release(2) is False  # no-op with warning flag
+
+
+def test_two_fresh_requests_on_one_slot_leave_one_holder():
+    table = fresh_table()
+    winner = approacher(1, 20.0, Mode.RUSH)
+    loser = approacher(2, 19.5, Mode.NORMAL)
+    ledger = run_round(table, green_state(24.0), [winner, loser])
+    # One pair game: the winner pays the loser one credit.
+    assert (ledger.get(1), ledger.get(2)) == (-1, 1)
+    assert table.holder(7) == 1
+    assert winner.token.tau == 7
+    # The loser takes the next free reachable slot, token included.
+    assert loser.token.tau == 8
+    assert table.holder(8) == 2
+    assert_one_claim_per_token(table, [winner, loser])
 
 
 def test_reassign_goes_to_a_free_slot_only():
-    table = fresh_table()
-    allocate(1, 20.0, green_state(24.0), table)
-    # Loser whose new arrival lands on the winner's slot gets nothing.
-    assert reassign(2, 19.0, green_state(24.0), table) is None
-    # A later arrival in a free slot succeeds.
-    assert reassign(2, 22.0, green_state(24.0), table) == 8
-    assert table.slot_of(2) == 8
+    # A 30 s green has ten slots; slot 8 is taken in the same round.
+    table = fresh_table(n_dep=10)
+    state = green_state(30.0, green_s=30.0)
+    vehicles = [approacher(1, 20.0, Mode.RUSH), approacher(2, 19.5),
+                approacher(3, 22.0)]
+    run_round(table, state, vehicles)
+    assert [e.token.tau for e in vehicles] == [7, 9, 8]
+    assert_one_claim_per_token(table, vehicles)
 
 
 def test_reassign_beyond_green_fails():
     table = fresh_table()
-    allocate(1, 20.0, green_state(24.0), table)
-    assert reassign(1, 50.0, green_state(24.0), table) is None
-    assert table.slot_of(1) is None  # old slot was dropped
+    winner = approacher(1, 22.0, Mode.RUSH)
+    loser = approacher(2, 22.5)
+    run_round(table, green_state(24.0), [winner, loser])
+    assert winner.token.tau == 8
+    assert loser.token is None
+    assert table.slot_of(2) is None
+
+
+def test_upgraded_holder_that_loses_keeps_one_claim_and_a_token():
+    table = fresh_table()
+    state = green_state(24.0)
+    # Vehicle 3 holds slot 8 and can reach slot 6 but nothing earlier.
+    table.claim(8, 3)
+    holder = approacher(3, 280.0 / 12.0, speed=12.0, token=build_token(8, 3, table, state))
+    # Vehicle 4 requests slot 6, which was free when the round began.
+    rival = approacher(4, 16.5, Mode.RUSH)
+    run_round(table, state, [holder, rival])
+    assert rival.token.tau == 6
+    # The upgrade to slot 6 lost the game; the next free slot comes with its token.
+    assert holder.token.tau == 7
+    assert table.requests() == [(4, 6), (3, 7)]
+    assert_one_claim_per_token(table, [holder, rival])
+
+
+def test_token_inside_queue_lead_in_is_released():
+    table = fresh_table()
+    table.claim(2, 1)
+    e = approacher(1, 5.0, token=build_token(2, 1, table, green_state(24.0)))
+    # Three queued vehicles now discharge through slots 1 to 3.
+    run_round(table, green_state(24.0, queue=3), [e])
+    assert e.token.tau > 3
+    assert_one_claim_per_token(table, [e])
+
+
+def test_table_clear_expires_tokens():
+    table = fresh_table()
+    table.claim(7, 1)
+    table.clear(cycle_id=1)
+    assert table.slot_of(1) is None
+    assert table.cycle_id == 1
+
+
+def test_clear_then_round_releases_stale_cycle_tokens():
+    table = fresh_table()
+    state = green_state(24.0)
+    table.claim(7, 1)
+    stale = approacher(1, 20.0, token=build_token(7, 1, table, state))
+    table.clear(cycle_id=1)
+    run_round(table, state, [stale])
+    # The old token is dropped and the request made again in the new cycle.
+    assert stale.token.cycle_id == 1
+    assert_one_claim_per_token(table, [stale])
+
+
+def test_allocation_is_deterministic():
+    outcomes = []
+    for _ in range(3):
+        table = fresh_table()
+        # Equal modes and credits: the light's random draw decides.
+        vehicles = [approacher(vin, 20.0 - 0.1 * vin) for vin in (1, 2, 3)]
+        ledger = run_round(table, green_state(24.0), vehicles, seed=4)
+        outcomes.append((table.requests(), [ledger.get(vin) for vin in (1, 2, 3)]))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_fresh_request_claims_the_arrival_slot():
+    rng = random.Random(5)
+    for _ in range(300):
+        queue = rng.randint(0, 4)
+        if rng.random() < 0.5:
+            state = green_state(rng.uniform(0.5, 24.0), queue)
+        else:
+            state = red_state(rng.uniform(0.5, 36.0), queue)
+        tti = rng.uniform(0.1, 70.0)
+        slot = slot_for_arrival(tti, state, MU, 8)
+        if slot is None:
+            continue
+        table = fresh_table()
+        e = approacher(1, tti)
+        run_round(table, state, [e])
+        assert table.slot_of(1) == e.token.tau == slot
+
+
+def test_non_cooperative_round_assumes_every_slot_free():
+    table = fresh_table()
+    vehicles = [approacher(1, 20.0), approacher(2, 19.5), approacher(3, 50.0)]
+    ledger = run_round(table, green_state(24.0), vehicles, cooperative=False)
+    assert [e.token and e.token.tau for e in vehicles] == [7, 7, None]
+    assert table.requests() == []
+    assert ledger.total() == 0
 
 
 def test_windows_tile_without_gap_or_overlap():
@@ -151,30 +281,3 @@ def test_windows_tile_without_gap_or_overlap():
             assert b - a == pytest.approx(1.0 / mu, abs=1e-9)
             prev_b = b
         assert prev_b == pytest.approx(n / mu, abs=1e-6)
-
-
-def test_allocation_is_deterministic():
-    for _ in range(3):
-        table = fresh_table()
-        assert allocate(4, 17.5, green_state(24.0), table) == 6
-
-
-def test_slot_for_arrival_matches_allocate():
-    rng = random.Random(5)
-    for _ in range(300):
-        queue = rng.randint(0, 4)
-        if rng.random() < 0.5:
-            state = green_state(rng.uniform(0.5, 24.0), queue)
-        else:
-            state = red_state(rng.uniform(0.5, 36.0), queue)
-        tti = rng.uniform(0.1, 70.0)
-        table = fresh_table()
-        assert slot_for_arrival(tti, state, MU, 8) == allocate(1, tti, state, table)
-
-
-def test_table_clear_expires_tokens():
-    table = fresh_table()
-    allocate(1, 20.0, green_state(24.0), table)
-    table.clear(cycle_id=1)
-    assert table.slot_of(1) is None
-    assert table.cycle_id == 1
