@@ -28,7 +28,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import attrgetter
 
 from .energy import EnergyLedger, EnergyParams, accel_energy
 from .games import CreditLedger, Mode
@@ -46,6 +49,8 @@ from .tokens import Approacher, TimeToken, TokenTable, allocation_round
 TECHNIQUES = ("csof", "ncso", "fixed")
 
 KMH = 1 / 3.6
+
+_pos = attrgetter("pos")
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,12 @@ class SimConfig:
             raise ValueError("activation distance cannot exceed segment length")
         if abs(sum(self.mode_probabilities) - 1.0) > 1e-9:
             raise ValueError("mode probabilities must sum to 1")
+        if self.time_gap_s <= 0:
+            raise ValueError("time gap must be positive")
+        arrivals = self.scripted_arrivals
+        if arrivals is not None and any(a > b for a, b in zip(arrivals, arrivals[1:])):
+            # Spawning stops at the first arrival still in the future.
+            raise ValueError("scripted arrivals must be non-decreasing")
 
 
 class Vehicle:
@@ -134,7 +145,8 @@ class Vehicle:
     )
 
     def __init__(self, vin: int, mode: Mode, seg: int, lane: int, pos: float,
-                 speed: float, n_segments: int, spawned_at: float) -> None:
+                 speed: float, n_segments: int, spawned_at: float,
+                 moving_speed: float) -> None:
         self.vin = vin
         self.mode = mode
         self.seg = seg
@@ -148,7 +160,7 @@ class Vehicle:
         self.stops = [0] * n_segments
         self.energy_j = [0.0] * n_segments
         self.energy = EnergyLedger()
-        self.stop_armed = speed > 1.0
+        self.stop_armed = speed > moving_speed
         self.spawned_at = spawned_at
 
 
@@ -274,6 +286,7 @@ class World:
             mode=self._sample_mode() if mode is None else mode,
             seg=seg, lane=lane, pos=pos, speed=speed,
             n_segments=len(self.cfg.segments), spawned_at=self.t,
+            moving_speed=self.cfg.moving_speed,
         )
         self.next_vin += 1
         self.spawned += 1
@@ -285,15 +298,15 @@ class World:
     def _entry_lane(self) -> int | None:
         """Freest entry lane of segment 0, or None while all are blocked."""
         cfg = self.cfg
-        needed = cfg.vehicle_length_m + cfg.standstill_gap_m
+        rears = [math.inf] * cfg.segments[0].lanes
+        for v in self.vehicles.values():
+            if v.seg == 0:
+                rear = v.pos - cfg.vehicle_length_m
+                if rear < rears[v.lane]:
+                    rears[v.lane] = rear
         best_lane = None
-        best_clear = needed - 1e-9
-        for lane in range(cfg.segments[0].lanes):
-            rear = min(
-                (v.pos - cfg.vehicle_length_m for v in self.vehicles.values()
-                 if v.seg == 0 and v.lane == lane),
-                default=math.inf,
-            )
+        best_clear = cfg.vehicle_length_m + cfg.standstill_gap_m - 1e-9
+        for lane, rear in enumerate(rears):
             if rear > best_clear:
                 best_lane, best_clear = lane, rear
         return best_lane
@@ -381,7 +394,7 @@ class World:
         for v in self.vehicles.values():
             out.setdefault((v.seg, v.lane), []).append(v)
         for group in out.values():
-            group.sort(key=lambda v: v.pos)
+            group.sort(key=_pos)
         return out
 
     @staticmethod
@@ -391,6 +404,18 @@ class World:
             for follower, leader in zip(group, group[1:]):
                 out[follower.vin] = leader
         return out
+
+    def _caps(self, lanes: dict[tuple[int, int], list[Vehicle]]) -> dict[int, float]:
+        """Planning ceiling of every vehicle, one pass over the sorted lane
+        groups: what the leader allows, the road limit for a lane's front."""
+        segments = self.cfg.segments
+        caps: dict[int, float] = {}
+        for (seg_idx, _), group in lanes.items():
+            seg = segments[seg_idx]
+            for follower, leader in zip(group, group[1:]):
+                caps[follower.vin] = self._plan_cap(follower, leader, seg)
+            caps[group[-1].vin] = seg.v_max
+        return caps
 
     def _plan_targets(self, order: list[int], states: list[SignalState],
                       caps: dict[int, float]) -> dict[int, float]:
@@ -424,10 +449,30 @@ class World:
             targets[vin] = res.speed
         return targets
 
-    def _lane_changes(self, order: list[int], lanes: dict) -> None:
+    def _lane_changes(self, order: list[int], lanes: dict, leaders: dict[int, Vehicle],
+                      caps: dict[int, float]) -> bool:
         """Overtake when the adjacent lane allows a higher speed and has
-        safe time gaps fore and aft."""
+        safe time gaps fore and aft.  Returns whether any vehicle moved.
+
+        Neighbours are found by bisecting each lane group's positions,
+        built on first use and rebuilt after a move changes the group.
+        The rear gap is kept to the nearest follower but must fit the
+        fastest of all followers, hence a running maximum of speeds.
+        """
         cfg = self.cfg
+        length = cfg.vehicle_length_m
+        index: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
+
+        def lane_index(key: tuple[int, int]) -> tuple[list[float], list[float]]:
+            entry = index.get(key)
+            if entry is None:
+                group = lanes[key]
+                # fastest[i]: top speed among the first i vehicles of the lane.
+                fastest = list(accumulate((o.speed for o in group), max, initial=0.0))
+                entry = index[key] = ([o.pos for o in group], fastest)
+            return entry
+
+        moved = False
         for vin in order:
             v = self.vehicles[vin]
             if v.queued or v.speed < cfg.stop_speed:
@@ -435,59 +480,63 @@ class World:
             seg = cfg.segments[v.seg]
             if seg.length_m - v.pos < 30.0:
                 continue  # no weaving on the final approach
-            group = lanes.get((v.seg, v.lane), [])
-            lead = None
-            for o in group:
-                if o.pos > v.pos and (lead is None or o.pos < lead.pos):
-                    lead = o
-            cap_here = self._plan_cap(v, lead, seg)
+            key = (v.seg, v.lane)
+            group = lanes[key]
+            i = bisect_right(lane_index(key)[0], v.pos)
+            lead = group[i] if i < len(group) else None
+            # The step's cap stands while the leader it was taken from does.
+            cap_here = caps[vin] if lead is leaders.get(vin) else self._plan_cap(v, lead, seg)
             if cap_here >= seg.v_max - 0.3:
                 continue
             for other_lane in range(seg.lanes):
                 if other_lane == v.lane:
                     continue
-                other = lanes.get((v.seg, other_lane), [])
-                front_gap = math.inf
-                back_gap = math.inf
-                back_speed = 0.0
-                new_lead = None
-                for o in other:
-                    if o.pos >= v.pos:
-                        if o.pos - cfg.vehicle_length_m - v.pos < front_gap:
-                            front_gap = o.pos - cfg.vehicle_length_m - v.pos
-                            new_lead = o
-                    else:
-                        back_gap = min(back_gap, v.pos - cfg.vehicle_length_m - o.pos)
-                        back_speed = max(back_speed, o.speed)
+                other_key = (v.seg, other_lane)
+                other = lanes.setdefault(other_key, [])
+                positions, fastest = lane_index(other_key)
+                i = bisect_left(positions, v.pos)
+                new_lead = other[i] if i < len(other) else None
                 if self._plan_cap(v, new_lead, seg) <= cap_here + 0.5:
                     continue
+                front_gap = math.inf if new_lead is None else new_lead.pos - length - v.pos
+                back_gap = v.pos - length - other[i - 1].pos if i else math.inf
                 if (
                     front_gap >= cfg.time_gap_s * max(v.speed, 1.0)
-                    and back_gap >= cfg.time_gap_s * max(back_speed, 1.0)
+                    and back_gap >= cfg.time_gap_s * max(fastest[i], 1.0)
                 ):
                     group.remove(v)
                     v.lane = other_lane
-                    other.append(v)
-                    other.sort(key=lambda x: x.pos)
-                    lanes[(v.seg, other_lane)] = other
+                    insort(other, v, key=_pos)
+                    del index[key], index[other_key]
+                    moved = True
                     break
+        return moved
 
     def _gate_open(self, light: LightAgent, state: SignalState, lanes: dict,
-                   v: Vehicle) -> bool:
+                   v: Vehicle, lanes_sorted: bool) -> bool:
         return (
             state.crossable
             and self.t + self.cfg.dt_s - light.last_cross_t
             >= 1.0 / light.cfg.departure_rate - 1e-9
-            and self._next_entry_clear(lanes, v)
+            and self._next_entry_clear(lanes, v, lanes_sorted)
         )
 
-    def _next_entry_clear(self, lanes: dict, v: Vehicle) -> bool:
-        """Room to land at the start of the next segment (spillback guard)."""
+    def _next_entry_clear(self, lanes: dict, v: Vehicle, lanes_sorted: bool) -> bool:
+        """Room to land at the start of the next segment (spillback guard).
+
+        Before integration the lane groups are sorted, so the rearmost
+        vehicle decides.  During integration they hold part-advanced
+        positions, among them vehicles that have already moved on a
+        segment, so every member is checked.
+        """
         nxt = v.seg + 1
         if nxt >= len(self.cfg.segments):
             return True
         need = self.cfg.vehicle_length_m + self.cfg.standstill_gap_m
-        return all(o.pos >= need for o in lanes.get((nxt, v.lane), ()))
+        group = lanes.get((nxt, v.lane), ())
+        if lanes_sorted:
+            return not group or group[0].pos >= need
+        return all(o.pos >= need for o in group)
 
     def step(self) -> None:
         cfg = self.cfg
@@ -498,12 +547,7 @@ class World:
         lanes = self._by_lane()
         order = sorted(self.vehicles)
         leaders = self._leaders(lanes)
-        caps = {
-            vin: self._plan_cap(
-                self.vehicles[vin], leaders.get(vin), cfg.segments[self.vehicles[vin].seg]
-            )
-            for vin in order
-        }
+        caps = self._caps(lanes)
 
         if cfg.technique != "fixed":
             self._maintain_tokens(states, order, caps)
@@ -519,8 +563,8 @@ class World:
             density_cap.append(density_speed(density, seg.d_max_veh_km_lane, seg.v_max))
 
         targets = self._plan_targets(order, states, caps)
-        self._lane_changes(order, lanes)
-        leaders = self._leaders(lanes)
+        if self._lane_changes(order, lanes, leaders, caps):
+            leaders = self._leaders(lanes)
 
         # Compose clamps: comfort-limited planning, hard safety overrides.
         new_speed: dict[int, float] = {}
@@ -547,7 +591,7 @@ class World:
 
             # Stop line behaves as an obstacle unless the gate is open.
             if d <= cfg.time_gap_s * seg.v_max + 5.0 and not self._gate_open(
-                light, state, lanes, v
+                light, state, lanes, v, lanes_sorted=True
             ):
                 line_safe = max(0.0, d / cfg.time_gap_s)
                 if sp > line_safe:
@@ -580,7 +624,7 @@ class World:
             self._accrue_energy(v, prev_speed, sp, dt, seg)
 
             if v.pos >= seg.length_m:
-                if self._gate_open(light, state, lanes, v):
+                if self._gate_open(light, state, lanes, v, lanes_sorted=False):
                     light.last_cross_t = t + dt
                     light.green_crossings += 1
                     light.table.release(vin)
@@ -652,6 +696,10 @@ class World:
         cfg = self.cfg
         join_zone = cfg.vehicle_length_m + 2.0 * cfg.standstill_gap_m
         roll_speed = 0.5  # above this a queued vehicle is moving again
+        stopped: list[list[Vehicle]] = [[] for _ in self.lights]
+        for v in self.vehicles.values():
+            if v.speed < cfg.stop_speed:
+                stopped[v.seg].append(v)
         for light, state in zip(self.lights, states):
             seg = cfg.segments[light.idx]
             for vin in light.queue:
@@ -669,11 +717,7 @@ class World:
                 rear = q.pos - cfg.vehicle_length_m
                 if q.lane not in tails or rear < tails[q.lane]:
                     tails[q.lane] = rear
-            cands = [
-                v for v in self.vehicles.values()
-                if v.seg == light.idx and not v.queued
-                and v.speed < cfg.stop_speed
-            ]
+            cands = [v for v in stopped[light.idx] if not v.queued]
             cands.sort(key=lambda v: -v.pos)
             for v in cands:
                 d_line = seg.length_m - v.pos

@@ -1,4 +1,14 @@
-from coopspeed.sim import SegmentConfig, SimConfig, World
+import pytest
+
+from coopspeed.signals import SignalConfig
+from coopspeed.sim import (
+    InitialVehicle,
+    IntersectionMetrics,
+    MetricsReport,
+    SegmentConfig,
+    SimConfig,
+    World,
+)
 
 
 def test_token_table_matches_tokens_at_every_step():
@@ -32,3 +42,155 @@ def test_report_counts_arrivals_waiting_to_enter():
     due = sum(1 for a in arrivals if a < cfg.duration_s)
     assert report.spawned + report.waiting == due
     assert report.spawned == report.completed + report.in_network
+
+
+# -- regression lock ----------------------------------------------------------
+# Reports recorded before the step moved to the sorted lane index; any
+# change to the engine's arithmetic or to the order of its decisions shows
+# here.  Both runs change lanes, so the lane-change path is covered.
+
+def _count_lane_moves(world, until):
+    moves = 0
+    while world.t < until - 1e-9:
+        lanes = {vin: v.lane for vin, v in world.vehicles.items()}
+        world.step()
+        moves += sum(v.lane != lanes[vin] for vin, v in world.vehicles.items() if vin in lanes)
+    return moves
+
+
+def _report(technique, spawned, completed, in_network, per, idle, stops, energy):
+    return MetricsReport(
+        technique=technique, seed=1, duration_s=300.0, spawned=spawned, completed=completed,
+        in_network=in_network, waiting=0,
+        per_intersection=[IntersectionMetrics(f"SI{i + 1}", completed, *row)
+                          for i, row in enumerate(per)],
+        total_mean_idling_s=idle, total_mean_stops=stops, total_mean_energy_j=energy,
+    )
+
+
+PINNED = [
+    (SimConfig(duration_s=300.0, technique="fixed", arrival_rate_veh_s=0.5, seed=1),
+     _report("fixed", 147, 2, 145,
+             [(0.0, 0.0, 250379.3879215463),
+              (24.65000000000008, 1.0, -57393.6309112758),
+              (0.0, 0.0, 711017.8724966191)],
+             24.65000000000008, 1.0, 904003.6295068896)),
+    (SimConfig(duration_s=300.0, technique="csof", arrival_rate_veh_s=0.25, seed=1),
+     _report("csof", 71, 2, 69,
+             [(0.0, 0.0, 160641.43116903582),
+              (0.0, 0.0, 146734.0075557556),
+              (0.0, 0.0, 467635.34060647653)],
+             0.0, 0.0, 775010.7793312679)),
+]
+
+
+@pytest.mark.parametrize("cfg, expected", PINNED, ids=["fixed", "csof"])
+def test_pinned_reports(cfg, expected):
+    world = World(cfg)
+    assert _count_lane_moves(world, cfg.duration_s) >= 1
+    assert world.report() == expected
+
+
+def test_same_seed_same_report():
+    cfg = SimConfig(duration_s=120.0, technique="csof", arrival_rate_veh_s=0.3, seed=4)
+    assert World(cfg).run() == World(cfg).run()
+
+
+# -- per-step invariants ------------------------------------------------------
+
+@pytest.mark.parametrize("technique", ["csof", "ncso", "fixed"])
+def test_invariants_hold_at_every_step(technique):
+    short = SegmentConfig(length_m=600.0)
+    cfg = SimConfig(duration_s=200.0, technique=technique, arrival_rate_veh_s=0.4, seed=3,
+                    activation_distance_m=400.0, segments=(short, short))
+    world = World(cfg)
+    while world.t < cfg.duration_s - 1e-9:
+        world.step()
+        lanes = {}
+        for v in world.vehicles.values():
+            lanes.setdefault((v.seg, v.lane), []).append(v.pos)
+        for key, positions in lanes.items():
+            positions.sort()
+            for rear, front in zip(positions, positions[1:]):
+                assert front - rear >= cfg.vehicle_length_m - 1e-9, (world.t, key, rear, front)
+        assert world.spawned == world.completed + len(world.vehicles), world.t
+        assert world.ledger.total() == 0, world.t
+    assert world.completed > 0
+
+
+# -- lane changes -------------------------------------------------------------
+
+def _lane_world(*vehicles, **overrides):
+    cfg = SimConfig(duration_s=10.0, technique="fixed", arrival_rate_veh_s=0.0,
+                    initial_vehicles=tuple(InitialVehicle(*v) for v in vehicles), **overrides)
+    return World(cfg)
+
+
+def test_slow_leader_and_free_lane_make_the_follower_change_lanes():
+    # (seg, lane, pos, speed): a follower closing on a slow leader.
+    world = _lane_world((0, 0, 100.0, 10.0), (0, 0, 120.0, 3.0))
+    world.step()
+    assert [v.lane for v in world.vehicles.values()] == [1, 0]
+
+
+def test_close_follower_in_the_target_lane_keeps_the_vehicle_in_lane():
+    world = _lane_world((0, 0, 100.0, 10.0), (0, 0, 120.0, 3.0), (0, 1, 90.0, 10.0))
+    world.step()
+    assert [v.lane for v in world.vehicles.values()] == [0, 0, 1]
+
+
+def test_no_weaving_on_the_final_approach():
+    world = _lane_world((0, 0, 975.0, 10.0), (0, 0, 990.0, 3.0))
+    world.step()
+    assert [v.lane for v in world.vehicles.values()] == [0, 0]
+
+
+def test_lane_groups_stay_sorted_when_both_lanes_change():
+    # A leaves lane 0 for lane 1, then C leaves lane 1 for lane 0, in one step.
+    world = _lane_world((0, 0, 100.0, 10.0), (0, 0, 115.0, 2.0),
+                        (0, 1, 300.0, 10.0), (0, 1, 315.0, 2.0))
+    lanes = world._by_lane()
+    order = sorted(world.vehicles)
+    leaders = world._leaders(lanes)
+    caps = world._caps(lanes)
+    assert world._lane_changes(order, lanes, leaders, caps)
+    assert [[v.vin for v in lanes[(0, lane)]] for lane in (0, 1)] == [[2, 3], [1, 4]]
+    for group in lanes.values():
+        assert [v.pos for v in group] == sorted(v.pos for v in group)
+        assert all(v.lane == group[0].lane for v in group)
+    assert {f: lead.vin for f, lead in world._leaders(lanes).items()} == {2: 3, 1: 4}
+
+
+def test_no_move_reports_nothing_moved():
+    world = _lane_world((0, 0, 100.0, 10.0), (0, 1, 300.0, 10.0))
+    lanes = world._by_lane()
+    assert not world._lane_changes(sorted(world.vehicles), lanes, world._leaders(lanes),
+                                   world._caps(lanes))
+
+
+# -- configuration and spawning -------------------------------------------------
+
+def test_scripted_arrivals_must_not_decrease():
+    with pytest.raises(ValueError, match="non-decreasing"):
+        SimConfig(scripted_arrivals=(1.0, 3.0, 2.0))
+    SimConfig(scripted_arrivals=(1.0, 1.0, 2.0))
+
+
+def test_time_gap_must_be_positive():
+    for gap in (0.0, -1.0):
+        with pytest.raises(ValueError, match="time gap"):
+            SimConfig(time_gap_s=gap)
+
+
+def test_stop_detector_arms_at_the_configured_moving_speed():
+    # Rolling at 0.6 m/s, above a 0.5 m/s moving speed, into a red light:
+    # the vehicle slows below the moving speed at once, so only the
+    # detector's initial arming decides whether its stop counts.
+    cfg = SimConfig(duration_s=5.0, technique="fixed", arrival_rate_veh_s=0.0,
+                    moving_speed=0.5, segments=(SegmentConfig(signal=SignalConfig(offset_s=30.0)),),
+                    initial_vehicles=(InitialVehicle(pos=999.2, speed=0.6),))
+    world = World(cfg)
+    world.run()
+    v = world.vehicles[1]
+    assert v.idle[0] > 0.0
+    assert v.stops[0] == 1
