@@ -11,7 +11,7 @@ from .bargain import (
     marginal_contribution_set,
     satisfies_mc_principle,
 )
-from .energy import EnergyLedger, EnergyParams, StepEnergy, step_energy
+from .energy import EnergyLedger, EnergyParams
 from .games import (
     ConflictResult,
     CreditLedger,

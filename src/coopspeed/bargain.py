@@ -6,6 +6,9 @@ efficient allocations no coalition can improve upon.  Core members are
 found on a discrete value lattice by backtracking search with
 bound-based pruning; membership of an arbitrary allocation can be
 checked directly.
+
+This is a standalone analysis module: the corridor engine does not call
+it, and credits in a simulation move only through the precedence games.
 """
 
 from __future__ import annotations

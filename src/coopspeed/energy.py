@@ -1,12 +1,19 @@
 """Per-step electric-vehicle energy accounting.
 
-Four signed components per time step: potential energy (consumed
-uphill, recuperated downhill), resistive losses (rolling plus
-aerodynamic, always consumed), acceleration energy (consumed speeding
-up, recuperated slowing down), and on-board device draw.  Regeneration
-is perfectly symmetric by construction, and the acceleration term is
-proportional to distance over speed change, so speed changes below
-``dv_epsilon`` are treated as cruising to keep the term bounded.
+Four signed components per time step, in joules:
+
+* potential energy, ``m·g·Δh/η``: consumed uphill, recuperated downhill
+  at the same rate, so a climb and the matching descent cancel;
+* resistive losses, rolling plus aerodynamic drag at the step's speed,
+  always consumed;
+* kinetic energy, from the change ``ΔKE = ½·m·(v² − v₀²)``: speeding up
+  costs ``ΔKE/η`` and braking returns ``|ΔKE|·η``, so every speed cycle
+  loses energy and a trip's total converges as the step shrinks;
+* on-board devices, a constant draw times the step length.
+
+The kinetic form is the one of power-based EV consumption models (Fiori,
+Ahn & Rakha 2016, *Applied Energy*).  ``EnergyLedger.add`` books one step
+of one vehicle; the corridor engine calls it and nothing else.
 """
 
 from __future__ import annotations
@@ -23,17 +30,15 @@ class EnergyParams:
     air_density: float = 1.2  # kg/m^3
     frontal_area: float = 2.3  # m^2
     drag: float = 0.28  # air drag coefficient
-    motor_power: float = 80_000.0  # W
-    devices: tuple[tuple[float, float], ...] = ()  # (watts, seconds in use)
-    dv_epsilon: float = 0.05  # m/s; smaller speed changes count as cruising
+    device_power_w: float = 0.0  # constant on-board device draw
 
     def __post_init__(self) -> None:
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
-        for name in ("mass", "gravity", "air_density", "frontal_area", "motor_power"):
+        for name in ("mass", "gravity", "air_density", "frontal_area"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.rolling < 0 or self.drag < 0 or self.dv_epsilon < 0:
+        if self.rolling < 0 or self.drag < 0 or self.device_power_w < 0:
             raise ValueError("coefficients must be non-negative")
 
 
@@ -55,30 +60,15 @@ def loss(params: EnergyParams, speed: float, dt: float) -> float:
     return power * dt / params.eta
 
 
-def accel_energy(
-    params: EnergyParams, v_prev: float, v_now: float, dist: float
-) -> float:
-    """Signed accel/regen energy over ``dist`` meters; 0 while cruising."""
-    if dist < 0:
-        raise ValueError("distance must be non-negative")
-    dv = v_now - v_prev
-    if abs(dv) < params.dv_epsilon:
-        return 0.0
-    return params.motor_power * dist / dv / params.eta
+def accel_energy(params: EnergyParams, v_prev: float, v_now: float) -> float:
+    """Signed kinetic energy of a speed change: drive cost (+) or regen (-)."""
+    dke = 0.5 * params.mass * (v_now * v_now - v_prev * v_prev)
+    return dke / params.eta if dke > 0 else dke * params.eta
 
 
-def device_energy(params: EnergyParams) -> float:
-    """Total on-board device energy: sum of power times time in use."""
-    return sum(watts * seconds for watts, seconds in params.devices)
-
-
-def device_power(params: EnergyParams) -> float:
-    return sum(watts for watts, _ in params.devices)
-
-
-@dataclass(frozen=True)
-class StepEnergy:
-    """One step's energy components, joules; signs fixed per component."""
+@dataclass
+class EnergyLedger:
+    """Running totals of every component for one vehicle."""
 
     potential_consumed: float = 0.0  # >= 0
     potential_gained: float = 0.0  # <= 0
@@ -86,56 +76,26 @@ class StepEnergy:
     accel: float = 0.0  # >= 0
     decel: float = 0.0  # <= 0
     devices: float = 0.0  # >= 0
-
-    @property
-    def total(self) -> float:
-        return (
-            self.potential_consumed
-            + self.potential_gained
-            + self.loss
-            + self.accel
-            + self.decel
-            + self.devices
-        )
-
-
-def step_energy(
-    params: EnergyParams,
-    v_prev: float,
-    v_now: float,
-    dt: float,
-    elevation_delta: float = 0.0,
-) -> StepEnergy:
-    """All components for one step; distance is the ground covered, v*dt."""
-    pot = potential(params, elevation_delta)
-    acc = accel_energy(params, v_prev, v_now, v_now * dt)
-    return StepEnergy(
-        potential_consumed=max(pot, 0.0),
-        potential_gained=min(pot, 0.0),
-        loss=loss(params, v_now, dt),
-        accel=max(acc, 0.0),
-        decel=min(acc, 0.0),
-        devices=device_power(params) * dt,
-    )
-
-
-@dataclass
-class EnergyLedger:
-    """Running totals of every component for one vehicle."""
-
-    potential_consumed: float = 0.0
-    potential_gained: float = 0.0
-    loss: float = 0.0
-    accel: float = 0.0
-    decel: float = 0.0
-    devices: float = 0.0
     total: float = 0.0
 
-    def add(self, step: StepEnergy) -> None:
-        self.potential_consumed += step.potential_consumed
-        self.potential_gained += step.potential_gained
-        self.loss += step.loss
-        self.accel += step.accel
-        self.decel += step.decel
-        self.devices += step.devices
-        self.total += step.total
+    def add(self, params: EnergyParams, v_prev: float, v_now: float, dt: float,
+            rise: float = 0.0) -> float:
+        """Book one step ending at ``v_now`` after climbing ``rise`` meters;
+        returns the step's total."""
+        pot = potential(params, rise)
+        if pot >= 0:
+            self.potential_consumed += pot
+        else:
+            self.potential_gained += pot
+        res = loss(params, v_now, dt)
+        self.loss += res
+        acc = accel_energy(params, v_prev, v_now)
+        if acc >= 0:
+            self.accel += acc
+        else:
+            self.decel += acc
+        dev = params.device_power_w * dt
+        self.devices += dev
+        total = pot + res + acc + dev
+        self.total += total
+        return total

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
 
-from .energy import EnergyLedger, EnergyParams, accel_energy
+from .energy import EnergyLedger, EnergyParams
 from .games import CreditLedger, Mode
 from .planner import KinematicState, density_speed, plan
 from .signals import (
@@ -99,7 +99,6 @@ class SimConfig:
     activation_distance_m: float = 500.0
     arrival_rate_veh_s: float = 0.1
     entry_speed: float = 50.0 * KMH
-    replan_keep_probability: float = 0.0
     mode_probabilities: tuple[float, float, float] = (0.2, 0.6, 0.2)
     accel_limit: float = 2.5  # comfort bound, m/s^2
     time_gap_s: float = 2.0
@@ -139,7 +138,7 @@ class SimConfig:
 
 class Vehicle:
     __slots__ = (
-        "vin", "mode", "seg", "lane", "pos", "speed", "cmd", "token",
+        "vin", "mode", "seg", "lane", "pos", "speed", "token",
         "queued", "idle", "stops", "energy_j", "energy",
         "stop_armed", "spawned_at",
     )
@@ -153,7 +152,6 @@ class Vehicle:
         self.lane = lane
         self.pos = pos
         self.speed = speed
-        self.cmd: float | None = None
         self.token: TimeToken | None = None
         self.queued = False
         self.idle = [0.0] * n_segments
@@ -250,7 +248,6 @@ class World:
         self.rng_modes = random.Random(base * 6 + 1)
         self.rng_games = random.Random(base * 6 + 2)
         self.rng_tl = random.Random(base * 6 + 3)
-        self.rng_replan = random.Random(base * 6 + 4)
         self._pending_spawns = 0
         self._next_arrival = self._draw_arrival(0.0)
         self._scripted_idx = 0
@@ -258,7 +255,6 @@ class World:
         self._sum_idle = [0.0] * n
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
-        self._device_power = sum(w for w, _ in cfg.energy.devices)
         for iv in cfg.initial_vehicles:
             self._place(iv.seg, iv.lane, iv.pos, iv.speed, mode=iv.mode,
                         credits=iv.credits)
@@ -434,19 +430,10 @@ class World:
             if d > cfg.activation_distance_m or cfg.technique == "fixed":
                 targets[vin] = min(cfg.entry_speed, seg.v_max)
                 continue
-            if (
-                cfg.replan_keep_probability > 0
-                and v.cmd is not None
-                and self.rng_replan.random() < cfg.replan_keep_probability
-            ):
-                targets[vin] = v.cmd
-                continue
             v_cap = caps[vin]
             k = KinematicState(speed=v.speed, dist=d, v_min=seg.v_min, v_max=v_cap)
             t_q = queue_clear_time(len(light.queue), light.cfg.departure_rate) + cfg.arrival_bias_s
-            res = plan(k, state, v.token, t_q)
-            v.cmd = res.speed
-            targets[vin] = res.speed
+            targets[vin] = plan(k, state, v.token, t_q).speed
         return targets
 
     def _lane_changes(self, order: list[int], lanes: dict, leaders: dict[int, Vehicle],
@@ -653,42 +640,8 @@ class World:
 
     def _accrue_energy(self, v: Vehicle, prev: float, sp: float, dt: float,
                        seg: SegmentConfig) -> None:
-        """One step of the energy ledger.
-
-        The speed-change term is evaluated per step over the distance
-        covered, with two engine-level guards: changes below the cruising
-        threshold do not count (planner jitter), and no step may move more
-        energy than the motor can deliver or absorb in ``dt``.
-        """
-        ep = self.cfg.energy
-        dist = sp * dt
-        power = (
-            ep.rolling * ep.mass * ep.gravity * sp
-            + 0.5 * ep.air_density * ep.frontal_area * ep.drag * sp * sp * sp
-        )
-        loss_j = power * dt / ep.eta
-        dev_j = self._device_power * dt
-        pot = ep.mass * ep.gravity * (seg.grade * dist) / ep.eta
-        led = v.energy
-        led.loss += loss_j
-        led.devices += dev_j
-        if pot >= 0:
-            led.potential_consumed += pot
-        else:
-            led.potential_gained += pot
-        total = loss_j + dev_j + pot
-
-        acc = accel_energy(ep, prev, sp, dist)
-        if acc:
-            cap = ep.motor_power * dt / ep.eta
-            acc = max(-cap, min(cap, acc))
-            if acc >= 0:
-                led.accel += acc
-            else:
-                led.decel += acc
-            total += acc
-        led.total += total
-        v.energy_j[v.seg] += total
+        """Book one step of ``v`` on its ledger and its segment's total."""
+        v.energy_j[v.seg] += v.energy.add(self.cfg.energy, prev, sp, dt, seg.grade * sp * dt)
 
     def _update_queues(self, states: list[SignalState]) -> None:
         """Queue bookkeeping: join when stopped at the line or the lane's

@@ -45,9 +45,11 @@ def test_report_counts_arrivals_waiting_to_enter():
 
 
 # -- regression lock ----------------------------------------------------------
-# Reports recorded before the step moved to the sorted lane index; any
-# change to the engine's arithmetic or to the order of its decisions shows
-# here.  Both runs change lanes, so the lane-change path is covered.
+# Reports recorded before the step moved to the sorted lane index, with
+# the energy fields recorded again when energy became the kinetic-energy
+# model; any change to the engine's arithmetic or to the order of its
+# decisions shows here.  Both runs change lanes, so the lane-change path
+# is covered.
 
 def _count_lane_moves(world, until):
     moves = 0
@@ -71,16 +73,16 @@ def _report(technique, spawned, completed, in_network, per, idle, stops, energy)
 PINNED = [
     (SimConfig(duration_s=300.0, technique="fixed", arrival_rate_veh_s=0.5, seed=1),
      _report("fixed", 147, 2, 145,
-             [(0.0, 0.0, 250379.3879215463),
-              (24.65000000000008, 1.0, -57393.6309112758),
-              (0.0, 0.0, 711017.8724966191)],
-             24.65000000000008, 1.0, 904003.6295068896)),
+             [(0.0, 0.0, 214678.31413680877),
+              (24.65000000000008, 1.0, 159537.48069073117),
+              (0.0, 0.0, 367658.595682136)],
+             24.65000000000008, 1.0, 741874.390509676)),
     (SimConfig(duration_s=300.0, technique="csof", arrival_rate_veh_s=0.25, seed=1),
      _report("csof", 71, 2, 69,
-             [(0.0, 0.0, 160641.43116903582),
-              (0.0, 0.0, 146734.0075557556),
-              (0.0, 0.0, 467635.34060647653)],
-             0.0, 0.0, 775010.7793312679)),
+             [(0.0, 0.0, 215930.78291394984),
+              (0.0, 0.0, 230275.97755321814),
+              (0.0, 0.0, 348568.018830574)],
+             0.0, 0.0, 794774.779297742)),
 ]
 
 
@@ -94,6 +96,36 @@ def test_pinned_reports(cfg, expected):
 def test_same_seed_same_report():
     cfg = SimConfig(duration_s=120.0, technique="csof", arrival_rate_veh_s=0.3, seed=4)
     assert World(cfg).run() == World(cfg).run()
+
+
+# -- analytic oracles ---------------------------------------------------------
+
+def test_trip_energy_converges_in_dt():
+    # One cruising vehicle over the default corridor, stopped once by a red.
+    trips = []
+    for dt in (0.05, 0.1, 0.2):
+        cfg = SimConfig(duration_s=300.0, dt_s=dt, technique="fixed", arrival_rate_veh_s=0.0,
+                        initial_vehicles=(InitialVehicle(speed=13.89),))
+        report = World(cfg).run()
+        assert report.completed == 1
+        assert report.total_mean_idling_s > 0.0
+        assert all(m.mean_energy_j >= 0.0 for m in report.per_intersection), (dt, report)
+        trips.append(report.total_mean_energy_j)
+    assert max(trips) <= 1.02 * min(trips), trips
+
+
+@pytest.mark.parametrize("technique", ["csof", "ncso", "fixed"])
+def test_queue_discharge_never_exceeds_departures_per_green(technique):
+    # 1800 veh/h saturates the first lights: no green may let more
+    # vehicles cross than the service rate allows in it.
+    cfg = SimConfig(duration_s=300.0, technique=technique, arrival_rate_veh_s=0.5, seed=1)
+    world = World(cfg)
+    world.run()
+    for light in world.lights:
+        assert light.green_crossing_history, light.idx
+        assert max(light.green_crossing_history) <= light.n_dep, (light.idx, light.n_dep)
+    first = world.lights[0]
+    assert max(first.green_crossing_history) >= first.n_dep - 1
 
 
 # -- per-step invariants ------------------------------------------------------
