@@ -47,9 +47,10 @@ def test_report_counts_arrivals_waiting_to_enter():
 # -- regression lock ----------------------------------------------------------
 # Reports recorded before the step moved to the sorted lane index, with
 # the energy fields recorded again when energy became the kinetic-energy
-# model; any change to the engine's arithmetic or to the order of its
-# decisions shows here.  Both runs change lanes, so the lane-change path
-# is covered.
+# model; the `ncso` pin and the three two-segment runs, which each complete
+# at least 20 vehicles, were recorded before the step was slimmed down.
+# Any change to the engine's arithmetic or to the order of its decisions
+# shows here.  Every run changes lanes, so the lane-change path is covered.
 
 def _count_lane_moves(world, until):
     moves = 0
@@ -60,37 +61,73 @@ def _count_lane_moves(world, until):
     return moves
 
 
-def _report(technique, spawned, completed, in_network, per, idle, stops, energy):
+def _report(cfg, spawned, completed, in_network, per, idle, stops, energy):
     return MetricsReport(
-        technique=technique, seed=1, duration_s=300.0, spawned=spawned, completed=completed,
-        in_network=in_network, waiting=0,
+        technique=cfg.technique, seed=cfg.seed, duration_s=cfg.duration_s, spawned=spawned,
+        completed=completed, in_network=in_network, waiting=0,
         per_intersection=[IntersectionMetrics(f"SI{i + 1}", completed, *row)
                           for i, row in enumerate(per)],
         total_mean_idling_s=idle, total_mean_stops=stops, total_mean_energy_j=energy,
     )
 
 
-PINNED = [
-    (SimConfig(duration_s=300.0, technique="fixed", arrival_rate_veh_s=0.5, seed=1),
-     _report("fixed", 147, 2, 145,
-             [(0.0, 0.0, 214678.31413680877),
-              (24.65000000000008, 1.0, 159537.48069073117),
-              (0.0, 0.0, 367658.595682136)],
-             24.65000000000008, 1.0, 741874.390509676)),
-    (SimConfig(duration_s=300.0, technique="csof", arrival_rate_veh_s=0.25, seed=1),
-     _report("csof", 71, 2, 69,
-             [(0.0, 0.0, 215930.78291394984),
-              (0.0, 0.0, 230275.97755321814),
-              (0.0, 0.0, 348568.018830574)],
-             0.0, 0.0, 794774.779297742)),
-]
+def _pin(cfg, *fields):
+    return cfg, _report(cfg, *fields)
 
 
-@pytest.mark.parametrize("cfg, expected", PINNED, ids=["fixed", "csof"])
+def _two_short(technique):
+    short = SegmentConfig(length_m=600.0)
+    return SimConfig(duration_s=360.0, technique=technique, arrival_rate_veh_s=0.4, seed=1,
+                     activation_distance_m=400.0, segments=(short, short))
+
+
+PINNED = {
+    "fixed": _pin(
+        SimConfig(duration_s=300.0, technique="fixed", arrival_rate_veh_s=0.5, seed=1),
+        147, 2, 145,
+        [(0.0, 0.0, 214678.31413680877),
+         (24.65000000000008, 1.0, 159537.48069073117),
+         (0.0, 0.0, 367658.595682136)],
+        24.65000000000008, 1.0, 741874.390509676),
+    "csof": _pin(
+        SimConfig(duration_s=300.0, technique="csof", arrival_rate_veh_s=0.25, seed=1),
+        71, 2, 69,
+        [(0.0, 0.0, 215930.78291394984),
+         (0.0, 0.0, 230275.97755321814),
+         (0.0, 0.0, 348568.018830574)],
+        0.0, 0.0, 794774.779297742),
+    "ncso": _pin(
+        SimConfig(duration_s=300.0, technique="ncso", arrival_rate_veh_s=0.25, seed=1),
+        71, 1, 70,
+        [(0.0, 0.0, 246318.93004114824),
+         (0.0, 0.0, 96535.63212908355),
+         (0.0, 0.0, 394413.2180144265)],
+        0.0, 0.0, 737267.7801846582),
+    "csof-20": _pin(
+        _two_short("csof"), 139, 25, 114,
+        [(20.55200000000013, 0.88, 7846.782079022044),
+         (2.9560000000000177, 0.16, 166158.8064990281)],
+        23.50800000000015, 1.04, 174005.58857805017),
+    "ncso-20": _pin(
+        _two_short("ncso"), 139, 28, 111,
+        [(29.350000000000215, 1.0714285714285714, 8544.064593286512),
+         (0.39642857142857163, 0.14285714285714285, 168954.59275120418)],
+        29.746428571428787, 1.2142857142857142, 177498.6573444907),
+    "fixed-20": _pin(
+        _two_short("fixed"), 139, 28, 111,
+        [(41.54285714285732, 1.6428571428571428, 18951.366795800033),
+         (2.1571428571428544, 0.5714285714285714, 176559.28659313038)],
+        43.70000000000017, 2.2142857142857144, 195510.65338893043),
+}
+
+
+@pytest.mark.parametrize("cfg, expected", PINNED.values(), ids=PINNED.keys())
 def test_pinned_reports(cfg, expected):
     world = World(cfg)
     assert _count_lane_moves(world, cfg.duration_s) >= 1
-    assert world.report() == expected
+    report = world.report()
+    assert report == expected
+    assert repr(report) == repr(expected)
 
 
 def test_same_seed_same_report():
