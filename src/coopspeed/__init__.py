@@ -11,7 +11,7 @@ from .bargain import (
     marginal_contribution_set,
     satisfies_mc_principle,
 )
-from .energy import EnergyLedger, EnergyParams
+from .energy import EnergyParams, energy_model
 from .games import (
     ConflictResult,
     CreditLedger,
@@ -23,13 +23,12 @@ from .games import (
     pure_nash,
     resolve_conflict,
 )
-from .planner import KinematicState, Objective, PlanResult, density_speed, plan, plan_to_window, tti
+from .planner import KinematicState, Objective, PlanResult, density_speed, plan, plan_to_window
 from .signals import (
     Approach,
     Phase,
     SignalConfig,
     SignalState,
-    arrivals_per_red,
     departures_per_green,
     queue_clear_time,
     state_at,

@@ -1,23 +1,26 @@
 """Per-step electric-vehicle energy accounting.
 
-Four signed components per time step, in joules:
+``energy_model(params)`` is the whole model: it returns the function the
+corridor engine calls once per vehicle and step, which gives the step's
+total in joules as the sum of four signed terms:
 
 * potential energy, ``m·g·Δh/η``: consumed uphill, recuperated downhill
   at the same rate, so a climb and the matching descent cancel;
-* resistive losses, rolling plus aerodynamic drag at the step's speed,
-  always consumed;
+* resistive losses, rolling plus aerodynamic drag at the step's end
+  speed, ``(c_r·m·g·v + ½·ρ·A·C_d·v³)·Δt/η``, always consumed;
 * kinetic energy, from the change ``ΔKE = ½·m·(v² − v₀²)``: speeding up
   costs ``ΔKE/η`` and braking returns ``|ΔKE|·η``, so every speed cycle
   loses energy and a trip's total converges as the step shrinks;
 * on-board devices, a constant draw times the step length.
 
 The kinetic form is the one of power-based EV consumption models (Fiori,
-Ahn & Rakha 2016, *Applied Energy*).  ``EnergyLedger.add`` books one step
-of one vehicle; the corridor engine calls it and nothing else.
+Ahn & Rakha 2016, *Applied Energy*).  The products of the parameters are
+taken once, when the function is built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -42,60 +45,31 @@ class EnergyParams:
             raise ValueError("coefficients must be non-negative")
 
 
-def potential(params: EnergyParams, elevation_delta: float) -> float:
-    """Signed potential energy for a climb (+) or descent (-), joules."""
-    return params.mass * params.gravity * elevation_delta / params.eta
+def energy_model(params: EnergyParams) -> Callable[[float, float, float, float], float]:
+    """The step-energy function for ``params``.
 
+    ``step(v_prev, v_now, dt, rise)`` is the energy, in joules, of one
+    step of ``dt`` seconds that ends at ``v_now`` after starting at
+    ``v_prev`` and climbing ``rise`` meters (negative downhill).
+    """
+    eta = params.eta
+    mg = params.mass * params.gravity
+    rolling_mg = params.rolling * params.mass * params.gravity
+    half_rho_a_cd = 0.5 * params.air_density * params.frontal_area * params.drag
+    half_m = 0.5 * params.mass
+    device_w = params.device_power_w
 
-def loss(params: EnergyParams, speed: float, dt: float) -> float:
-    """Rolling and aerodynamic losses over one step of ``dt`` seconds."""
-    if speed < 0:
-        raise ValueError("speed must be non-negative")
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    power = (
-        params.rolling * params.mass * params.gravity * speed
-        + 0.5 * params.air_density * params.frontal_area * params.drag * speed**3
-    )
-    return power * dt / params.eta
+    def step(v_prev: float, v_now: float, dt: float, rise: float) -> float:
+        if v_now < 0:
+            raise ValueError("speed must be non-negative")
+        if dt < 0:
+            raise ValueError("dt must be non-negative")
+        dke = half_m * (v_now * v_now - v_prev * v_prev)
+        return (
+            mg * rise / eta
+            + (rolling_mg * v_now + half_rho_a_cd * v_now**3) * dt / eta
+            + (dke / eta if dke > 0 else dke * eta)
+            + device_w * dt
+        )
 
-
-def accel_energy(params: EnergyParams, v_prev: float, v_now: float) -> float:
-    """Signed kinetic energy of a speed change: drive cost (+) or regen (-)."""
-    dke = 0.5 * params.mass * (v_now * v_now - v_prev * v_prev)
-    return dke / params.eta if dke > 0 else dke * params.eta
-
-
-@dataclass
-class EnergyLedger:
-    """Running totals of every component for one vehicle."""
-
-    potential_consumed: float = 0.0  # >= 0
-    potential_gained: float = 0.0  # <= 0
-    loss: float = 0.0  # >= 0
-    accel: float = 0.0  # >= 0
-    decel: float = 0.0  # <= 0
-    devices: float = 0.0  # >= 0
-    total: float = 0.0
-
-    def add(self, params: EnergyParams, v_prev: float, v_now: float, dt: float,
-            rise: float = 0.0) -> float:
-        """Book one step ending at ``v_now`` after climbing ``rise`` meters;
-        returns the step's total."""
-        pot = potential(params, rise)
-        if pot >= 0:
-            self.potential_consumed += pot
-        else:
-            self.potential_gained += pot
-        res = loss(params, v_now, dt)
-        self.loss += res
-        acc = accel_energy(params, v_prev, v_now)
-        if acc >= 0:
-            self.accel += acc
-        else:
-            self.decel += acc
-        dev = params.device_power_w * dt
-        self.devices += dev
-        total = pot + res + acc + dev
-        self.total += total
-        return total
+    return step

@@ -27,7 +27,6 @@ from .tokens import TimeToken
 
 
 class Objective(Enum):
-    MIN_SPEED = "min_speed"
     MAX_SPEED = "max_speed"
     HOLD = "hold"
 
@@ -63,15 +62,6 @@ def density_speed(density: float, max_density: float, v_max: float) -> float:
     return v_max * (1.0 - density / max_density)
 
 
-def tti(dist: float, speed: float) -> float:
-    """Time to intersection at the current speed."""
-    if speed <= 0:
-        raise ValueError("TTI undefined for non-positive speed")
-    if dist < 0:
-        raise ValueError("distance must be non-negative")
-    return dist / speed
-
-
 def speed_band(
     dist: float, window: tuple[float, float], v_min: float, v_max: float
 ) -> tuple[float, float] | None:
@@ -99,8 +89,6 @@ def plan_to_window(
     if band is None:
         return None
     lo, hi = band
-    if objective is Objective.MIN_SPEED:
-        return lo
     if objective is Objective.MAX_SPEED:
         return hi
     return min(max(k.speed, lo), hi)

@@ -40,7 +40,6 @@ class SignalConfig:
     all_red_gap_s: float = 1.0
     offset_s: float = 0.0
     departure_rate: float = 0.333  # mu, veh/s
-    arrival_rate: float = 0.25  # lambda, veh/s per approach
 
     def __post_init__(self) -> None:
         if self.green_s <= 0 or self.red_s <= 0:
@@ -120,13 +119,6 @@ def queue_clear_time(n: int, mu: float) -> float:
     if n < 0:
         raise ValueError("queue length must be non-negative")
     return n / mu
-
-
-def arrivals_per_red(lam: float, red_s: float) -> float:
-    """Expected vehicle arrivals on one approach over one red period."""
-    if lam < 0 or red_s < 0:
-        raise ValueError("rates and durations must be non-negative")
-    return lam * red_s
 
 
 def departures_per_green(mu: float, green_s: float) -> int:

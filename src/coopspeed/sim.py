@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
 
-from .energy import EnergyLedger, EnergyParams
+from .energy import EnergyParams, energy_model
 from .games import CreditLedger, Mode
 from .planner import KinematicState, density_speed, plan
 from .signals import (
@@ -139,8 +139,7 @@ class SimConfig:
 class Vehicle:
     __slots__ = (
         "vin", "mode", "seg", "lane", "pos", "speed", "token",
-        "queued", "idle", "stops", "energy_j", "energy",
-        "stop_armed", "spawned_at",
+        "queued", "idle", "stops", "energy_j", "stop_armed", "spawned_at",
     )
 
     def __init__(self, vin: int, mode: Mode, seg: int, lane: int, pos: float,
@@ -157,7 +156,6 @@ class Vehicle:
         self.idle = [0.0] * n_segments
         self.stops = [0] * n_segments
         self.energy_j = [0.0] * n_segments
-        self.energy = EnergyLedger()
         self.stop_armed = speed > moving_speed
         self.spawned_at = spawned_at
 
@@ -255,6 +253,7 @@ class World:
         self._sum_idle = [0.0] * n
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
+        self._energy = energy_model(cfg.energy)
         for iv in cfg.initial_vehicles:
             self._place(iv.seg, iv.lane, iv.pos, iv.speed, mode=iv.mode,
                         credits=iv.credits)
@@ -326,15 +325,15 @@ class World:
 
     # -- token protocol ----------------------------------------------------
 
-    def _maintain_tokens(self, states: list[SignalState], order: list[int],
+    def _maintain_tokens(self, states: list[SignalState], fleet: list[Vehicle],
                          caps: dict[int, float]) -> None:
         """Run each light's allocation round over its approaching vehicles."""
         cfg = self.cfg
+        reach = cfg.activation_distance_m
+        lengths = [seg.length_m for seg in cfg.segments]
         per_light: list[list[Vehicle]] = [[] for _ in self.lights]
-        for vin in order:
-            v = self.vehicles[vin]
-            seg = cfg.segments[v.seg]
-            if not v.queued and seg.length_m - v.pos <= cfg.activation_distance_m:
+        for v in fleet:
+            if not v.queued and lengths[v.seg] - v.pos <= reach:
                 per_light[v.seg].append(v)
         for light, state, approaching in zip(self.lights, states, per_light):
             seg = cfg.segments[light.idx]
@@ -402,52 +401,82 @@ class World:
         return out
 
     def _caps(self, lanes: dict[tuple[int, int], list[Vehicle]]) -> dict[int, float]:
-        """Planning ceiling of every vehicle, one pass over the sorted lane
-        groups: what the leader allows, the road limit for a lane's front."""
-        segments = self.cfg.segments
+        """Planning ceiling of every vehicle, walking each sorted lane group
+        from the front: the road limit for the front vehicle, and for each
+        vehicle behind it the cap ``_plan_cap`` gives for its leader."""
+        cfg = self.cfg
+        segments = cfg.segments
+        length = cfg.vehicle_length_m
+        standstill = cfg.standstill_gap_m
+        time_gap = cfg.time_gap_s
         caps: dict[int, float] = {}
         for (seg_idx, _), group in lanes.items():
             seg = segments[seg_idx]
-            for follower, leader in zip(group, group[1:]):
-                caps[follower.vin] = self._plan_cap(follower, leader, seg)
-            caps[group[-1].vin] = seg.v_max
+            v_min, v_max = seg.v_min, seg.v_max
+            from_front = reversed(group)
+            leader = next(from_front)
+            caps[leader.vin] = v_max
+            for v in from_front:
+                # _plan_cap's min/max chain, written out with its tie-breaks.
+                safe = (leader.pos - length - v.pos - standstill) / time_gap
+                safe = safe if safe > 0.0 else 0.0
+                cap = safe if safe > leader.speed else leader.speed
+                cap = cap if cap < v_max else v_max
+                caps[v.vin] = cap if cap > v_min else v_min
+                leader = v
         return caps
 
-    def _plan_targets(self, order: list[int], states: list[SignalState],
-                      caps: dict[int, float]) -> dict[int, float]:
+    def _plan_targets(self, fleet: list[Vehicle], states: list[SignalState],
+                      caps: dict[int, float]) -> list[float]:
+        """Planned speed of each vehicle of ``fleet``, in its order."""
         cfg = self.cfg
-        targets: dict[int, float] = {}
-        for vin in order:
-            v = self.vehicles[vin]
-            seg = cfg.segments[v.seg]
-            light = self.lights[v.seg]
-            state = states[v.seg]
-            d = seg.length_m - v.pos
+        reach = cfg.activation_distance_m
+        planned = cfg.technique != "fixed"
+        lengths = [seg.length_m for seg in cfg.segments]
+        # Queued vehicles wait for a crossable light; the rest cruise
+        # until they are close enough to plan.
+        queued_target = [seg.v_max if state.crossable else 0.0
+                         for seg, state in zip(cfg.segments, states)]
+        cruise = [min(cfg.entry_speed, seg.v_max) for seg in cfg.segments]
+        targets: list[float] = []
+        for v in fleet:
+            seg_idx = v.seg
             if v.queued:
                 # The stop-line gate and car-following govern discharge.
-                targets[vin] = seg.v_max if state.crossable else 0.0
+                targets.append(queued_target[seg_idx])
                 continue
-            if d > cfg.activation_distance_m or cfg.technique == "fixed":
-                targets[vin] = min(cfg.entry_speed, seg.v_max)
+            d = lengths[seg_idx] - v.pos
+            if d > reach or not planned:
+                targets.append(cruise[seg_idx])
                 continue
-            v_cap = caps[vin]
-            k = KinematicState(speed=v.speed, dist=d, v_min=seg.v_min, v_max=v_cap)
+            seg = cfg.segments[seg_idx]
+            light = self.lights[seg_idx]
+            k = KinematicState(speed=v.speed, dist=d, v_min=seg.v_min, v_max=caps[v.vin])
             t_q = queue_clear_time(len(light.queue), light.cfg.departure_rate) + cfg.arrival_bias_s
-            targets[vin] = plan(k, state, v.token, t_q).speed
+            targets.append(plan(k, states[seg_idx], v.token, t_q).speed)
         return targets
 
-    def _lane_changes(self, order: list[int], lanes: dict, leaders: dict[int, Vehicle],
+    def _lane_changes(self, fleet: list[Vehicle], lanes: dict, leaders: dict[int, Vehicle],
                       caps: dict[int, float]) -> bool:
         """Overtake when the adjacent lane allows a higher speed and has
         safe time gaps fore and aft.  Returns whether any vehicle moved.
 
-        Neighbours are found by bisecting each lane group's positions,
-        built on first use and rebuilt after a move changes the group.
-        The rear gap is kept to the nearest follower but must fit the
-        fastest of all followers, hence a running maximum of speeds.
+        Until the first move, every lane group is as sorted at the start
+        of the step, so a vehicle's own cap is the step's cap.  After a
+        move, the own-lane leader is found by bisection and the step's cap
+        stands only while that leader is the one it was taken from.
+        Target-lane neighbours are always found by bisecting the group's
+        positions, built on first use and rebuilt after a move changes
+        the group.  The rear gap is kept to the nearest follower but must
+        fit the fastest of all followers, hence a running maximum of
+        speeds.
         """
         cfg = self.cfg
+        segments = cfg.segments
         length = cfg.vehicle_length_m
+        stop_speed = cfg.stop_speed
+        time_gap = cfg.time_gap_s
+        plan_cap = self._plan_cap
         index: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
 
         def lane_index(key: tuple[int, int]) -> tuple[list[float], list[float]]:
@@ -460,19 +489,20 @@ class World:
             return entry
 
         moved = False
-        for vin in order:
-            v = self.vehicles[vin]
-            if v.queued or v.speed < cfg.stop_speed:
+        for v in fleet:
+            if v.queued or v.speed < stop_speed:
                 continue
-            seg = cfg.segments[v.seg]
+            seg = segments[v.seg]
             if seg.length_m - v.pos < 30.0:
                 continue  # no weaving on the final approach
             key = (v.seg, v.lane)
-            group = lanes[key]
-            i = bisect_right(lane_index(key)[0], v.pos)
-            lead = group[i] if i < len(group) else None
-            # The step's cap stands while the leader it was taken from does.
-            cap_here = caps[vin] if lead is leaders.get(vin) else self._plan_cap(v, lead, seg)
+            if moved:
+                group = lanes[key]
+                i = bisect_right(lane_index(key)[0], v.pos)
+                lead = group[i] if i < len(group) else None
+                cap_here = caps[v.vin] if lead is leaders.get(v.vin) else plan_cap(v, lead, seg)
+            else:
+                cap_here = caps[v.vin]
             if cap_here >= seg.v_max - 0.3:
                 continue
             for other_lane in range(seg.lanes):
@@ -483,18 +513,19 @@ class World:
                 positions, fastest = lane_index(other_key)
                 i = bisect_left(positions, v.pos)
                 new_lead = other[i] if i < len(other) else None
-                if self._plan_cap(v, new_lead, seg) <= cap_here + 0.5:
+                if plan_cap(v, new_lead, seg) <= cap_here + 0.5:
                     continue
                 front_gap = math.inf if new_lead is None else new_lead.pos - length - v.pos
                 back_gap = v.pos - length - other[i - 1].pos if i else math.inf
                 if (
-                    front_gap >= cfg.time_gap_s * max(v.speed, 1.0)
-                    and back_gap >= cfg.time_gap_s * max(fastest[i], 1.0)
+                    front_gap >= time_gap * max(v.speed, 1.0)
+                    and back_gap >= time_gap * max(fastest[i], 1.0)
                 ):
-                    group.remove(v)
+                    lanes[key].remove(v)
                     v.lane = other_lane
                     insort(other, v, key=_pos)
-                    del index[key], index[other_key]
+                    index.pop(key, None)  # built only after an earlier move
+                    del index[other_key]
                     moved = True
                     break
         return moved
@@ -529,107 +560,124 @@ class World:
         cfg = self.cfg
         dt = cfg.dt_s
         t = self.t
+        segments = cfg.segments
+        vehicles = self.vehicles
 
         states = self._signal_phase_bookkeeping()
         lanes = self._by_lane()
-        order = sorted(self.vehicles)
+        fleet = [vehicles[vin] for vin in sorted(vehicles)]
         leaders = self._leaders(lanes)
         caps = self._caps(lanes)
 
         if cfg.technique != "fixed":
-            self._maintain_tokens(states, order, caps)
+            self._maintain_tokens(states, fleet, caps)
 
         # Per-segment density speed cap (density saturates at the cap ratio).
-        counts = [0] * len(cfg.segments)
-        for v in self.vehicles.values():
-            counts[v.seg] += 1
+        counts = [0] * len(segments)
+        for (seg_idx, _), group in lanes.items():
+            counts[seg_idx] += len(group)
         density_cap = []
-        for seg, n in zip(cfg.segments, counts):
+        for seg, n in zip(segments, counts):
             density = n / (seg.length_m / 1000.0) / seg.lanes
             density = min(density, cfg.density_cap_ratio * seg.d_max_veh_km_lane)
             density_cap.append(density_speed(density, seg.d_max_veh_km_lane, seg.v_max))
 
-        targets = self._plan_targets(order, states, caps)
-        if self._lane_changes(order, lanes, leaders, caps):
+        targets = self._plan_targets(fleet, states, caps)
+        if self._lane_changes(fleet, lanes, leaders, caps):
             leaders = self._leaders(lanes)
 
         # Compose clamps: comfort-limited planning, hard safety overrides.
-        new_speed: dict[int, float] = {}
-        for vin in order:
-            v = self.vehicles[vin]
-            seg = cfg.segments[v.seg]
-            light = self.lights[v.seg]
-            state = states[v.seg]
-            d = seg.length_m - v.pos
+        # Each min/max is written out with the builtin's tie-break, so a
+        # tie keeps the same operand (0.0 against -0.0 included).
+        limit = cfg.accel_limit * dt
+        length = cfg.vehicle_length_m
+        standstill = cfg.standstill_gap_m
+        time_gap = cfg.time_gap_s
+        reaction = cfg.reaction_time_s
+        # Per segment: stop-line position, the distance to it within which
+        # the line may bind, and the density cap.
+        zones = [(seg.length_m, time_gap * seg.v_max + 5.0, cap)
+                 for seg, cap in zip(segments, density_cap)]
+        lights = self.lights
+        gate_open = self._gate_open
+        leader_of = leaders.get
+        new_speeds: list[float] = []
+        for v, target in zip(fleet, targets):
+            speed = v.speed
+            line_at, zone, dcap = zones[v.seg]
+            slowest = speed - limit
+            fastest = speed + limit
+            sp = dcap if dcap < target else target
+            sp = slowest if slowest > sp else sp
+            sp = fastest if fastest < sp else sp
 
-            desired = min(targets[vin], density_cap[v.seg])
-            limit = cfg.accel_limit * dt
-            sp = min(max(desired, v.speed - limit), v.speed + limit)
-
-            lead = leaders.get(vin)
+            lead = leader_of(v.vin)
             if lead is not None:
-                gap = lead.pos - cfg.vehicle_length_m - v.pos
-                safe = max(0.0, (gap - cfg.standstill_gap_m) / cfg.time_gap_s)
+                gap = lead.pos - length - v.pos
+                safe = (gap - standstill) / time_gap
+                safe = safe if safe > 0.0 else 0.0
                 if sp > safe:
-                    if gap < v.speed * cfg.reaction_time_s:
+                    if gap < speed * reaction:
                         sp = safe  # inside the reaction horizon: brake hard
                     else:
-                        sp = max(safe, v.speed - limit)
+                        sp = slowest if slowest > safe else safe
 
             # Stop line behaves as an obstacle unless the gate is open.
-            if d <= cfg.time_gap_s * seg.v_max + 5.0 and not self._gate_open(
-                light, state, lanes, v, lanes_sorted=True
-            ):
-                line_safe = max(0.0, d / cfg.time_gap_s)
+            d = line_at - v.pos
+            if d <= zone and not gate_open(lights[v.seg], states[v.seg], lanes, v,
+                                           lanes_sorted=True):
+                line_safe = d / time_gap
+                line_safe = line_safe if line_safe > 0.0 else 0.0
                 if sp > line_safe:
-                    if d < v.speed * cfg.reaction_time_s:
+                    if d < speed * reaction:
                         sp = line_safe
                     else:
-                        sp = max(line_safe, v.speed - limit)
-            new_speed[vin] = max(0.0, sp)
+                        sp = slowest if slowest > line_safe else line_safe
+            new_speeds.append(sp if sp > 0.0 else 0.0)
+
+        self._accrue_energy(fleet, new_speeds)
 
         # Integrate, accrue metrics, and handle crossings.
-        completed_now: list[int] = []
-        for vin in order:
-            v = self.vehicles[vin]
-            seg = cfg.segments[v.seg]
-            light = self.lights[v.seg]
-            state = states[v.seg]
-            sp = new_speed[vin]
-            prev_speed = v.speed
+        stop_speed = cfg.stop_speed
+        moving_speed = cfg.moving_speed
+        last_seg = len(segments) - 1
+        crossed_at = t + dt
+        completed_now: list[Vehicle] = []
+        for v, sp in zip(fleet, new_speeds):
+            seg_idx = v.seg
             v.speed = sp
             v.pos += sp * dt
 
-            stopped = sp < cfg.stop_speed
-            if stopped:
-                v.idle[v.seg] += dt
+            if sp < stop_speed:
+                v.idle[seg_idx] += dt
                 if v.stop_armed:
-                    v.stops[v.seg] += 1
+                    v.stops[seg_idx] += 1
                     v.stop_armed = False
-            elif sp > cfg.moving_speed:
+            elif sp > moving_speed:
                 v.stop_armed = True
-            self._accrue_energy(v, prev_speed, sp, dt, seg)
 
-            if v.pos >= seg.length_m:
-                if self._gate_open(light, state, lanes, v, lanes_sorted=False):
-                    light.last_cross_t = t + dt
+            line_at = zones[seg_idx][0]
+            if v.pos >= line_at:
+                light = lights[seg_idx]
+                if gate_open(light, states[seg_idx], lanes, v, lanes_sorted=False):
+                    light.last_cross_t = crossed_at
                     light.green_crossings += 1
-                    light.table.release(vin)
+                    light.table.release(v.vin)
                     v.token = None
                     v.queued = False
-                    if v.seg + 1 >= len(cfg.segments):
-                        completed_now.append(vin)
+                    if seg_idx == last_seg:
+                        completed_now.append(v)
                     else:
-                        v.pos -= seg.length_m
-                        v.seg += 1
+                        v.pos -= line_at
+                        v.seg = seg_idx + 1
                 else:
-                    v.pos = seg.length_m - 0.01
+                    v.pos = line_at - 0.01
                     v.speed = 0.0
 
-        for vin in completed_now:
-            v = self.vehicles.pop(vin)
+        for v in completed_now:
+            del vehicles[v.vin]
             self.completed += 1
-            for i in range(len(cfg.segments)):
+            for i in range(len(segments)):
                 self._sum_idle[i] += v.idle[i]
                 self._sum_stops[i] += v.stops[i]
                 self._sum_energy[i] += v.energy_j[i]
@@ -638,10 +686,15 @@ class World:
         self._spawn_due()
         self.t = t + dt
 
-    def _accrue_energy(self, v: Vehicle, prev: float, sp: float, dt: float,
-                       seg: SegmentConfig) -> None:
-        """Book one step of ``v`` on its ledger and its segment's total."""
-        v.energy_j[v.seg] += v.energy.add(self.cfg.energy, prev, sp, dt, seg.grade * sp * dt)
+    def _accrue_energy(self, fleet: list[Vehicle], new_speeds: list[float]) -> None:
+        """Book each vehicle's step, from its speed now to its new speed, on
+        the segment it is on; runs before either changes."""
+        energy = self._energy
+        dt = self.cfg.dt_s
+        grades = [seg.grade for seg in self.cfg.segments]
+        for v, sp in zip(fleet, new_speeds):
+            seg_idx = v.seg
+            v.energy_j[seg_idx] += energy(v.speed, sp, dt, grades[seg_idx] * sp * dt)
 
     def _update_queues(self, states: list[SignalState]) -> None:
         """Queue bookkeeping: join when stopped at the line or the lane's

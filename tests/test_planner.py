@@ -10,7 +10,6 @@ from coopspeed.planner import (
     plan,
     plan_to_window,
     speed_band,
-    tti,
 )
 from coopspeed.tokens import TimeToken, token_window
 from tests.test_tokens import green_state, red_state
@@ -52,14 +51,6 @@ def test_density_speed_errors():
         density_speed(10.0, 0.0, V_MAX)
 
 
-def test_tti_values():
-    assert tti(250.0, 12.5) == pytest.approx(20.0)
-    assert tti(0.0, 5.0) == 0.0
-    assert tti(500.0, V_MAX) == pytest.approx(29.99, abs=0.01)
-    with pytest.raises(ValueError):
-        tti(100.0, 0.0)
-
-
 def test_plan_to_window_hold_keeps_feasible_speed():
     s = plan_to_window(ks(5.0, 100.0), (18.02, 21.02), Objective.HOLD)
     assert s == pytest.approx(5.0)
@@ -70,11 +61,6 @@ def test_plan_to_window_hold_keeps_feasible_speed():
 def test_plan_to_window_physical_bound():
     # 100 m in at most 3 s needs 33 m/s; beyond the road limit.
     assert plan_to_window(ks(10.0, 100.0), (0.0, 3.003), Objective.MAX_SPEED) is None
-
-
-def test_plan_to_window_min_speed():
-    s = plan_to_window(ks(10.0, 100.0, v_min=1.0), (20.0, 40.0), Objective.MIN_SPEED)
-    assert s == pytest.approx(2.5)
 
 
 def test_plan_to_window_zero_open_window_has_no_cap():

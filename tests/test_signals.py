@@ -7,14 +7,13 @@ from coopspeed.signals import (
     Approach,
     Phase,
     SignalConfig,
-    arrivals_per_red,
     departures_per_green,
     queue_clear_time,
     state_at,
 )
 
 CFG = SignalConfig(green_s=24.0, red_s=36.0, all_red_gap_s=1.0, offset_s=0.0,
-                   departure_rate=0.333, arrival_rate=0.25)
+                   departure_rate=0.333)
 
 
 def test_fresh_green_east():
@@ -112,9 +111,7 @@ def test_queue_clear_time_errors_and_shape():
     assert queue_clear_time(5, 0.4) > queue_clear_time(5, 0.5)
 
 
-def test_arrivals_and_departures():
-    assert arrivals_per_red(0.25, 36.0) == pytest.approx(9.0)
-    assert arrivals_per_red(0.0, 50.0) == 0.0
+def test_departures_per_green_values():
     assert departures_per_green(0.333, 24.0) == 8
     assert departures_per_green(1.0 / 3.0, 24.0) == 8
     assert departures_per_green(0.5, 24.0) == 12

@@ -187,6 +187,22 @@ def test_invariants_hold_at_every_step(technique):
     assert world.completed > 0
 
 
+def test_caps_match_plan_cap_at_every_step():
+    # _caps writes out _plan_cap's arithmetic for a whole lane group; the
+    # two must agree bit for bit, signed zeros included.
+    world = World(_two_short("csof"))
+    while world.t < 120.0:
+        lanes = world._by_lane()
+        caps = world._caps(lanes)
+        leaders = world._leaders(lanes)
+        for (seg, _), group in lanes.items():
+            for v in group:
+                expected = world._plan_cap(v, leaders.get(v.vin), world.cfg.segments[seg])
+                assert repr(caps[v.vin]) == repr(expected), (world.t, v.vin)
+        world.step()
+    assert len(set(caps.values())) > 2  # leaders' speeds and gaps, not only the limits
+
+
 # -- lane changes -------------------------------------------------------------
 
 def _lane_world(*vehicles, **overrides):
@@ -219,10 +235,10 @@ def test_lane_groups_stay_sorted_when_both_lanes_change():
     world = _lane_world((0, 0, 100.0, 10.0), (0, 0, 115.0, 2.0),
                         (0, 1, 300.0, 10.0), (0, 1, 315.0, 2.0))
     lanes = world._by_lane()
-    order = sorted(world.vehicles)
+    fleet = list(world.vehicles.values())
     leaders = world._leaders(lanes)
     caps = world._caps(lanes)
-    assert world._lane_changes(order, lanes, leaders, caps)
+    assert world._lane_changes(fleet, lanes, leaders, caps)
     assert [[v.vin for v in lanes[(0, lane)]] for lane in (0, 1)] == [[2, 3], [1, 4]]
     for group in lanes.values():
         assert [v.pos for v in group] == sorted(v.pos for v in group)
@@ -230,11 +246,20 @@ def test_lane_groups_stay_sorted_when_both_lanes_change():
     assert {f: lead.vin for f, lead in world._leaders(lanes).items()} == {2: 3, 1: 4}
 
 
+def test_a_move_gives_the_vehicle_behind_a_new_leader_in_the_same_step():
+    # 1 overtakes the slow 2 into lane 1 and becomes the leader of 3 there;
+    # 3, free at the start of the step, is now held back by 1 and moves
+    # into the gap 1 left in lane 0.
+    world = _lane_world((0, 0, 100.0, 10.0), (0, 0, 120.0, 3.0), (0, 1, 70.0, 10.0))
+    world.step()
+    assert [v.lane for v in world.vehicles.values()] == [1, 0, 0]
+
+
 def test_no_move_reports_nothing_moved():
     world = _lane_world((0, 0, 100.0, 10.0), (0, 1, 300.0, 10.0))
     lanes = world._by_lane()
-    assert not world._lane_changes(sorted(world.vehicles), lanes, world._leaders(lanes),
-                                   world._caps(lanes))
+    assert not world._lane_changes(list(world.vehicles.values()), lanes,
+                                   world._leaders(lanes), world._caps(lanes))
 
 
 # -- configuration and spawning -------------------------------------------------
