@@ -349,7 +349,10 @@ class World:
 
     def _plan_cap(self, v: Vehicle, leader: Vehicle | None, seg: SegmentConfig) -> float:
         """Achievable speed ceiling for planning: the road limit, or what
-        the leader ahead allows (its speed, or the gap-safe speed)."""
+        the leader ahead allows (its speed, or the gap-safe speed).
+
+        Lane changes call this for one vehicle and a trial leader;
+        ``_caps`` computes the same for every vehicle of the step."""
         if leader is None:
             return seg.v_max
         gap = leader.pos - self.cfg.vehicle_length_m - v.pos
