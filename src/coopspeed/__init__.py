@@ -1,32 +1,16 @@
 """Cooperative speed optimization and time-token allocation for signalized corridors."""
 
-from .bargain import (
-    CharacteristicFunction,
-    buyer_seller_cf,
-    enumerate_core,
-    in_core,
-    is_efficient,
-    is_individually_rational,
-    marginal_contribution,
-    marginal_contribution_set,
-    satisfies_mc_principle,
-)
 from .energy import EnergyParams, energy_model
 from .games import (
     ConflictResult,
     CreditLedger,
     Mode,
-    NormalFormGame2x2,
     PairOutcome,
-    pareto_optimal,
     play_pair,
-    pure_nash,
     resolve_conflict,
 )
 from .planner import KinematicState, Objective, PlanResult, density_speed, plan, plan_to_window
 from .signals import (
-    Approach,
-    Phase,
     SignalConfig,
     SignalState,
     departures_per_green,

@@ -1,4 +1,4 @@
-"""Token-conflict games and two-player normal-form game analysis.
+"""Token-conflict games.
 
 A conflict between holders of the same time token is settled by a
 three-tier pairwise game: urgency mode first, credit points second, and
@@ -120,55 +120,4 @@ def resolve_conflict(
         champ = outcome.winner
     losers = [v for v in vins if v != champ]
     return ConflictResult(winner=champ, losers=losers, rounds=rounds)
-
-
-CostCell = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class NormalFormGame2x2:
-    """Two-player, two-strategy cost game; lower cost is preferred.
-
-    ``costs[i][j]`` holds (row player's cost, column player's cost) for
-    row strategy i and column strategy j.
-    """
-
-    costs: tuple[tuple[CostCell, CostCell], tuple[CostCell, CostCell]]
-
-    def __post_init__(self) -> None:
-        for row in self.costs:
-            for cell in row:
-                if any(c < 0 for c in cell):
-                    raise ValueError("costs must be non-negative")
-
-
-def pure_nash(game: NormalFormGame2x2) -> set[tuple[int, int]]:
-    """Strategy profiles where no player can unilaterally lower their cost."""
-    c = game.costs
-    out = set()
-    for i in (0, 1):
-        for j in (0, 1):
-            if c[i][j][0] <= c[1 - i][j][0] and c[i][j][1] <= c[i][1 - j][1]:
-                out.add((i, j))
-    return out
-
-
-def pareto_optimal(game: NormalFormGame2x2) -> set[tuple[int, int]]:
-    """Profiles not dominated in both players' costs by any other profile."""
-    c = game.costs
-    profiles = [(i, j) for i in (0, 1) for j in (0, 1)]
-    out = set()
-    for p in profiles:
-        dominated = False
-        for q in profiles:
-            if q == p:
-                continue
-            qa, qb = c[q[0]][q[1]]
-            pa, pb = c[p[0]][p[1]]
-            if qa <= pa and qb <= pb and (qa < pa or qb < pb):
-                dominated = True
-                break
-        if not dominated:
-            out.add(p)
-    return out
 

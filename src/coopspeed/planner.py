@@ -120,7 +120,7 @@ def plan(
     margin = state.green_end_margin_s
 
     if state.approach_green:
-        r_g = state.remaining_green or 0.0
+        r_g = state.remaining
         elapsed = t_g - r_g
         if token is not None:
             # Token boundaries are green-start anchored; shift to TTI space.
@@ -150,7 +150,7 @@ def plan(
             return PlanResult(s, "green_c2_defer", True, window)
         return PlanResult(k.v_min, "queue_join", False, None)
 
-    r_r = state.remaining_red or 0.0
+    r_r = state.remaining
     if token is not None:
         window = (r_r + token.a, r_r + token.b)
         s = _try(k, window, Objective.HOLD)

@@ -1,38 +1,19 @@
-"""Fixed-cycle two-phase traffic light with a departure-rate queue model."""
+"""Fixed-cycle traffic light on one approach, with a departure-rate queue model."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-
-
-class Phase(Enum):
-    """Global signal phase; ALL_RED is the safety gap between phases."""
-
-    GREEN_EW = "green_ew"
-    GREEN_NS = "green_ns"
-    ALL_RED = "all_red"
-
-
-class Approach(Enum):
-    EAST = "east"
-    WEST = "west"
-    NORTH = "north"
-    SOUTH = "south"
-
-    @property
-    def east_west(self) -> bool:
-        return self in (Approach.EAST, Approach.WEST)
 
 
 @dataclass(frozen=True)
 class SignalConfig:
-    """Static timing of one two-phase light.
+    """Static timing of one fixed-cycle light, as seen by its approach.
 
-    ``green_s``/``red_s`` are the durations seen by the east-west pair;
-    the north-south pair gets the complement.  The all-red gap is carved
-    out of the end of each green so the cycle stays ``green_s + red_s``.
+    The cycle is ``green_s`` of green followed by ``red_s`` of red.  The
+    all-red gap is carved out of the end of the green, so the cycle stays
+    ``green_s + red_s`` and vehicles may enter for ``green_s -
+    all_red_gap_s`` of it.
     """
 
     green_s: float = 24.0
@@ -56,59 +37,36 @@ class SignalConfig:
 
 @dataclass
 class SignalState:
-    """Signal as seen from one approach at one instant.
+    """Signal as seen from the approach at one instant.
 
-    Exactly one of ``remaining_green``/``remaining_red`` is set.  The
-    remaining times are nominal (they ignore the all-red gap, which only
-    affects ``phase``), so the headline cycle arithmetic stays exact.
+    ``remaining`` is the time left in the current green or red.  It is
+    nominal: it ignores the all-red gap, which only clears ``crossable``,
+    so the headline cycle arithmetic stays exact.
     """
 
-    phase: Phase
     approach_green: bool
-    remaining_green: float | None
-    remaining_red: float | None
-    green_s: float  # this approach's green duration
-    red_s: float  # this approach's red duration
+    crossable: bool  # vehicles may enter: green, outside the all-red gap
+    remaining: float
+    green_s: float
+    red_s: float
     queue_len: int = 0
     # Planners shave this much off every target window that closes at a
     # green end (all-red gap plus slack), so a late arrival does not slip
     # into the next red.  Zero keeps windows at the exact phase bounds.
     green_end_margin_s: float = 0.0
 
-    @property
-    def crossable(self) -> bool:
-        """True when vehicles on this approach may enter the intersection."""
-        if self.phase is Phase.ALL_RED:
-            return False
-        return self.approach_green
 
-
-def state_at(cfg: SignalConfig, t: float, approach: Approach) -> SignalState:
-    """Signal state for ``approach`` at time ``t`` (total function for t >= 0)."""
+def state_at(cfg: SignalConfig, t: float) -> SignalState:
+    """Signal state at time ``t`` (total function for t >= 0)."""
     cycle = cfg.cycle_s
     u = (t - cfg.offset_s) % cycle
-    gap = cfg.all_red_gap_s
-    if u < cfg.green_s:
-        phase = Phase.ALL_RED if u >= cfg.green_s - gap else Phase.GREEN_EW
-    else:
-        phase = Phase.ALL_RED if u >= cycle - gap else Phase.GREEN_NS
-
-    if approach.east_west:
-        green_s, red_s = cfg.green_s, cfg.red_s
-        is_green = u < cfg.green_s
-        remaining = cfg.green_s - u if is_green else cycle - u
-    else:
-        green_s, red_s = cfg.red_s, cfg.green_s
-        is_green = u >= cfg.green_s
-        remaining = cycle - u if is_green else cfg.green_s - u
-
+    is_green = u < cfg.green_s
     return SignalState(
-        phase=phase,
         approach_green=is_green,
-        remaining_green=remaining if is_green else None,
-        remaining_red=None if is_green else remaining,
-        green_s=green_s,
-        red_s=red_s,
+        crossable=u < cfg.green_s - cfg.all_red_gap_s,
+        remaining=cfg.green_s - u if is_green else cycle - u,
+        green_s=cfg.green_s,
+        red_s=cfg.red_s,
     )
 
 

@@ -37,7 +37,6 @@ from .energy import EnergyParams, energy_model
 from .games import CreditLedger, Mode
 from .planner import KinematicState, density_speed, plan
 from .signals import (
-    Approach,
     SignalConfig,
     SignalState,
     departures_per_green,
@@ -126,8 +125,14 @@ class SimConfig:
             raise ValueError("need at least one segment")
         if self.activation_distance_m > min(s.length_m for s in self.segments):
             raise ValueError("activation distance cannot exceed segment length")
+        if any(p < 0 for p in self.mode_probabilities):
+            raise ValueError("mode probabilities must be non-negative")
         if abs(sum(self.mode_probabilities) - 1.0) > 1e-9:
             raise ValueError("mode probabilities must sum to 1")
+        if self.arrival_rate_veh_s < 0:
+            raise ValueError("arrival rate must be non-negative")
+        if not 0 <= self.density_cap_ratio <= 1:
+            raise ValueError("density cap ratio must lie in [0, 1]")
         if self.time_gap_s <= 0:
             raise ValueError("time gap must be positive")
         arrivals = self.scripted_arrivals
@@ -365,7 +370,7 @@ class World:
         t = self.t
         states: list[SignalState] = []
         for light in self.lights:
-            state = state_at(light.cfg, t, Approach.EAST)
+            state = state_at(light.cfg, t)
             state.queue_len = len(light.queue)
             state.green_end_margin_s = light.cfg.all_red_gap_s + self.cfg.plan_margin_s
             states.append(state)

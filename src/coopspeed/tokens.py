@@ -38,14 +38,14 @@ class TimeToken:
     vin: int
 
 
-def token_window(tau: int, mu: float, red_offset: float = 0.0) -> tuple[float, float]:
-    """Boundaries of slot ``tau``: ((tau-1)/mu, tau/mu), shifted by ``red_offset``."""
+def token_window(tau: int, mu: float) -> tuple[float, float]:
+    """Boundaries of slot ``tau``: ((tau-1)/mu, tau/mu) after the green start."""
     if tau < 1:
         raise ValueError("token index must be >= 1")
     if mu <= 0:
         raise ValueError("departure rate mu must be positive")
     tsd = 1.0 / mu
-    return red_offset + (tau - 1) * tsd, red_offset + tau * tsd
+    return (tau - 1) * tsd, tau * tsd
 
 
 class TokenTable:
@@ -103,13 +103,13 @@ def slot_for_arrival(tti: float, state: SignalState, mu: float, n_dep: int) -> i
     tsd = 1.0 / mu
     n_q = state.queue_len
     if state.approach_green:
-        r_g = state.remaining_green or 0.0
+        r_g = state.remaining
         if tti > r_g:
             return None
         # Slots are anchored to the green start, so shift by elapsed green.
         h = tti + (state.green_s - r_g)
     else:
-        r_r = state.remaining_red or 0.0
+        r_r = state.remaining
         if tti < r_r:
             return None
         if not (tti > r_r + tsd * n_q and tti <= r_r + state.green_s):
@@ -167,13 +167,13 @@ def _request_tti(e: Approacher, state: SignalState) -> float | None:
         return None
     tti = e.dist / e.speed
     if state.approach_green:
-        r_g = state.remaining_green or 0.0
+        r_g = state.remaining
         if tti <= r_g:
             return tti
         if e.cap > 0 and e.dist / e.cap <= r_g and tti <= r_g + state.red_s:
             return e.dist / e.cap
         return None
-    r_r = state.remaining_red or 0.0
+    r_r = state.remaining
     if r_r < tti <= r_r + state.green_s:
         return tti
     return None
@@ -189,10 +189,10 @@ def _reachable(slot: int, e: Approacher, state: SignalState, table: TokenTable,
         return False
     a, b = _usable_window(slot, table.mu, state)
     if state.approach_green:
-        elapsed = state.green_s - (state.remaining_green or 0.0)
+        elapsed = state.green_s - state.remaining
         lo, hi = max(0.0, a - elapsed), b - elapsed
     else:
-        r_r = state.remaining_red or 0.0
+        r_r = state.remaining
         lo, hi = r_r + a, r_r + b
     if hi <= lo or hi <= 0:
         return False

@@ -5,10 +5,7 @@ import pytest
 from coopspeed.games import (
     CreditLedger,
     Mode,
-    NormalFormGame2x2,
-    pareto_optimal,
     play_pair,
-    pure_nash,
     resolve_conflict,
 )
 
@@ -108,70 +105,4 @@ def test_winner_pays_loser_exactly_one_credit():
                               random.Random(0), random.Random(1))
     assert result.winner == 1
     assert ledger.get(1) == 1 and ledger.get(2) == 1
-
-
-TABLE2 = NormalFormGame2x2(costs=(((4, 4), (0, 2)), ((2, 0), (3, 3))))
-
-
-def brute_nash(game):
-    c = game.costs
-    out = set()
-    for i in (0, 1):
-        for j in (0, 1):
-            row_ok = all(c[i][j][0] <= c[i2][j][0] for i2 in (0, 1))
-            col_ok = all(c[i][j][1] <= c[i][j2][1] for j2 in (0, 1))
-            if row_ok and col_ok:
-                out.add((i, j))
-    return out
-
-
-def brute_pareto(game):
-    c = game.costs
-    cells = {(i, j): c[i][j] for i in (0, 1) for j in (0, 1)}
-    out = set()
-    for p, (pa, pb) in cells.items():
-        if not any(
-            qa <= pa and qb <= pb and (qa, qb) != (pa, pb) and (qa < pa or qb < pb)
-            for q, (qa, qb) in cells.items()
-            if q != p
-        ):
-            out.add(p)
-    return out
-
-
-def test_example_game_equilibria():
-    assert pure_nash(TABLE2) == {(0, 1), (1, 0)}
-    assert pure_nash(TABLE2) == brute_nash(TABLE2)
-
-
-def test_example_game_pareto():
-    po = pareto_optimal(TABLE2)
-    assert (0, 0) not in po  # (4,4) is dominated by (3,3)
-    assert {(0, 1), (1, 0)} <= po
-    assert po == brute_pareto(TABLE2)
-    # Both equilibria are Pareto optimal.
-    assert pure_nash(TABLE2) <= po
-
-
-def test_identical_costs_make_every_profile_nash_and_pareto():
-    g = NormalFormGame2x2(costs=(((1, 1), (1, 1)), ((1, 1), (1, 1))))
-    everything = {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert pure_nash(g) == everything
-    assert pareto_optimal(g) == everything
-
-
-def test_nash_pareto_match_brute_force_on_random_games():
-    rng = random.Random(77)
-    for _ in range(300):
-        c = tuple(
-            tuple((rng.randint(0, 5), rng.randint(0, 5)) for _ in (0, 1)) for _ in (0, 1)
-        )
-        g = NormalFormGame2x2(costs=c)
-        assert pure_nash(g) == brute_nash(g)
-        assert pareto_optimal(g) == brute_pareto(g)
-
-
-def test_negative_costs_rejected():
-    with pytest.raises(ValueError):
-        NormalFormGame2x2(costs=(((-1, 0), (0, 0)), ((0, 0), (0, 0))))
 

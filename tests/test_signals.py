@@ -1,11 +1,8 @@
-import math
 import random
 
 import pytest
 
 from coopspeed.signals import (
-    Approach,
-    Phase,
     SignalConfig,
     departures_per_green,
     queue_clear_time,
@@ -17,82 +14,90 @@ CFG = SignalConfig(green_s=24.0, red_s=36.0, all_red_gap_s=1.0, offset_s=0.0,
 
 
 def test_fresh_green_east():
-    st = state_at(CFG, 0.0, Approach.EAST)
+    st = state_at(CFG, 0.0)
     assert st.approach_green
-    assert st.remaining_green == pytest.approx(24.0)
-    assert st.remaining_red is None
-    assert st.phase is Phase.GREEN_EW
+    assert st.crossable
+    assert st.remaining == pytest.approx(24.0)
 
 
 def test_periodicity_one_cycle():
-    a = state_at(CFG, 0.0, Approach.EAST)
-    b = state_at(CFG, 60.0, Approach.EAST)
+    a = state_at(CFG, 0.0)
+    b = state_at(CFG, 60.0)
     assert a == b
 
 
 def test_mid_red_east():
-    st = state_at(CFG, 30.0, Approach.EAST)
+    st = state_at(CFG, 30.0)
     assert not st.approach_green
-    assert st.remaining_red == pytest.approx(30.0)
-    assert st.phase is Phase.GREEN_NS
+    assert not st.crossable
+    assert st.remaining == pytest.approx(30.0)
 
 
 def test_all_red_gap_carved_from_green():
-    # Gap at the end of the east-west green and the end of the cycle.
-    assert state_at(CFG, 23.5, Approach.EAST).phase is Phase.ALL_RED
-    assert state_at(CFG, 59.5, Approach.EAST).phase is Phase.ALL_RED
-    assert not state_at(CFG, 23.5, Approach.EAST).crossable
-    # Nominal remaining green still counts through the gap.
-    assert state_at(CFG, 23.5, Approach.EAST).remaining_green == pytest.approx(0.5)
-
-
-def test_north_south_gets_the_complement():
-    st = state_at(CFG, 30.0, Approach.NORTH)
+    # The gap closes the green: still green, but nobody may enter.
+    st = state_at(CFG, 23.5)
     assert st.approach_green
-    assert st.remaining_green == pytest.approx(30.0)
-    assert st.green_s == pytest.approx(36.0)
-    st0 = state_at(CFG, 0.0, Approach.NORTH)
-    assert not st0.approach_green
-    assert st0.remaining_red == pytest.approx(24.0)
+    assert not st.crossable
+    # Nominal remaining green still counts through the gap.
+    assert st.remaining == pytest.approx(0.5)
+    assert state_at(CFG, 22.9).crossable
 
 
 def assert_states_close(a, b):
-    assert a.phase is b.phase
     assert a.approach_green == b.approach_green
-    for field in ("remaining_green", "remaining_red"):
-        va, vb = getattr(a, field), getattr(b, field)
-        if va is None:
-            assert vb is None
-        else:
-            assert va == pytest.approx(vb, abs=1e-6)
+    assert a.crossable == b.crossable
+    assert a.remaining == pytest.approx(b.remaining, abs=1e-6)
 
 
 def test_periodicity_random_times():
     rng = random.Random(7)
     for _ in range(200):
         t = rng.uniform(0, 600)
-        for approach in Approach:
-            assert_states_close(
-                state_at(CFG, t, approach), state_at(CFG, t + CFG.cycle_s, approach)
-            )
+        assert_states_close(state_at(CFG, t), state_at(CFG, t + CFG.cycle_s))
 
 
 def test_phase_complementarity_over_cycle():
-    # Measured phase durations over one cycle sum to the cycle length.
+    # Measured crossable, green and red time over one cycle.
     dt = 0.01
-    seen = {Phase.GREEN_EW: 0.0, Phase.GREEN_NS: 0.0, Phase.ALL_RED: 0.0}
+    crossable = green = red = 0.0
     steps = int(round(CFG.cycle_s / dt))
     for i in range(steps):
-        seen[state_at(CFG, i * dt, Approach.EAST).phase] += dt
-    assert seen[Phase.GREEN_EW] == pytest.approx(23.0, abs=0.02)
-    assert seen[Phase.GREEN_NS] == pytest.approx(35.0, abs=0.02)
-    assert seen[Phase.ALL_RED] == pytest.approx(2.0, abs=0.02)
-    assert sum(seen.values()) == pytest.approx(CFG.cycle_s, abs=0.05)
+        st = state_at(CFG, i * dt)
+        crossable += dt * st.crossable
+        if st.approach_green:
+            green += dt
+        else:
+            red += dt
+    assert crossable == pytest.approx(23.0, abs=0.02)
+    assert green == pytest.approx(24.0, abs=0.02)
+    assert red == pytest.approx(36.0, abs=0.02)
+
+
+def test_crossable_and_remaining_match_cycle_arithmetic():
+    # crossable is the benchmark checker's red-light test, and remaining
+    # runs down to the next phase change, for any offset.
+    rng = random.Random(11)
+    for _ in range(500):
+        cfg = SignalConfig(green_s=24.0, red_s=36.0, all_red_gap_s=1.0,
+                           offset_s=rng.uniform(0.0, 120.0))
+        t = rng.uniform(0.0, 3600.0)
+        u = (t - cfg.offset_s) % cfg.cycle_s
+        st = state_at(cfg, t)
+        assert st.crossable == (u < cfg.green_s - cfg.all_red_gap_s)
+        assert st.approach_green == (u < cfg.green_s)
+        change = cfg.green_s if u < cfg.green_s else cfg.cycle_s
+        assert st.remaining == pytest.approx(change - u, abs=1e-9)
+        assert 0.0 < st.remaining <= max(cfg.green_s, cfg.red_s)
+        # Just before the change the phase is the same, just after it flips.
+        before = state_at(cfg, t + st.remaining - 1e-6)
+        after = state_at(cfg, t + st.remaining + 1e-6)
+        assert before.approach_green == st.approach_green
+        assert after.approach_green != st.approach_green
 
 
 def test_offset_shifts_the_cycle():
     shifted = SignalConfig(green_s=24.0, red_s=36.0, offset_s=10.0)
-    assert state_at(shifted, 10.0, Approach.EAST) == state_at(CFG, 0.0, Approach.EAST)
+    assert state_at(shifted, 10.0) == state_at(CFG, 0.0)
 
 
 def test_queue_clear_time_values():

@@ -276,6 +276,28 @@ def test_time_gap_must_be_positive():
             SimConfig(time_gap_s=gap)
 
 
+def test_density_cap_ratio_must_lie_in_unit_interval():
+    # Outside [0, 1] the capped density leaves the density-speed law's
+    # domain, so the run would fail at its first step.
+    for ratio in (1.5, -0.1):
+        with pytest.raises(ValueError, match="density cap ratio"):
+            SimConfig(density_cap_ratio=ratio)
+    SimConfig(density_cap_ratio=0.0)
+    SimConfig(density_cap_ratio=1.0)
+
+
+def test_mode_probabilities_must_be_non_negative():
+    # Sums to 1, so only the sign check catches it.
+    with pytest.raises(ValueError, match="mode probabilities"):
+        SimConfig(mode_probabilities=(1.2, -0.2, 0.0))
+
+
+def test_arrival_rate_must_be_non_negative():
+    with pytest.raises(ValueError, match="arrival rate"):
+        SimConfig(arrival_rate_veh_s=-0.1)
+    SimConfig(arrival_rate_veh_s=0.0)
+
+
 def test_stop_detector_arms_at_the_configured_moving_speed():
     # Rolling at 0.6 m/s, above a 0.5 m/s moving speed, into a red light:
     # the vehicle slows below the moving speed at once, so only the

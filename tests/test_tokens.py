@@ -3,7 +3,7 @@ import random
 import pytest
 
 from coopspeed.games import CreditLedger, Mode
-from coopspeed.signals import SignalState, Phase
+from coopspeed.signals import SignalState
 from coopspeed.tokens import (
     Approacher,
     TokenTable,
@@ -22,16 +22,14 @@ V_MAX = 16.67
 
 def green_state(remaining: float, queue: int = 0, green_s: float = 24.0) -> SignalState:
     return SignalState(
-        phase=Phase.GREEN_EW, approach_green=True,
-        remaining_green=remaining, remaining_red=None,
+        approach_green=True, crossable=True, remaining=remaining,
         green_s=green_s, red_s=36.0, queue_len=queue,
     )
 
 
 def red_state(remaining: float, queue: int = 0, green_s: float = 24.0) -> SignalState:
     return SignalState(
-        phase=Phase.GREEN_NS, approach_green=False,
-        remaining_green=None, remaining_red=remaining,
+        approach_green=False, crossable=False, remaining=remaining,
         green_s=green_s, red_s=36.0, queue_len=queue,
     )
 
@@ -66,8 +64,6 @@ def test_token_window_values():
     assert (a, b) == pytest.approx((0.0, 3.003), abs=0.001)
     a, b = token_window(3, MU)
     assert (a, b) == pytest.approx((6.006, 9.009), abs=0.001)
-    a, b = token_window(1, MU, red_offset=12.0)
-    assert (a, b) == pytest.approx((12.0, 15.003), abs=0.001)
 
 
 def test_token_window_errors():
