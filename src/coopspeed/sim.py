@@ -30,7 +30,6 @@ import math
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import accumulate
 from operator import attrgetter
 
 from .energy import EnergyParams, energy_model
@@ -50,6 +49,7 @@ TECHNIQUES = ("csof", "ncso", "fixed")
 KMH = 1 / 3.6
 
 _pos = attrgetter("pos")
+_speed = attrgetter("speed")
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,8 @@ class SimConfig:
             raise ValueError(f"technique must be one of {TECHNIQUES}")
         if not self.segments:
             raise ValueError("need at least one segment")
+        if self.activation_distance_m < 0:
+            raise ValueError("activation distance must be non-negative")
         if self.activation_distance_m > min(s.length_m for s in self.segments):
             raise ValueError("activation distance cannot exceed segment length")
         if any(p < 0 for p in self.mode_probabilities):
@@ -135,10 +137,44 @@ class SimConfig:
             raise ValueError("density cap ratio must lie in [0, 1]")
         if self.time_gap_s <= 0:
             raise ValueError("time gap must be positive")
+        if self.accel_limit <= 0:
+            raise ValueError("acceleration limit must be positive")
+        if self.entry_speed <= 0:
+            raise ValueError("entry speed must be positive")
+        if self.vehicle_length_m <= 0:
+            # Lane order rests on vehicles never overlapping.
+            raise ValueError("vehicle length must be positive")
+        if self.standstill_gap_m < 0:
+            raise ValueError("standstill gap must be non-negative")
+        if self.reaction_time_s < 0:
+            raise ValueError("reaction time must be non-negative")
         arrivals = self.scripted_arrivals
         if arrivals is not None and any(a > b for a, b in zip(arrivals, arrivals[1:])):
             # Spawning stops at the first arrival still in the future.
             raise ValueError("scripted arrivals must be non-decreasing")
+        self._check_initial_vehicles()
+
+    def _check_initial_vehicles(self) -> None:
+        """Each pre-placed vehicle must sit on a lane of the corridor, at
+        least a vehicle length from the others in its lane."""
+        lanes: dict[tuple[int, int], list[float]] = {}
+        for iv in self.initial_vehicles:
+            if not 0 <= iv.seg < len(self.segments):
+                raise ValueError(f"initial vehicle on segment {iv.seg}, which does not exist")
+            seg = self.segments[iv.seg]
+            if not 0 <= iv.lane < seg.lanes:
+                raise ValueError(f"initial vehicle in lane {iv.lane} of a {seg.lanes}-lane segment")
+            if not 0 <= iv.pos < seg.length_m:
+                raise ValueError(f"initial vehicle position {iv.pos} outside [0, {seg.length_m})")
+            if iv.speed < 0:
+                raise ValueError("initial vehicle speed must be non-negative")
+            lanes.setdefault((iv.seg, iv.lane), []).append(iv.pos)
+        for (seg_idx, lane), positions in lanes.items():
+            positions.sort()
+            for rear, front in zip(positions, positions[1:]):
+                if front - rear < self.vehicle_length_m:
+                    raise ValueError(f"initial vehicles at {rear} m and {front} m overlap in "
+                                     f"segment {seg_idx} lane {lane}")
 
 
 class Vehicle:
@@ -173,7 +209,7 @@ class LightAgent:
         self.cfg = seg_cfg.signal
         self.n_dep = departures_per_green(self.cfg.departure_rate, self.cfg.green_s)
         self.table = TokenTable(self.cfg.departure_rate, self.n_dep, cycle_id=-(10**9))
-        self.queue: list[int] = []  # vins, closest to the line first
+        self.queue: list[Vehicle] = []  # in joining order
         self.last_cross_t = -math.inf
         self.was_crossable = False
         self.was_green = False
@@ -259,6 +295,13 @@ class World:
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
         self._energy = energy_model(cfg.energy)
+        # The lane index: every (segment, lane) group, in ascending pos, kept
+        # across steps.  Vehicles never overlap, so order within a lane only
+        # changes where a vehicle enters or leaves it.
+        self._lanes: dict[tuple[int, int], list[Vehicle]] = {
+            (seg_idx, lane): [] for seg_idx, seg in enumerate(cfg.segments)
+            for lane in range(seg.lanes)
+        }
         for iv in cfg.initial_vehicles:
             self._place(iv.seg, iv.lane, iv.pos, iv.speed, mode=iv.mode,
                         credits=iv.credits)
@@ -291,6 +334,7 @@ class World:
         self.next_vin += 1
         self.spawned += 1
         self.vehicles[v.vin] = v
+        insort(self._lanes[(seg, lane)], v, key=_pos)
         if credits:
             self.ledger.set(v.vin, credits)
         return v
@@ -298,15 +342,12 @@ class World:
     def _entry_lane(self) -> int | None:
         """Freest entry lane of segment 0, or None while all are blocked."""
         cfg = self.cfg
-        rears = [math.inf] * cfg.segments[0].lanes
-        for v in self.vehicles.values():
-            if v.seg == 0:
-                rear = v.pos - cfg.vehicle_length_m
-                if rear < rears[v.lane]:
-                    rears[v.lane] = rear
+        lanes = self._lanes
         best_lane = None
         best_clear = cfg.vehicle_length_m + cfg.standstill_gap_m - 1e-9
-        for lane, rear in enumerate(rears):
+        for lane in range(cfg.segments[0].lanes):
+            group = lanes[(0, lane)]
+            rear = group[0].pos - cfg.vehicle_length_m if group else math.inf
             if rear > best_clear:
                 best_lane, best_clear = lane, rear
         return best_lane
@@ -393,12 +434,8 @@ class World:
         return states
 
     def _by_lane(self) -> dict[tuple[int, int], list[Vehicle]]:
-        out: dict[tuple[int, int], list[Vehicle]] = {}
-        for v in self.vehicles.values():
-            out.setdefault((v.seg, v.lane), []).append(v)
-        for group in out.values():
-            group.sort(key=_pos)
-        return out
+        """The lane index: (seg, lane) -> its vehicles in ascending pos."""
+        return self._lanes
 
     @staticmethod
     def _leaders(lanes: dict[tuple[int, int], list[Vehicle]]) -> dict[int, Vehicle]:
@@ -409,9 +446,9 @@ class World:
         return out
 
     def _caps(self, lanes: dict[tuple[int, int], list[Vehicle]]) -> dict[int, float]:
-        """Planning ceiling of every vehicle, walking each sorted lane group
-        from the front: the road limit for the front vehicle, and for each
-        vehicle behind it the cap ``_plan_cap`` gives for its leader."""
+        """Planning ceiling of every vehicle, walking each non-empty sorted
+        lane group from the front: the road limit for the front vehicle, and
+        for each vehicle behind it the cap ``_plan_cap`` gives for its leader."""
         cfg = self.cfg
         segments = cfg.segments
         length = cfg.vehicle_length_m
@@ -419,6 +456,8 @@ class World:
         time_gap = cfg.time_gap_s
         caps: dict[int, float] = {}
         for (seg_idx, _), group in lanes.items():
+            if not group:
+                continue
             seg = segments[seg_idx]
             v_min, v_max = seg.v_min, seg.v_max
             from_front = reversed(group)
@@ -439,13 +478,14 @@ class World:
         """Planned speed of each vehicle of ``fleet``, in its order."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
-        planned = cfg.technique != "fixed"
         lengths = [seg.length_m for seg in cfg.segments]
         # Queued vehicles wait for a crossable light; the rest cruise
         # until they are close enough to plan.
         queued_target = [seg.v_max if state.crossable else 0.0
                          for seg, state in zip(cfg.segments, states)]
         cruise = [min(cfg.entry_speed, seg.v_max) for seg in cfg.segments]
+        if cfg.technique == "fixed":
+            return [queued_target[v.seg] if v.queued else cruise[v.seg] for v in fleet]
         targets: list[float] = []
         for v in fleet:
             seg_idx = v.seg
@@ -454,7 +494,7 @@ class World:
                 targets.append(queued_target[seg_idx])
                 continue
             d = lengths[seg_idx] - v.pos
-            if d > reach or not planned:
+            if d > reach:
                 targets.append(cruise[seg_idx])
                 continue
             seg = cfg.segments[seg_idx]
@@ -473,11 +513,10 @@ class World:
         of the step, so a vehicle's own cap is the step's cap.  After a
         move, the own-lane leader is found by bisection and the step's cap
         stands only while that leader is the one it was taken from.
-        Target-lane neighbours are always found by bisecting the group's
-        positions, built on first use and rebuilt after a move changes
-        the group.  The rear gap is kept to the nearest follower but must
-        fit the fastest of all followers, hence a running maximum of
-        speeds.
+        Target-lane neighbours are found by bisecting the lane group.  The
+        rear gap is kept to the nearest follower but must fit the fastest
+        of all followers, whose speed is looked up only for a candidate
+        that already passed the cap and front-gap tests.
         """
         cfg = self.cfg
         segments = cfg.segments
@@ -485,17 +524,6 @@ class World:
         stop_speed = cfg.stop_speed
         time_gap = cfg.time_gap_s
         plan_cap = self._plan_cap
-        index: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
-
-        def lane_index(key: tuple[int, int]) -> tuple[list[float], list[float]]:
-            entry = index.get(key)
-            if entry is None:
-                group = lanes[key]
-                # fastest[i]: top speed among the first i vehicles of the lane.
-                fastest = list(accumulate((o.speed for o in group), max, initial=0.0))
-                entry = index[key] = ([o.pos for o in group], fastest)
-            return entry
-
         moved = False
         for v in fleet:
             if v.queued or v.speed < stop_speed:
@@ -503,10 +531,9 @@ class World:
             seg = segments[v.seg]
             if seg.length_m - v.pos < 30.0:
                 continue  # no weaving on the final approach
-            key = (v.seg, v.lane)
+            group = lanes[(v.seg, v.lane)]
             if moved:
-                group = lanes[key]
-                i = bisect_right(lane_index(key)[0], v.pos)
+                i = bisect_right(group, v.pos, key=_pos)
                 lead = group[i] if i < len(group) else None
                 cap_here = caps[v.vin] if lead is leaders.get(v.vin) else plan_cap(v, lead, seg)
             else:
@@ -516,26 +543,24 @@ class World:
             for other_lane in range(seg.lanes):
                 if other_lane == v.lane:
                     continue
-                other_key = (v.seg, other_lane)
-                other = lanes.setdefault(other_key, [])
-                positions, fastest = lane_index(other_key)
-                i = bisect_left(positions, v.pos)
+                other = lanes[(v.seg, other_lane)]
+                i = bisect_left(other, v.pos, key=_pos)
                 new_lead = other[i] if i < len(other) else None
                 if plan_cap(v, new_lead, seg) <= cap_here + 0.5:
                     continue
-                front_gap = math.inf if new_lead is None else new_lead.pos - length - v.pos
-                back_gap = v.pos - length - other[i - 1].pos if i else math.inf
-                if (
-                    front_gap >= time_gap * max(v.speed, 1.0)
-                    and back_gap >= time_gap * max(fastest[i], 1.0)
+                if new_lead is not None and (
+                    new_lead.pos - length - v.pos < time_gap * max(v.speed, 1.0)
                 ):
-                    lanes[key].remove(v)
-                    v.lane = other_lane
-                    insort(other, v, key=_pos)
-                    index.pop(key, None)  # built only after an earlier move
-                    del index[other_key]
-                    moved = True
-                    break
+                    continue
+                if i:
+                    fastest = max(map(_speed, other[:i]))
+                    if v.pos - length - other[i - 1].pos < time_gap * max(fastest, 1.0):
+                        continue
+                group.remove(v)
+                v.lane = other_lane
+                insort(other, v, key=_pos)
+                moved = True
+                break
         return moved
 
     def _gate_open(self, light: LightAgent, state: SignalState, lanes: dict,
@@ -573,7 +598,7 @@ class World:
 
         states = self._signal_phase_bookkeeping()
         lanes = self._by_lane()
-        fleet = [vehicles[vin] for vin in sorted(vehicles)]
+        fleet = list(vehicles.values())  # vin order: vehicles are added by vin
         leaders = self._leaders(lanes)
         caps = self._caps(lanes)
 
@@ -650,7 +675,7 @@ class World:
         moving_speed = cfg.moving_speed
         last_seg = len(segments) - 1
         crossed_at = t + dt
-        completed_now: list[Vehicle] = []
+        crossed: list[tuple[Vehicle, int]] = []
         for v, sp in zip(fleet, new_speeds):
             seg_idx = v.seg
             v.speed = sp
@@ -673,16 +698,21 @@ class World:
                     light.table.release(v.vin)
                     v.token = None
                     v.queued = False
-                    if seg_idx == last_seg:
-                        completed_now.append(v)
-                    else:
+                    crossed.append((v, seg_idx))
+                    if seg_idx != last_seg:
                         v.pos -= line_at
                         v.seg = seg_idx + 1
                 else:
                     v.pos = line_at - 0.01
                     v.speed = 0.0
 
-        for v in completed_now:
+        # Crossings reach the lane index only now, so the entry checks above
+        # all read the groups as they stood before the integration.
+        for v, seg_idx in crossed:
+            lanes[(seg_idx, v.lane)].remove(v)
+            if seg_idx != last_seg:
+                insort(lanes[(v.seg, v.lane)], v, key=_pos)
+                continue
             del vehicles[v.vin]
             self.completed += 1
             for i in range(len(segments)):
@@ -706,42 +736,42 @@ class World:
 
     def _update_queues(self, states: list[SignalState]) -> None:
         """Queue bookkeeping: join when stopped at the line or the lane's
-        queue tail, leave when rolling with the discharge wave."""
+        queue tail, leave when rolling with the discharge wave.  A crossing
+        clears ``queued``, so a vehicle that crossed or left the corridor
+        drops out of its queue here."""
         cfg = self.cfg
-        join_zone = cfg.vehicle_length_m + 2.0 * cfg.standstill_gap_m
+        length = cfg.vehicle_length_m
+        join_zone = length + 2.0 * cfg.standstill_gap_m
         roll_speed = 0.5  # above this a queued vehicle is moving again
+        stop_speed = cfg.stop_speed
         stopped: list[list[Vehicle]] = [[] for _ in self.lights]
         for v in self.vehicles.values():
-            if v.speed < cfg.stop_speed:
+            if v.speed < stop_speed and not v.queued:
                 stopped[v.seg].append(v)
-        for light, state in zip(self.lights, states):
-            seg = cfg.segments[light.idx]
-            for vin in light.queue:
-                v = self.vehicles.get(vin)
-                if v is not None and v.queued and v.speed >= roll_speed:
-                    v.queued = False
-            light.queue = [
-                vin for vin in light.queue
-                if vin in self.vehicles and self.vehicles[vin].queued
-                and self.vehicles[vin].seg == light.idx
-            ]
+        for light, state, cands in zip(self.lights, states, stopped):
+            line_at = cfg.segments[light.idx].length_m
+            queue: list[Vehicle] = []
             tails: dict[int, float] = {}
-            for vin in light.queue:
-                q = self.vehicles[vin]
-                rear = q.pos - cfg.vehicle_length_m
+            for q in light.queue:
+                if not q.queued:
+                    continue
+                if q.speed >= roll_speed:
+                    q.queued = False
+                    continue
+                queue.append(q)
+                rear = q.pos - length
                 if q.lane not in tails or rear < tails[q.lane]:
                     tails[q.lane] = rear
-            cands = [v for v in stopped[light.idx] if not v.queued]
+            light.queue = queue
             cands.sort(key=lambda v: -v.pos)
             for v in cands:
-                d_line = seg.length_m - v.pos
                 tail = tails.get(v.lane)
-                if d_line <= join_zone or (tail is not None and tail - v.pos <= join_zone):
+                if line_at - v.pos <= join_zone or (tail is not None and tail - v.pos <= join_zone):
                     v.queued = True
                     v.token = None
                     light.table.release(v.vin)
-                    light.queue.append(v.vin)
-                    tails[v.lane] = v.pos - cfg.vehicle_length_m
+                    queue.append(v)
+                    tails[v.lane] = v.pos - length
                     if not state.approach_green:
                         light.red_joins += 1
 

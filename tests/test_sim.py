@@ -173,18 +173,31 @@ def test_invariants_hold_at_every_step(technique):
     cfg = SimConfig(duration_s=200.0, technique=technique, arrival_rate_veh_s=0.4, seed=3,
                     activation_distance_m=400.0, segments=(short, short))
     world = World(cfg)
+    queued_seen = 0
     while world.t < cfg.duration_s - 1e-9:
         world.step()
         lanes = {}
         for v in world.vehicles.values():
-            lanes.setdefault((v.seg, v.lane), []).append(v.pos)
-        for key, positions in lanes.items():
-            positions.sort()
-            for rear, front in zip(positions, positions[1:]):
-                assert front - rear >= cfg.vehicle_length_m - 1e-9, (world.t, key, rear, front)
+            lanes.setdefault((v.seg, v.lane), []).append(v)
+        for key, group in lanes.items():
+            group.sort(key=lambda v: v.pos)
+            for rear, front in zip(group, group[1:]):
+                assert front.pos - rear.pos >= cfg.vehicle_length_m - 1e-9, (world.t, key)
+        # The lane index kept across steps matches a fresh sort, and its
+        # groups hold every vehicle exactly once.
+        index = world._by_lane()
+        for key, group in index.items():
+            assert [v.vin for v in group] == [v.vin for v in lanes.get(key, [])], (world.t, key)
+        assert sum(len(group) for group in index.values()) == len(world.vehicles), world.t
+        for light in world.lights:
+            on_queue = [v.vin for v in light.queue]
+            queued = [v.vin for v in world.vehicles.values() if v.queued and v.seg == light.idx]
+            assert sorted(on_queue) == queued, (world.t, light.idx)
+            queued_seen += len(queued)
         assert world.spawned == world.completed + len(world.vehicles), world.t
         assert world.ledger.total() == 0, world.t
     assert world.completed > 0
+    assert queued_seen > 0
 
 
 def test_caps_match_plan_cap_at_every_step():
@@ -274,6 +287,40 @@ def test_time_gap_must_be_positive():
     for gap in (0.0, -1.0):
         with pytest.raises(ValueError, match="time gap"):
             SimConfig(time_gap_s=gap)
+
+
+def test_driving_parameters_must_be_in_range():
+    # A non-positive acceleration limit or entry speed stalls the corridor;
+    # a non-positive vehicle length lets vehicles overlap.
+    for name, bad, message in [
+        ("accel_limit", 0.0, "acceleration limit"), ("accel_limit", -1.0, "acceleration limit"),
+        ("entry_speed", 0.0, "entry speed"), ("entry_speed", -1.0, "entry speed"),
+        ("vehicle_length_m", 0.0, "vehicle length"), ("vehicle_length_m", -5.0, "vehicle length"),
+        ("standstill_gap_m", -0.1, "standstill gap"),
+        ("reaction_time_s", -0.1, "reaction time"),
+        ("activation_distance_m", -1.0, "activation distance"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**{name: bad})
+    SimConfig(standstill_gap_m=0.0, reaction_time_s=0.0, activation_distance_m=0.0)
+
+
+@pytest.mark.parametrize("placed, message", [
+    (((7, 0, 100.0, 10.0),), "segment 7"),
+    (((0, 5, 100.0, 10.0),), "lane 5"),
+    (((0, 0, 1000.0, 10.0),), "outside"),
+    (((0, 0, -1.0, 10.0),), "outside"),
+    (((0, 0, 100.0, -1.0),), "speed"),
+    (((0, 1, 100.0, 10.0), (0, 1, 102.0, 10.0)), "overlap"),
+], ids=["segment", "lane", "pos-end", "pos-negative", "speed", "spacing"])
+def test_initial_vehicles_must_fit_the_corridor(placed, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(initial_vehicles=tuple(InitialVehicle(*v) for v in placed))
+
+
+def test_initial_vehicles_a_length_apart_or_in_other_lanes_are_accepted():
+    SimConfig(initial_vehicles=(InitialVehicle(0, 0, 100.0), InitialVehicle(0, 0, 105.0),
+                                InitialVehicle(0, 1, 101.0), InitialVehicle(1, 0, 101.0)))
 
 
 def test_density_cap_ratio_must_lie_in_unit_interval():

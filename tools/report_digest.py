@@ -1,0 +1,94 @@
+"""Digest of the engine's reports on a fixed set of configs.
+
+Run from the repository root:
+
+    python3 tools/report_digest.py                                  # print the digests
+    python3 tools/report_digest.py --check tools/report_digests.txt  # compare
+
+Each output line is ``<config name> <sha256 of repr(report)>``.  A change
+that must keep every ``MetricsReport`` identical by ``repr`` keeps every
+line: ``--check`` exits 1 and names each config whose digest differs from
+the file, or is missing from either side.  The configs:
+
+* the benchmark's inputs at ``--seed 1``, taken from ``perfbench/run.py``;
+* 900 s at 600 veh/h, seed 2, for every technique;
+* 300 s on graded segments (+1 %, -1 %, flat), seed 2, for every technique;
+* 300 s at dt 0.2 s, seed 2, for every technique.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from coopspeed.sim import TECHNIQUES, SegmentConfig, SimConfig, run  # noqa: E402
+
+ARRIVAL_RATE = 600.0 / 3600.0  # veh/s: 600 veh/h
+
+
+def _benchmark_module():
+    """``perfbench/run.py``, imported without running it."""
+    bench_dir = ROOT / "perfbench"
+    sys.path.insert(0, str(bench_dir))  # run.py imports its sibling calibrate.py
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench_dir / "run.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def configs() -> list[tuple[str, SimConfig]]:
+    bench = _benchmark_module()
+    out = []
+    for name, wl in bench.WORKLOADS.items():
+        for seed in wl.seeds(1):
+            arrivals = bench.arrivals_for(seed, wl.veh_per_h)
+            out.append((f"bench-{name}-{seed}", SimConfig(
+                duration_s=bench.DURATION_S, dt_s=bench.DT_S, seed=seed,
+                technique=wl.technique, scripted_arrivals=arrivals)))
+    graded = tuple(SegmentConfig(grade=g) for g in (0.01, -0.01, 0.0))
+    for technique in TECHNIQUES:
+        out.append((f"900s-{technique}", SimConfig(
+            duration_s=900.0, seed=2, technique=technique, arrival_rate_veh_s=ARRIVAL_RATE)))
+        out.append((f"graded-{technique}", SimConfig(
+            duration_s=300.0, seed=2, technique=technique, arrival_rate_veh_s=ARRIVAL_RATE,
+            segments=graded)))
+        out.append((f"dt0.2-{technique}", SimConfig(
+            duration_s=300.0, dt_s=0.2, seed=2, technique=technique,
+            arrival_rate_veh_s=ARRIVAL_RATE)))
+    return out
+
+
+def digest(cfg: SimConfig) -> str:
+    return hashlib.sha256(repr(run(cfg)).encode()).hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="compare against the digests recorded in FILE")
+    args = parser.parse_args(argv)
+    expected = None
+    if args.check is not None:
+        expected = dict(line.split() for line in args.check.read_text().splitlines()
+                        if line.strip())
+    got = {}
+    for name, cfg in configs():
+        got[name] = digest(cfg)
+        print(name, got[name], flush=True)
+    if expected is None:
+        return 0
+    differ = sorted(name for name in got.keys() | expected.keys()
+                    if got.get(name) != expected.get(name))
+    for name in differ:
+        print(f"DIGEST DIFFERS {name}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
