@@ -19,9 +19,9 @@ from .signals import (
 )
 from .tokens import (
     Approacher,
-    TimeToken,
     TokenTable,
     allocation_round,
+    arrival_window,
     detect_conflicts,
     slot_for_arrival,
     token_window,

@@ -5,9 +5,9 @@ Every case reduces to the same primitive: a target arrival-time window
 speed lies in the band [d/t_hi, d/t_lo], intersected with the road's
 speed limits.  Which window applies depends on the signal phase, the
 vehicle's current time-to-intersection, and whether it holds a time
-token; when a window cannot be met the plan falls back to the next
-green, and ultimately to crawling at the minimum speed (joining the
-queue).
+token, whose slot comes as its arrival window; when a window cannot be
+met the plan falls back to the next green, and ultimately to crawling at
+the minimum speed (joining the queue).
 
 The slow-down programs (no token, a green too far away) bind their
 "lowest speed" at the queue-adjusted edge of the window: the vehicle
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .signals import SignalState
-from .tokens import TimeToken
 
 
 class Objective(Enum):
@@ -105,11 +104,13 @@ def _try(k: KinematicState, window: tuple[float, float], objective: Objective):
 def plan(
     k: KinematicState,
     state: SignalState,
-    token: TimeToken | None,
+    slot_window: tuple[float, float] | None,
     t_q: float,
 ) -> PlanResult:
     """Dispatch the case program for the current signal phase and TTI.
 
+    ``slot_window`` is the arrival window of the vehicle's token slot in
+    seconds from now (``tokens.arrival_window``), or None without a token.
     ``t_q`` is the time needed to clear the standing queue.  Exactly one
     case fires per call; a case whose window is infeasible cascades to
     the deferral program for the following green, and finally to a
@@ -121,18 +122,15 @@ def plan(
 
     if state.approach_green:
         r_g = state.remaining
-        elapsed = t_g - r_g
-        if token is not None:
-            # Token boundaries are green-start anchored; shift to TTI space.
-            window = (max(0.0, token.a - elapsed), token.b - elapsed)
+        if slot_window is not None:
             if cur_tti <= r_g:
-                s = _try(k, window, Objective.HOLD)
+                s = _try(k, slot_window, Objective.HOLD)
                 if s is not None:
-                    return PlanResult(s, "green_c1", True, window)
+                    return PlanResult(s, "green_c1", True, slot_window)
             else:
-                s = _try(k, window, Objective.MAX_SPEED)
+                s = _try(k, slot_window, Objective.MAX_SPEED)
                 if s is not None:
-                    return PlanResult(s, "green_c2_accel", True, window)
+                    return PlanResult(s, "green_c2_accel", True, slot_window)
         elif cur_tti <= r_g:
             # In-green arrival but no token (queue lead-in or lost game):
             # aim beyond the queue, before green ends.
@@ -140,7 +138,7 @@ def plan(
             s = _try(k, window, Objective.HOLD)
             if s is not None:
                 return PlanResult(s, "green_c1", True, window)
-        if cur_tti > r_g + t_r and token is None:
+        if cur_tti > r_g + t_r and slot_window is None:
             # Next-cycle green; no token yet, keep the current speed.
             s = min(max(k.speed, k.v_min), k.v_max)
             return PlanResult(s, "green_c3", True, None)
@@ -151,11 +149,10 @@ def plan(
         return PlanResult(k.v_min, "queue_join", False, None)
 
     r_r = state.remaining
-    if token is not None:
-        window = (r_r + token.a, r_r + token.b)
-        s = _try(k, window, Objective.HOLD)
+    if slot_window is not None:
+        s = _try(k, slot_window, Objective.HOLD)
         if s is not None:
-            return PlanResult(s, "red_c2", True, window)
+            return PlanResult(s, "red_c2", True, slot_window)
     if cur_tti <= r_r + t_g:
         # Early arrival (or denied token): meet the upcoming green once
         # the queue has cleared.

@@ -17,11 +17,14 @@ Three techniques share identical road physics:
 
 Each step, every light runs one ``tokens.allocation_round`` over the
 unqueued vehicles within activation distance: for ``csof`` against its
-token table, for ``ncso`` without it.  A vehicle's token is released
-when it crosses or joins the queue.  Tables live in per-light allocation
-epochs: an epoch opens at a red start and closes when the following
-green ends, so slots granted during red carry into the green they target
-and everything expires with it.
+token table, for ``ncso`` without it.  The round returns the slot each
+vehicle is left holding, and the planner aims at that slot's
+``tokens.arrival_window``.  Under ``csof`` a vehicle's token is its claim
+in the light's table, released when the vehicle crosses or joins the
+queue.  Tables live in per-light allocation epochs: an epoch opens at a
+red start and closes when the following green ends, so slots granted
+during red carry into the green they target and everything expires with
+it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .signals import (
     queue_clear_time,
     state_at,
 )
-from .tokens import Approacher, TimeToken, TokenTable, allocation_round
+from .tokens import Approacher, TokenTable, allocation_round, arrival_window
 
 TECHNIQUES = ("csof", "ncso", "fixed")
 
@@ -148,6 +151,17 @@ class SimConfig:
             raise ValueError("standstill gap must be non-negative")
         if self.reaction_time_s < 0:
             raise ValueError("reaction time must be non-negative")
+        if self.stop_speed <= 0:
+            # Speeds never fall below zero, so no vehicle would count as stopped.
+            raise ValueError("stop speed must be positive")
+        if self.moving_speed < self.stop_speed:
+            # The stop detector would re-arm without hysteresis.
+            raise ValueError("moving speed must be at least the stop speed")
+        if self.plan_margin_s < 0:
+            raise ValueError("plan margin must be non-negative")
+        if self.arrival_bias_s < 0:
+            # Target windows would open before the standing queue clears.
+            raise ValueError("arrival bias must be non-negative")
         arrivals = self.scripted_arrivals
         if arrivals is not None and any(a > b for a, b in zip(arrivals, arrivals[1:])):
             # Spawning stops at the first arrival still in the future.
@@ -179,7 +193,7 @@ class SimConfig:
 
 class Vehicle:
     __slots__ = (
-        "vin", "mode", "seg", "lane", "pos", "speed", "token",
+        "vin", "mode", "seg", "lane", "pos", "speed",
         "queued", "idle", "stops", "energy_j", "stop_armed", "spawned_at",
     )
 
@@ -192,7 +206,6 @@ class Vehicle:
         self.lane = lane
         self.pos = pos
         self.speed = speed
-        self.token: TimeToken | None = None
         self.queued = False
         self.idle = [0.0] * n_segments
         self.stops = [0] * n_segments
@@ -372,8 +385,9 @@ class World:
     # -- token protocol ----------------------------------------------------
 
     def _maintain_tokens(self, states: list[SignalState], fleet: list[Vehicle],
-                         caps: dict[int, float]) -> None:
-        """Run each light's allocation round over its approaching vehicles."""
+                         caps: dict[int, float]) -> dict[int, int]:
+        """Run each light's allocation round over its approaching vehicles;
+        returns ``vin -> slot`` for every vehicle left holding a slot."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
         lengths = [seg.length_m for seg in cfg.segments]
@@ -381,17 +395,17 @@ class World:
         for v in fleet:
             if not v.queued and lengths[v.seg] - v.pos <= reach:
                 per_light[v.seg].append(v)
+        slots: dict[int, int] = {}
         for light, state, approaching in zip(self.lights, states, per_light):
             seg = cfg.segments[light.idx]
             entries = [
-                Approacher(v.vin, seg.length_m - v.pos, v.speed, caps[v.vin], v.mode, v.token)
+                Approacher(v.vin, seg.length_m - v.pos, v.speed, caps[v.vin], v.mode)
                 for v in approaching
             ]
-            allocation_round(light.table, state, seg.v_min, entries, self.ledger,
-                             self.rng_games, self.rng_tl,
-                             cooperative=cfg.technique == "csof")
-            for v, e in zip(approaching, entries):
-                v.token = e.token
+            slots.update(allocation_round(light.table, state, seg.v_min, entries, self.ledger,
+                                          self.rng_games, self.rng_tl,
+                                          cooperative=cfg.technique == "csof"))
+        return slots
 
     def _plan_cap(self, v: Vehicle, leader: Vehicle | None, seg: SegmentConfig) -> float:
         """Achievable speed ceiling for planning: the road limit, or what
@@ -474,8 +488,9 @@ class World:
         return caps
 
     def _plan_targets(self, fleet: list[Vehicle], states: list[SignalState],
-                      caps: dict[int, float]) -> list[float]:
-        """Planned speed of each vehicle of ``fleet``, in its order."""
+                      caps: dict[int, float], slots: dict[int, int]) -> list[float]:
+        """Planned speed of each vehicle of ``fleet``, in its order; a
+        vehicle in ``slots`` aims at that slot's arrival window."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
         lengths = [seg.length_m for seg in cfg.segments]
@@ -486,6 +501,9 @@ class World:
         cruise = [min(cfg.entry_speed, seg.v_max) for seg in cfg.segments]
         if cfg.technique == "fixed":
             return [queued_target[v.seg] if v.queued else cruise[v.seg] for v in fleet]
+        t_qs = [queue_clear_time(len(light.queue), light.cfg.departure_rate) + cfg.arrival_bias_s
+                for light in self.lights]
+        mus = [light.table.mu for light in self.lights]
         targets: list[float] = []
         for v in fleet:
             seg_idx = v.seg
@@ -498,10 +516,11 @@ class World:
                 targets.append(cruise[seg_idx])
                 continue
             seg = cfg.segments[seg_idx]
-            light = self.lights[seg_idx]
+            state = states[seg_idx]
             k = KinematicState(speed=v.speed, dist=d, v_min=seg.v_min, v_max=caps[v.vin])
-            t_q = queue_clear_time(len(light.queue), light.cfg.departure_rate) + cfg.arrival_bias_s
-            targets.append(plan(k, states[seg_idx], v.token, t_q).speed)
+            slot = slots.get(v.vin)
+            window = None if slot is None else arrival_window(slot, mus[seg_idx], state)
+            targets.append(plan(k, state, window, t_qs[seg_idx]).speed)
         return targets
 
     def _lane_changes(self, fleet: list[Vehicle], lanes: dict, leaders: dict[int, Vehicle],
@@ -602,8 +621,7 @@ class World:
         leaders = self._leaders(lanes)
         caps = self._caps(lanes)
 
-        if cfg.technique != "fixed":
-            self._maintain_tokens(states, fleet, caps)
+        slots = self._maintain_tokens(states, fleet, caps) if cfg.technique != "fixed" else {}
 
         # Per-segment density speed cap (density saturates at the cap ratio).
         counts = [0] * len(segments)
@@ -615,7 +633,7 @@ class World:
             density = min(density, cfg.density_cap_ratio * seg.d_max_veh_km_lane)
             density_cap.append(density_speed(density, seg.d_max_veh_km_lane, seg.v_max))
 
-        targets = self._plan_targets(fleet, states, caps)
+        targets = self._plan_targets(fleet, states, caps, slots)
         if self._lane_changes(fleet, lanes, leaders, caps):
             leaders = self._leaders(lanes)
 
@@ -696,7 +714,6 @@ class World:
                     light.last_cross_t = crossed_at
                     light.green_crossings += 1
                     light.table.release(v.vin)
-                    v.token = None
                     v.queued = False
                     crossed.append((v, seg_idx))
                     if seg_idx != last_seg:
@@ -768,7 +785,6 @@ class World:
                 tail = tails.get(v.lane)
                 if line_at - v.pos <= join_zone or (tail is not None and tail - v.pos <= join_zone):
                     v.queued = True
-                    v.token = None
                     light.table.release(v.vin)
                     queue.append(v)
                     tails[v.lane] = v.pos - length

@@ -7,11 +7,12 @@ queue and never offered to approaching vehicles.  A vehicle requests the
 slot containing its projected arrival.
 
 The table is keyed by vehicle: each vehicle claims at most one slot, and
-a new claim moves its old one.  Two vehicles can still claim one slot
-when their requests land on it in the same round; those are the conflicts
-the precedence games settle.  After ``allocation_round`` every slot has
-at most one claimant, and a vehicle holds a claim exactly when it holds
-that slot's token.
+a new claim moves its old one.  A claim is the vehicle's token; there is
+no other record of it.  Two vehicles can still claim one slot when their
+requests land on it in the same round; those are the conflicts the
+precedence games settle.  After ``allocation_round`` every slot has at
+most one claimant.  ``arrival_window`` turns a slot into the arrival
+times that meet it, for the round and the planner alike.
 """
 
 from __future__ import annotations
@@ -21,21 +22,6 @@ from typing import Iterable, Sequence
 
 from .games import CreditLedger, Mode, resolve_conflict
 from .signals import SignalState
-
-
-@dataclass(frozen=True)
-class TimeToken:
-    """One indexed green-window slot held by one vehicle.
-
-    ``a``/``b`` are the slot boundaries in seconds after the green start;
-    during red the planner offsets them by the remaining red time.
-    """
-
-    tau: int
-    a: float
-    b: float
-    cycle_id: int
-    vin: int
 
 
 def token_window(tau: int, mu: float) -> tuple[float, float]:
@@ -129,16 +115,21 @@ def detect_conflicts(requests: Iterable[tuple[int, int]]) -> dict[int, list[int]
     return {tau: sorted(vins) for tau, vins in sorted(by_tau.items()) if len(vins) > 1}
 
 
-def _usable_window(tau: int, mu: float, state: SignalState) -> tuple[float, float]:
-    """Slot window with its end pulled in so arrivals dodge the all-red gap."""
+def arrival_window(tau: int, mu: float, state: SignalState) -> tuple[float, float]:
+    """Arrival times, in seconds from now, that meet slot ``tau``.
+
+    The slot's end is pulled in by ``state.green_end_margin_s`` so that
+    arrivals dodge the all-red gap.  In green the window is shifted by the
+    green already elapsed and opens no earlier than now; in red it is
+    offset by the red remaining.
+    """
     a, b = token_window(tau, mu)
-    return a, min(b, state.green_s - state.green_end_margin_s)
-
-
-def build_token(tau: int, vin: int, table: TokenTable, state: SignalState) -> TimeToken:
-    """Token for slot ``tau`` of ``table``'s cycle, over the slot's usable window."""
-    a, b = _usable_window(tau, table.mu, state)
-    return TimeToken(tau=tau, a=a, b=b, cycle_id=table.cycle_id, vin=vin)
+    b = min(b, state.green_s - state.green_end_margin_s)
+    if state.approach_green:
+        elapsed = state.green_s - state.remaining
+        return max(0.0, a - elapsed), b - elapsed
+    r_r = state.remaining
+    return r_r + a, r_r + b
 
 
 @dataclass(slots=True)
@@ -146,7 +137,7 @@ class Approacher:
     """One vehicle taking part in a light's allocation round.
 
     ``cap`` is the highest speed the vehicle can plan for (the road limit
-    or what its leader allows).  The round replaces ``token``.
+    or what its leader allows).
     """
 
     vin: int
@@ -154,7 +145,6 @@ class Approacher:
     speed: float
     cap: float
     mode: Mode
-    token: TimeToken | None = None
 
 
 def _request_tti(e: Approacher, state: SignalState) -> float | None:
@@ -181,19 +171,13 @@ def _request_tti(e: Approacher, state: SignalState) -> float | None:
 
 def _reachable(slot: int, e: Approacher, state: SignalState, table: TokenTable,
                v_min: float) -> bool:
-    """Can the vehicle still arrive inside the slot's usable window?
+    """Can the vehicle still arrive inside the slot's arrival window?
 
     Slots the standing queue discharges through never are.
     """
     if slot <= state.queue_len:
         return False
-    a, b = _usable_window(slot, table.mu, state)
-    if state.approach_green:
-        elapsed = state.green_s - state.remaining
-        lo, hi = max(0.0, a - elapsed), b - elapsed
-    else:
-        r_r = state.remaining
-        lo, hi = r_r + a, r_r + b
+    lo, hi = arrival_window(slot, table.mu, state)
     if hi <= lo or hi <= 0:
         return False
     if e.dist / hi > e.cap:
@@ -225,48 +209,46 @@ def allocation_round(
     tl_rng,
     *,
     cooperative: bool,
-) -> None:
-    """One allocation round for one light; sets every vehicle's ``token``.
+) -> dict[int, int]:
+    """One allocation round for one light; returns ``vin -> slot`` for
+    every vehicle left holding a slot.
 
     ``vehicles`` are the light's approaching, unqueued vehicles in
-    ascending VIN order.  Without ``cooperative`` each vehicle takes the
-    token of its own arrival slot, assumed free, and the table is left
-    alone.  Otherwise, in order:
+    ascending VIN order.  Without ``cooperative`` each vehicle takes its
+    own arrival slot, assumed free, and the table is left alone.
+    Otherwise the table's claims are the tokens, and the round changes
+    only the table, in order:
 
-    * a token from an expired cycle, or whose slot the vehicle can no
-      longer reach, is released;
-    * a token holder moves up to the first free slot it can reach, if
-      that is earlier than its own;
-    * a vehicle without a token requests its arrival slot, or else the
+    * a claim on a slot the vehicle can no longer reach is released;
+    * a claimant moves up to the first free slot it can reach, if that is
+      earlier than its own;
+    * a vehicle without a claim requests its arrival slot, or else the
       first free slot it can reach.  Requests act on the table as it
       stood at the start of the round, so two can land on one slot;
     * each contested slot is settled by the games (``rng`` and ``tl_rng``
       drive their random tier, credits move in ``ledger``).  A loser
-      takes the first free slot it can reach at or after the lost one,
-      with its token, or is left without a claim;
-    * every request left holding its slot is granted the slot's token.
+      claims the first free slot it can reach at or after the lost one,
+      or is left without a claim.
     """
     if not cooperative:
+        slots: dict[int, int] = {}
         for e in vehicles:
             tti = _request_tti(e, state)
             slot = None if tti is None else slot_for_arrival(tti, state, table.mu, table.n_dep)
-            e.token = None if slot is None else build_token(slot, e.vin, table, state)
-        return
+            if slot is not None:
+                slots[e.vin] = slot
+        return slots
 
     occupied_before = table.claimed()
-    fresh: list[Approacher] = []
     for e in vehicles:
-        if e.token is not None and (
-            e.token.cycle_id != table.cycle_id
-            or not _reachable(e.token.tau, e, state, table, v_min)
-        ):
+        held = table.slot_of(e.vin)
+        if held is not None and not _reachable(held, e, state, table, v_min):
             table.release(e.vin)
-            e.token = None
-        if e.token is not None:
+            held = None
+        if held is not None:
             upgrade = _first_free_reachable(e, state, table, v_min, table.claimed())
-            if upgrade is not None and upgrade < e.token.tau:
+            if upgrade is not None and upgrade < held:
                 table.claim(upgrade, e.vin)
-                e.token = build_token(upgrade, e.vin, table, state)
             continue
         tti = _request_tti(e, state)
         if tti is None:
@@ -276,7 +258,6 @@ def allocation_round(
             slot = _first_free_reachable(e, state, table, v_min, occupied_before)
         if slot is not None:
             table.claim(slot, e.vin)
-            fresh.append(e)
 
     by_vin = {e.vin: e for e in vehicles}
     for tau, group in detect_conflicts(table.requests()).items():
@@ -284,16 +265,9 @@ def allocation_round(
         result = resolve_conflict(group, modes, ledger, rng, tl_rng)
         live = table.claimed()
         for vin in result.losers:
-            loser = by_vin[vin]
             table.release(vin)
-            loser.token = None
-            alt = _first_free_reachable(loser, state, table, v_min, live, start=tau)
+            alt = _first_free_reachable(by_vin[vin], state, table, v_min, live, start=tau)
             if alt is not None:
                 table.claim(alt, vin)
-                loser.token = build_token(alt, vin, table, state)
                 live.add(alt)
-
-    for e in fresh:
-        slot = table.slot_of(e.vin)
-        if slot is not None and e.token is None:
-            e.token = build_token(slot, e.vin, table, state)
+    return dict(table.requests())

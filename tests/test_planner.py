@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coopspeed.games import Mode
 from coopspeed.planner import (
     KinematicState,
     Objective,
@@ -11,7 +12,8 @@ from coopspeed.planner import (
     plan_to_window,
     speed_band,
 )
-from coopspeed.tokens import TimeToken, token_window
+from coopspeed.signals import SignalState
+from coopspeed.tokens import Approacher, TokenTable, _reachable, arrival_window, token_window
 from tests.test_tokens import green_state, red_state
 
 MU = 0.333
@@ -23,9 +25,9 @@ def ks(speed: float, dist: float, v_min: float = V_MIN, v_max: float = V_MAX):
     return KinematicState(speed=speed, dist=dist, v_min=v_min, v_max=v_max)
 
 
-def token(tau: int, vin: int = 1) -> TimeToken:
-    a, b = token_window(tau, MU)
-    return TimeToken(tau=tau, a=a, b=b, cycle_id=0, vin=vin)
+def token(tau: int, state) -> tuple[float, float]:
+    """Arrival window of a token for slot ``tau``."""
+    return arrival_window(tau, MU, state)
 
 
 def test_density_speed_endpoints_and_midpoint():
@@ -77,7 +79,8 @@ def test_plan_to_window_rejects_bad_window():
 
 def test_green_case1_holds_inside_token_window():
     k = ks(5.0, 100.0)  # TTI = 20 <= R_g
-    res = plan(k, green_state(24.0), token(7), t_q=0.0)
+    state = green_state(24.0)
+    res = plan(k, state, token(7, state), t_q=0.0)
     assert res.case == "green_c1"
     lo, hi = token_window(7, MU)
     assert lo <= k.dist / res.speed <= hi
@@ -87,9 +90,11 @@ def test_green_case1_holds_inside_token_window():
 def test_green_case2_accelerates_into_token():
     # TTI = 30 > R_g = 24 but v_max could make it; token for slot 8.
     k = ks(10.0, 300.0)
-    res = plan(k, green_state(24.0), token(8), t_q=0.0)
+    state = green_state(24.0)
+    window = token(8, state)
+    res = plan(k, state, window, t_q=0.0)
     assert res.case == "green_c2_accel"
-    assert res.speed == pytest.approx(min(V_MAX, 300.0 / token(8).a))
+    assert res.speed == pytest.approx(min(V_MAX, 300.0 / window[0]))
 
 
 def test_green_case2_defers_to_next_green_without_token():
@@ -129,7 +134,8 @@ def test_red_case1_slows_to_meet_green():
 
 def test_red_case2_holds_inside_offset_token_window():
     k = ks(10.0, 450.0)  # TTI = 45 in (R_r, R_r + T_g]
-    res = plan(k, red_state(30.0), token(1), t_q=0.0)
+    state = red_state(30.0)
+    res = plan(k, state, token(1, state), t_q=0.0)
     assert res.case == "red_c2"
     assert res.window == pytest.approx((30.0, 33.003), abs=0.001)
     assert res.speed == pytest.approx(450.0 / 33.003003, abs=1e-6)
@@ -182,7 +188,7 @@ def test_output_always_within_limits():
             if rng.random() < 0.5
             else red_state(rng.uniform(0.5, 36.0), rng.randint(0, 6))
         )
-        tok = token(rng.randint(1, 8)) if rng.random() < 0.4 else None
+        tok = token(rng.randint(1, 8), state) if rng.random() < 0.4 else None
         res = plan(k, state, tok, t_q=rng.uniform(0.0, 20.0))
         assert V_MIN - 1e-9 <= res.speed <= V_MAX + 1e-9
 
@@ -207,3 +213,31 @@ def test_window_soundness_against_interval_oracle():
             assert v_min <= got <= v_max
             arrival = d / got
             assert t_lo - 0.1 <= arrival <= t_hi + 0.1
+
+
+def test_round_and_planner_agree_on_reachable_slots():
+    # The round keeps a slot the vehicle can reach; the planner meets the
+    # same window with a token case.  Both read it from arrival_window.
+    rng = random.Random(8)
+    table = TokenTable(mu=MU, n_dep=8)
+    token_cases = {"green_c1", "green_c2_accel", "red_c2"}
+    reachable = 0
+    for _ in range(50000):
+        green = rng.random() < 0.5
+        queue = rng.randint(0, 4)
+        state = SignalState(
+            approach_green=green, crossable=green,
+            remaining=rng.uniform(0.1, 24.0 if green else 36.0),
+            green_s=24.0, red_s=36.0, queue_len=queue,
+            green_end_margin_s=rng.choice([0.0, rng.uniform(0.0, 4.0)]),
+        )
+        cap = rng.uniform(V_MIN, V_MAX)
+        e = Approacher(vin=1, dist=rng.uniform(0.0, 600.0), speed=rng.uniform(0.0, cap),
+                       cap=cap, mode=Mode.NORMAL)
+        slot = rng.randint(queue + 1, 8)
+        k = KinematicState(speed=e.speed, dist=e.dist, v_min=V_MIN, v_max=cap)
+        res = plan(k, state, arrival_window(slot, MU, state), t_q=rng.uniform(0.0, 15.0))
+        ok = _reachable(slot, e, state, table, V_MIN)
+        assert ok == (res.case in token_cases), (state, e, slot, res)
+        reachable += ok
+    assert 5000 < reachable < 45000

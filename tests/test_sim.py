@@ -13,22 +13,20 @@ from coopspeed.sim import (
 
 def test_token_table_matches_tokens_at_every_step():
     # csof at 600 veh/h, seed 2: the first 120 s include losers of games
-    # whose earlier claims used to linger beside their new ones.
+    # whose earlier claims used to linger beside their new ones.  A claim
+    # is the vehicle's token, so the table must hold one per vehicle and
+    # one per slot.
     world = World(SimConfig(seed=2, technique="csof", arrival_rate_veh_s=600 / 3600))
     while world.t < 120.0:
         world.step()
         for light in world.lights:
-            table = light.table
-            requests = table.requests()
+            requests = light.table.requests()
             vins = [vin for vin, _ in requests]
             slots = [slot for _, slot in requests]
             assert len(set(vins)) == len(vins), (world.t, light.idx, requests)
             assert len(set(slots)) == len(slots), (world.t, light.idx, requests)
-            on_segment = {vin: v for vin, v in world.vehicles.items() if v.seg == light.idx}
-            assert set(vins) <= set(on_segment), (world.t, light.idx, requests)
-            for vin, v in on_segment.items():
-                tau = None if v.token is None else v.token.tau
-                assert tau == table.slot_of(vin), (world.t, light.idx, vin)
+            on_segment = {vin for vin, v in world.vehicles.items() if v.seg == light.idx}
+            assert set(vins) <= on_segment, (world.t, light.idx, requests)
 
 
 def test_report_counts_arrivals_waiting_to_enter():
@@ -173,7 +171,7 @@ def test_invariants_hold_at_every_step(technique):
     cfg = SimConfig(duration_s=200.0, technique=technique, arrival_rate_veh_s=0.4, seed=3,
                     activation_distance_m=400.0, segments=(short, short))
     world = World(cfg)
-    queued_seen = 0
+    queued_seen = claims_seen = 0
     while world.t < cfg.duration_s - 1e-9:
         world.step()
         lanes = {}
@@ -194,10 +192,23 @@ def test_invariants_hold_at_every_step(technique):
             queued = [v.vin for v in world.vehicles.values() if v.queued and v.seg == light.idx]
             assert sorted(on_queue) == queued, (world.t, light.idx)
             queued_seen += len(queued)
+            # Only csof keeps claims: one per slot, each held by an unqueued
+            # vehicle approaching this light within activation distance.
+            requests = light.table.requests()
+            assert technique == "csof" or not requests, (world.t, light.idx, requests)
+            slots = [slot for _, slot in requests]
+            assert len(set(slots)) == len(slots), (world.t, light.idx, requests)
+            line_at = cfg.segments[light.idx].length_m
+            for vin, _ in requests:
+                v = world.vehicles[vin]
+                assert v.seg == light.idx and not v.queued, (world.t, light.idx, vin)
+                assert line_at - v.pos <= cfg.activation_distance_m, (world.t, light.idx, vin)
+            claims_seen += len(requests)
         assert world.spawned == world.completed + len(world.vehicles), world.t
         assert world.ledger.total() == 0, world.t
     assert world.completed > 0
     assert queued_seen > 0
+    assert (claims_seen > 0) == (technique == "csof")
 
 
 def test_caps_match_plan_cap_at_every_step():
@@ -299,10 +310,18 @@ def test_driving_parameters_must_be_in_range():
         ("standstill_gap_m", -0.1, "standstill gap"),
         ("reaction_time_s", -0.1, "reaction time"),
         ("activation_distance_m", -1.0, "activation distance"),
+        # No vehicle would ever count as stopped, or the stop detector
+        # would lose its hysteresis; a negative bias aims at windows that
+        # open before the queue clears.
+        ("stop_speed", 0.0, "stop speed"), ("stop_speed", -0.1, "stop speed"),
+        ("moving_speed", 0.05, "moving speed"),
+        ("plan_margin_s", -0.1, "plan margin"),
+        ("arrival_bias_s", -0.1, "arrival bias"),
     ]:
         with pytest.raises(ValueError, match=message):
             SimConfig(**{name: bad})
-    SimConfig(standstill_gap_m=0.0, reaction_time_s=0.0, activation_distance_m=0.0)
+    SimConfig(standstill_gap_m=0.0, reaction_time_s=0.0, activation_distance_m=0.0,
+              moving_speed=0.1, plan_margin_s=0.0, arrival_bias_s=0.0)
 
 
 @pytest.mark.parametrize("placed, message", [

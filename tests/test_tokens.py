@@ -8,7 +8,7 @@ from coopspeed.tokens import (
     Approacher,
     TokenTable,
     allocation_round,
-    build_token,
+    arrival_window,
     detect_conflicts,
     slot_for_arrival,
     token_window,
@@ -38,25 +38,23 @@ def fresh_table(n_dep: int = 8) -> TokenTable:
     return TokenTable(mu=MU, n_dep=n_dep)
 
 
-def approacher(vin: int, tti: float, mode: Mode = Mode.NORMAL, speed: float = 10.0,
-               token=None) -> Approacher:
+def approacher(vin: int, tti: float, mode: Mode = Mode.NORMAL,
+               speed: float = 10.0) -> Approacher:
     """Vehicle arriving in ``tti`` seconds at its current speed."""
-    return Approacher(vin=vin, dist=tti * speed, speed=speed, cap=V_MAX, mode=mode,
-                      token=token)
+    return Approacher(vin=vin, dist=tti * speed, speed=speed, cap=V_MAX, mode=mode)
 
 
 def run_round(table, state, vehicles, ledger=None, seed=0, cooperative=True):
+    """The round's ``vin -> slot`` result."""
     ledger = CreditLedger() if ledger is None else ledger
-    allocation_round(table, state, V_MIN, vehicles, ledger, random.Random(seed),
-                     random.Random(seed + 1), cooperative=cooperative)
-    return ledger
+    return allocation_round(table, state, V_MIN, vehicles, ledger, random.Random(seed),
+                            random.Random(seed + 1), cooperative=cooperative)
 
 
-def assert_one_claim_per_token(table, vehicles):
+def assert_one_claim_per_slot(table, slots):
     requests = table.requests()
     assert len({slot for _, slot in requests}) == len(requests)
-    for e in vehicles:
-        assert table.slot_of(e.vin) == (None if e.token is None else e.token.tau)
+    assert dict(requests) == slots
 
 
 def test_token_window_values():
@@ -73,12 +71,29 @@ def test_token_window_errors():
         token_window(1, 0.0)
 
 
+def test_arrival_window_values():
+    # Slot 7 spans 18.018-21.021 s after the green start and slot 8
+    # 21.021-24.024 s; a 2.5 s margin ends every window by 24 - 2.5 = 21.5 s.
+    # 6 s into the green, windows are shifted by the 6 s elapsed.
+    state = green_state(18.0)
+    state.green_end_margin_s = 2.5
+    assert arrival_window(7, MU, state) == pytest.approx((12.018, 15.021), abs=0.001)
+    assert arrival_window(8, MU, state) == pytest.approx((15.021, 15.5), abs=0.001)
+    # A slot that opened 6 s into the green is open now.
+    assert arrival_window(2, MU, state) == pytest.approx((0.0, 0.006), abs=0.001)
+    state = red_state(12.0)
+    state.green_end_margin_s = 2.5
+    assert arrival_window(1, MU, state) == pytest.approx((12.0, 15.003), abs=0.001)
+    assert arrival_window(8, MU, state) == pytest.approx((33.021, 33.5), abs=0.001)
+
+
 def test_allocate_green_basic():
     table = fresh_table()
-    e = approacher(11, 20.0)
-    run_round(table, green_state(24.0), [e])
-    assert e.token.tau == 7
-    assert e.token.a <= 20.0 <= e.token.b
+    state = green_state(24.0)
+    slots = run_round(table, state, [approacher(11, 20.0)])
+    assert slots == {11: 7}
+    lo, hi = arrival_window(7, MU, state)
+    assert lo <= 20.0 <= hi
     assert table.holder(7) == 11
 
 
@@ -149,15 +164,15 @@ def test_two_fresh_requests_on_one_slot_leave_one_holder():
     table = fresh_table()
     winner = approacher(1, 20.0, Mode.RUSH)
     loser = approacher(2, 19.5, Mode.NORMAL)
-    ledger = run_round(table, green_state(24.0), [winner, loser])
+    ledger = CreditLedger()
+    slots = run_round(table, green_state(24.0), [winner, loser], ledger)
     # One pair game: the winner pays the loser one credit.
     assert (ledger.get(1), ledger.get(2)) == (-1, 1)
     assert table.holder(7) == 1
-    assert winner.token.tau == 7
-    # The loser takes the next free reachable slot, token included.
-    assert loser.token.tau == 8
+    # The loser takes the next free reachable slot.
     assert table.holder(8) == 2
-    assert_one_claim_per_token(table, [winner, loser])
+    assert slots == {1: 7, 2: 8}
+    assert_one_claim_per_slot(table, slots)
 
 
 def test_reassign_goes_to_a_free_slot_only():
@@ -166,18 +181,17 @@ def test_reassign_goes_to_a_free_slot_only():
     state = green_state(30.0, green_s=30.0)
     vehicles = [approacher(1, 20.0, Mode.RUSH), approacher(2, 19.5),
                 approacher(3, 22.0)]
-    run_round(table, state, vehicles)
-    assert [e.token.tau for e in vehicles] == [7, 9, 8]
-    assert_one_claim_per_token(table, vehicles)
+    slots = run_round(table, state, vehicles)
+    assert [slots[e.vin] for e in vehicles] == [7, 9, 8]
+    assert_one_claim_per_slot(table, slots)
 
 
 def test_reassign_beyond_green_fails():
     table = fresh_table()
     winner = approacher(1, 22.0, Mode.RUSH)
     loser = approacher(2, 22.5)
-    run_round(table, green_state(24.0), [winner, loser])
-    assert winner.token.tau == 8
-    assert loser.token is None
+    slots = run_round(table, green_state(24.0), [winner, loser])
+    assert slots == {1: 8}
     assert table.slot_of(2) is None
 
 
@@ -186,25 +200,23 @@ def test_upgraded_holder_that_loses_keeps_one_claim_and_a_token():
     state = green_state(24.0)
     # Vehicle 3 holds slot 8 and can reach slot 6 but nothing earlier.
     table.claim(8, 3)
-    holder = approacher(3, 280.0 / 12.0, speed=12.0, token=build_token(8, 3, table, state))
+    holder = approacher(3, 280.0 / 12.0, speed=12.0)
     # Vehicle 4 requests slot 6, which was free when the round began.
     rival = approacher(4, 16.5, Mode.RUSH)
-    run_round(table, state, [holder, rival])
-    assert rival.token.tau == 6
-    # The upgrade to slot 6 lost the game; the next free slot comes with its token.
-    assert holder.token.tau == 7
+    slots = run_round(table, state, [holder, rival])
+    # The upgrade to slot 6 lost the game; the holder takes the next free slot.
+    assert slots == {4: 6, 3: 7}
     assert table.requests() == [(4, 6), (3, 7)]
-    assert_one_claim_per_token(table, [holder, rival])
+    assert_one_claim_per_slot(table, slots)
 
 
 def test_token_inside_queue_lead_in_is_released():
     table = fresh_table()
     table.claim(2, 1)
-    e = approacher(1, 5.0, token=build_token(2, 1, table, green_state(24.0)))
     # Three queued vehicles now discharge through slots 1 to 3.
-    run_round(table, green_state(24.0, queue=3), [e])
-    assert e.token.tau > 3
-    assert_one_claim_per_token(table, [e])
+    slots = run_round(table, green_state(24.0, queue=3), [approacher(1, 5.0)])
+    assert slots[1] > 3
+    assert_one_claim_per_slot(table, slots)
 
 
 def test_table_clear_expires_tokens():
@@ -217,14 +229,13 @@ def test_table_clear_expires_tokens():
 
 def test_clear_then_round_releases_stale_cycle_tokens():
     table = fresh_table()
-    state = green_state(24.0)
     table.claim(7, 1)
-    stale = approacher(1, 20.0, token=build_token(7, 1, table, state))
     table.clear(cycle_id=1)
-    run_round(table, state, [stale])
-    # The old token is dropped and the request made again in the new cycle.
-    assert stale.token.cycle_id == 1
-    assert_one_claim_per_token(table, [stale])
+    # The old claim is gone and the request is made again in the new cycle.
+    slots = run_round(table, green_state(24.0), [approacher(1, 20.0)])
+    assert slots == {1: 7}
+    assert table.cycle_id == 1
+    assert_one_claim_per_slot(table, slots)
 
 
 def test_allocation_is_deterministic():
@@ -233,7 +244,8 @@ def test_allocation_is_deterministic():
         table = fresh_table()
         # Equal modes and credits: the light's random draw decides.
         vehicles = [approacher(vin, 20.0 - 0.1 * vin) for vin in (1, 2, 3)]
-        ledger = run_round(table, green_state(24.0), vehicles, seed=4)
+        ledger = CreditLedger()
+        run_round(table, green_state(24.0), vehicles, ledger, seed=4)
         outcomes.append((table.requests(), [ledger.get(vin) for vin in (1, 2, 3)]))
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
@@ -251,16 +263,16 @@ def test_fresh_request_claims_the_arrival_slot():
         if slot is None:
             continue
         table = fresh_table()
-        e = approacher(1, tti)
-        run_round(table, state, [e])
-        assert table.slot_of(1) == e.token.tau == slot
+        slots = run_round(table, state, [approacher(1, tti)])
+        assert table.slot_of(1) == slots[1] == slot
 
 
 def test_non_cooperative_round_assumes_every_slot_free():
     table = fresh_table()
     vehicles = [approacher(1, 20.0), approacher(2, 19.5), approacher(3, 50.0)]
-    ledger = run_round(table, green_state(24.0), vehicles, cooperative=False)
-    assert [e.token and e.token.tau for e in vehicles] == [7, 7, None]
+    ledger = CreditLedger()
+    slots = run_round(table, green_state(24.0), vehicles, ledger, cooperative=False)
+    assert slots == {1: 7, 2: 7}
     assert table.requests() == []
     assert ledger.total() == 0
 
