@@ -21,6 +21,7 @@ from .tokens import (
     Approacher,
     TokenTable,
     allocation_round,
+    arrival_slots,
     arrival_window,
     detect_conflicts,
     slot_for_arrival,

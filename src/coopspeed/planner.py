@@ -66,11 +66,14 @@ def speed_band(
 ) -> tuple[float, float] | None:
     """Feasible speeds arriving inside ``window``, or None when empty.
 
-    A window opening at 0 places no upper cap beyond ``v_max``.
+    An empty window (``t_hi <= t_lo``) has no feasible speed.  A window
+    opening at 0 places no upper cap beyond ``v_max``.
     """
     t_lo, t_hi = window
-    if t_lo < 0 or t_hi <= t_lo:
-        raise ValueError("need 0 <= t_lo < t_hi")
+    if t_lo < 0:
+        raise ValueError("window must not open before now")
+    if t_hi <= t_lo:
+        return None
     lo = dist / t_hi
     hi = math.inf if t_lo == 0 else dist / t_lo
     band_lo = max(lo, v_min)
@@ -91,14 +94,6 @@ def plan_to_window(
     if objective is Objective.MAX_SPEED:
         return hi
     return min(max(k.speed, lo), hi)
-
-
-def _try(k: KinematicState, window: tuple[float, float], objective: Objective):
-    """plan_to_window that treats a degenerate window as infeasible."""
-    t_lo, t_hi = window
-    if t_lo < 0 or t_hi <= t_lo:
-        return None
-    return plan_to_window(k, window, objective)
 
 
 def plan(
@@ -124,18 +119,18 @@ def plan(
         r_g = state.remaining
         if slot_window is not None:
             if cur_tti <= r_g:
-                s = _try(k, slot_window, Objective.HOLD)
+                s = plan_to_window(k, slot_window, Objective.HOLD)
                 if s is not None:
                     return PlanResult(s, "green_c1", True, slot_window)
             else:
-                s = _try(k, slot_window, Objective.MAX_SPEED)
+                s = plan_to_window(k, slot_window, Objective.MAX_SPEED)
                 if s is not None:
                     return PlanResult(s, "green_c2_accel", True, slot_window)
         elif cur_tti <= r_g:
             # In-green arrival but no token (queue lead-in or lost game):
             # aim beyond the queue, before green ends.
             window = (t_q, r_g - margin)
-            s = _try(k, window, Objective.HOLD)
+            s = plan_to_window(k, window, Objective.HOLD)
             if s is not None:
                 return PlanResult(s, "green_c1", True, window)
         if cur_tti > r_g + t_r and slot_window is None:
@@ -143,26 +138,26 @@ def plan(
             s = min(max(k.speed, k.v_min), k.v_max)
             return PlanResult(s, "green_c3", True, None)
         window = (r_g + t_r + t_q, r_g + t_r + t_g - margin)
-        s = _try(k, window, Objective.MAX_SPEED)
+        s = plan_to_window(k, window, Objective.MAX_SPEED)
         if s is not None:
             return PlanResult(s, "green_c2_defer", True, window)
         return PlanResult(k.v_min, "queue_join", False, None)
 
     r_r = state.remaining
     if slot_window is not None:
-        s = _try(k, slot_window, Objective.HOLD)
+        s = plan_to_window(k, slot_window, Objective.HOLD)
         if s is not None:
             return PlanResult(s, "red_c2", True, slot_window)
     if cur_tti <= r_r + t_g:
         # Early arrival (or denied token): meet the upcoming green once
         # the queue has cleared.
         window = (r_r + t_q, r_r + t_g - margin)
-        s = _try(k, window, Objective.MAX_SPEED)
+        s = plan_to_window(k, window, Objective.MAX_SPEED)
         if s is not None:
             return PlanResult(s, "red_c1", True, window)
         return PlanResult(k.v_min, "queue_join", False, None)
     window = (r_r + t_g + t_r + t_q, r_r + t_r + 2.0 * t_g - margin)
-    s = _try(k, window, Objective.MAX_SPEED)
+    s = plan_to_window(k, window, Objective.MAX_SPEED)
     if s is not None:
         return PlanResult(s, "red_c3", True, window)
     return PlanResult(k.v_min, "queue_join", False, None)

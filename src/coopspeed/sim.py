@@ -15,16 +15,16 @@ Three techniques share identical road physics:
   games, no exclusivity);
 * ``fixed`` -- no speed optimization; cruise and react.
 
-Each step, every light runs one ``tokens.allocation_round`` over the
-unqueued vehicles within activation distance: for ``csof`` against its
-token table, for ``ncso`` without it.  The round returns the slot each
-vehicle is left holding, and the planner aims at that slot's
-``tokens.arrival_window``.  Under ``csof`` a vehicle's token is its claim
-in the light's table, released when the vehicle crosses or joins the
-queue.  Tables live in per-light allocation epochs: an epoch opens at a
-red start and closes when the following green ends, so slots granted
-during red carry into the green they target and everything expires with
-it.
+Each step, every light runs one round over the unqueued vehicles within
+activation distance: ``tokens.allocation_round`` against its token table
+for ``csof``, ``tokens.arrival_slots`` for ``ncso``.  The round returns
+the slot each vehicle is left holding, and the planner aims at that
+slot's ``tokens.arrival_window``.  Under ``csof`` a vehicle's token is
+its claim in the light's table, released when the vehicle crosses or
+joins the queue.  Tables live in per-light allocation epochs: an epoch
+opens at a red start and closes when the following green ends, so slots
+granted during red carry into the green they target and everything
+expires with it.
 """
 
 from __future__ import annotations
@@ -45,11 +45,24 @@ from .signals import (
     queue_clear_time,
     state_at,
 )
-from .tokens import Approacher, TokenTable, allocation_round, arrival_window
+from .tokens import Approacher, TokenTable, allocation_round, arrival_slots, arrival_window
 
 TECHNIQUES = ("csof", "ncso", "fixed")
 
 KMH = 1 / 3.6
+
+# Driver and vehicle model, the same in every scenario.
+ENTRY_SPEED = 50.0 * KMH
+MODE_PROBABILITIES = (0.2, 0.6, 0.2)  # relaxed, normal, rush
+ACCEL_LIMIT = 2.5  # comfort bound, m/s^2
+TIME_GAP_S = 2.0
+REACTION_TIME_S = 1.10
+STANDSTILL_GAP_M = 2.0
+PLAN_MARGIN_S = 0.5  # extra slack before a green closes
+ARRIVAL_BIAS_S = 0.5  # aim this far into the target window
+STOP_SPEED = 0.1  # below this a vehicle counts as stopped
+MOVING_SPEED = 1.0  # stop detector re-arms above this
+DENSITY_CAP_RATIO = 0.85
 
 _pos = attrgetter("pos")
 _speed = attrgetter("speed")
@@ -100,19 +113,7 @@ class SimConfig:
     technique: str = "csof"
     activation_distance_m: float = 500.0
     arrival_rate_veh_s: float = 0.1
-    entry_speed: float = 50.0 * KMH
-    mode_probabilities: tuple[float, float, float] = (0.2, 0.6, 0.2)
-    accel_limit: float = 2.5  # comfort bound, m/s^2
-    time_gap_s: float = 2.0
-    reaction_time_s: float = 1.10
     vehicle_length_m: float = 5.0
-    standstill_gap_m: float = 2.0
-    plan_margin_s: float = 0.5  # extra slack before a green closes
-    arrival_bias_s: float = 0.5  # aim this far into the target window
-    stop_speed: float = 0.1  # below this a vehicle counts as stopped
-    moving_speed: float = 1.0  # stop detector re-arms above this
-    density_cap_ratio: float = 0.85
-    energy: EnergyParams = field(default_factory=EnergyParams)
     segments: tuple[SegmentConfig, ...] = field(default_factory=_default_segments)
     initial_vehicles: tuple[InitialVehicle, ...] = ()
     scripted_arrivals: tuple[float, ...] | None = None
@@ -130,38 +131,15 @@ class SimConfig:
             raise ValueError("activation distance must be non-negative")
         if self.activation_distance_m > min(s.length_m for s in self.segments):
             raise ValueError("activation distance cannot exceed segment length")
-        if any(p < 0 for p in self.mode_probabilities):
-            raise ValueError("mode probabilities must be non-negative")
-        if abs(sum(self.mode_probabilities) - 1.0) > 1e-9:
-            raise ValueError("mode probabilities must sum to 1")
+        if len({seg.lanes for seg in self.segments}) > 1:
+            # A vehicle crosses into the same lane of the next segment; the
+            # engine has no lane-drop model.
+            raise ValueError("every segment must have the same number of lanes")
         if self.arrival_rate_veh_s < 0:
             raise ValueError("arrival rate must be non-negative")
-        if not 0 <= self.density_cap_ratio <= 1:
-            raise ValueError("density cap ratio must lie in [0, 1]")
-        if self.time_gap_s <= 0:
-            raise ValueError("time gap must be positive")
-        if self.accel_limit <= 0:
-            raise ValueError("acceleration limit must be positive")
-        if self.entry_speed <= 0:
-            raise ValueError("entry speed must be positive")
         if self.vehicle_length_m <= 0:
             # Lane order rests on vehicles never overlapping.
             raise ValueError("vehicle length must be positive")
-        if self.standstill_gap_m < 0:
-            raise ValueError("standstill gap must be non-negative")
-        if self.reaction_time_s < 0:
-            raise ValueError("reaction time must be non-negative")
-        if self.stop_speed <= 0:
-            # Speeds never fall below zero, so no vehicle would count as stopped.
-            raise ValueError("stop speed must be positive")
-        if self.moving_speed < self.stop_speed:
-            # The stop detector would re-arm without hysteresis.
-            raise ValueError("moving speed must be at least the stop speed")
-        if self.plan_margin_s < 0:
-            raise ValueError("plan margin must be non-negative")
-        if self.arrival_bias_s < 0:
-            # Target windows would open before the standing queue clears.
-            raise ValueError("arrival bias must be non-negative")
         arrivals = self.scripted_arrivals
         if arrivals is not None and any(a > b for a, b in zip(arrivals, arrivals[1:])):
             # Spawning stops at the first arrival still in the future.
@@ -198,8 +176,7 @@ class Vehicle:
     )
 
     def __init__(self, vin: int, mode: Mode, seg: int, lane: int, pos: float,
-                 speed: float, n_segments: int, spawned_at: float,
-                 moving_speed: float) -> None:
+                 speed: float, n_segments: int, spawned_at: float) -> None:
         self.vin = vin
         self.mode = mode
         self.seg = seg
@@ -210,7 +187,7 @@ class Vehicle:
         self.idle = [0.0] * n_segments
         self.stops = [0] * n_segments
         self.energy_j = [0.0] * n_segments
-        self.stop_armed = speed > moving_speed
+        self.stop_armed = speed > MOVING_SPEED
         self.spawned_at = spawned_at
 
 
@@ -307,7 +284,7 @@ class World:
         self._sum_idle = [0.0] * n
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
-        self._energy = energy_model(cfg.energy)
+        self._energy = energy_model(EnergyParams())
         # The lane index: every (segment, lane) group, in ascending pos, kept
         # across steps.  Vehicles never overlap, so order within a lane only
         # changes where a vehicle enters or leaves it.
@@ -328,7 +305,7 @@ class World:
 
     def _sample_mode(self) -> Mode:
         r = self.rng_modes.random()
-        p_relaxed, p_normal, _ = self.cfg.mode_probabilities
+        p_relaxed, p_normal, _ = MODE_PROBABILITIES
         if r < p_relaxed:
             return Mode.RELAXED
         if r < p_relaxed + p_normal:
@@ -342,7 +319,6 @@ class World:
             mode=self._sample_mode() if mode is None else mode,
             seg=seg, lane=lane, pos=pos, speed=speed,
             n_segments=len(self.cfg.segments), spawned_at=self.t,
-            moving_speed=self.cfg.moving_speed,
         )
         self.next_vin += 1
         self.spawned += 1
@@ -357,7 +333,7 @@ class World:
         cfg = self.cfg
         lanes = self._lanes
         best_lane = None
-        best_clear = cfg.vehicle_length_m + cfg.standstill_gap_m - 1e-9
+        best_clear = cfg.vehicle_length_m + STANDSTILL_GAP_M - 1e-9
         for lane in range(cfg.segments[0].lanes):
             group = lanes[(0, lane)]
             rear = group[0].pos - cfg.vehicle_length_m if group else math.inf
@@ -380,7 +356,7 @@ class World:
             if lane is None:
                 break
             self._pending_spawns -= 1
-            self._place(0, lane, 0.0, self.cfg.entry_speed)
+            self._place(0, lane, 0.0, ENTRY_SPEED)
 
     # -- token protocol ----------------------------------------------------
 
@@ -395,6 +371,7 @@ class World:
         for v in fleet:
             if not v.queued and lengths[v.seg] - v.pos <= reach:
                 per_light[v.seg].append(v)
+        cooperative = cfg.technique == "csof"
         slots: dict[int, int] = {}
         for light, state, approaching in zip(self.lights, states, per_light):
             seg = cfg.segments[light.idx]
@@ -402,9 +379,11 @@ class World:
                 Approacher(v.vin, seg.length_m - v.pos, v.speed, caps[v.vin], v.mode)
                 for v in approaching
             ]
-            slots.update(allocation_round(light.table, state, seg.v_min, entries, self.ledger,
-                                          self.rng_games, self.rng_tl,
-                                          cooperative=cfg.technique == "csof"))
+            if cooperative:
+                slots.update(allocation_round(light.table, state, seg.v_min, entries,
+                                              self.ledger, self.rng_games, self.rng_tl))
+            else:
+                slots.update(arrival_slots(entries, state, light.table.mu, light.n_dep))
         return slots
 
     def _plan_cap(self, v: Vehicle, leader: Vehicle | None, seg: SegmentConfig) -> float:
@@ -416,7 +395,7 @@ class World:
         if leader is None:
             return seg.v_max
         gap = leader.pos - self.cfg.vehicle_length_m - v.pos
-        safe = max(0.0, (gap - self.cfg.standstill_gap_m) / self.cfg.time_gap_s)
+        safe = max(0.0, (gap - STANDSTILL_GAP_M) / TIME_GAP_S)
         return max(seg.v_min, min(seg.v_max, max(leader.speed, safe)))
 
     # -- main loop ---------------------------------------------------------
@@ -427,7 +406,7 @@ class World:
         for light in self.lights:
             state = state_at(light.cfg, t)
             state.queue_len = len(light.queue)
-            state.green_end_margin_s = light.cfg.all_red_gap_s + self.cfg.plan_margin_s
+            state.green_end_margin_s = light.cfg.all_red_gap_s + PLAN_MARGIN_S
             states.append(state)
 
             epoch = light.epoch_of(t)
@@ -466,8 +445,8 @@ class World:
         cfg = self.cfg
         segments = cfg.segments
         length = cfg.vehicle_length_m
-        standstill = cfg.standstill_gap_m
-        time_gap = cfg.time_gap_s
+        standstill = STANDSTILL_GAP_M
+        time_gap = TIME_GAP_S
         caps: dict[int, float] = {}
         for (seg_idx, _), group in lanes.items():
             if not group:
@@ -498,10 +477,10 @@ class World:
         # until they are close enough to plan.
         queued_target = [seg.v_max if state.crossable else 0.0
                          for seg, state in zip(cfg.segments, states)]
-        cruise = [min(cfg.entry_speed, seg.v_max) for seg in cfg.segments]
+        cruise = [min(ENTRY_SPEED, seg.v_max) for seg in cfg.segments]
         if cfg.technique == "fixed":
             return [queued_target[v.seg] if v.queued else cruise[v.seg] for v in fleet]
-        t_qs = [queue_clear_time(len(light.queue), light.cfg.departure_rate) + cfg.arrival_bias_s
+        t_qs = [queue_clear_time(len(light.queue), light.cfg.departure_rate) + ARRIVAL_BIAS_S
                 for light in self.lights]
         mus = [light.table.mu for light in self.lights]
         targets: list[float] = []
@@ -540,8 +519,8 @@ class World:
         cfg = self.cfg
         segments = cfg.segments
         length = cfg.vehicle_length_m
-        stop_speed = cfg.stop_speed
-        time_gap = cfg.time_gap_s
+        stop_speed = STOP_SPEED
+        time_gap = TIME_GAP_S
         plan_cap = self._plan_cap
         moved = False
         for v in fleet:
@@ -602,7 +581,7 @@ class World:
         nxt = v.seg + 1
         if nxt >= len(self.cfg.segments):
             return True
-        need = self.cfg.vehicle_length_m + self.cfg.standstill_gap_m
+        need = self.cfg.vehicle_length_m + STANDSTILL_GAP_M
         group = lanes.get((nxt, v.lane), ())
         if lanes_sorted:
             return not group or group[0].pos >= need
@@ -630,7 +609,7 @@ class World:
         density_cap = []
         for seg, n in zip(segments, counts):
             density = n / (seg.length_m / 1000.0) / seg.lanes
-            density = min(density, cfg.density_cap_ratio * seg.d_max_veh_km_lane)
+            density = min(density, DENSITY_CAP_RATIO * seg.d_max_veh_km_lane)
             density_cap.append(density_speed(density, seg.d_max_veh_km_lane, seg.v_max))
 
         targets = self._plan_targets(fleet, states, caps, slots)
@@ -640,11 +619,11 @@ class World:
         # Compose clamps: comfort-limited planning, hard safety overrides.
         # Each min/max is written out with the builtin's tie-break, so a
         # tie keeps the same operand (0.0 against -0.0 included).
-        limit = cfg.accel_limit * dt
+        limit = ACCEL_LIMIT * dt
         length = cfg.vehicle_length_m
-        standstill = cfg.standstill_gap_m
-        time_gap = cfg.time_gap_s
-        reaction = cfg.reaction_time_s
+        standstill = STANDSTILL_GAP_M
+        time_gap = TIME_GAP_S
+        reaction = REACTION_TIME_S
         # Per segment: stop-line position, the distance to it within which
         # the line may bind, and the density cap.
         zones = [(seg.length_m, time_gap * seg.v_max + 5.0, cap)
@@ -689,8 +668,8 @@ class World:
         self._accrue_energy(fleet, new_speeds)
 
         # Integrate, accrue metrics, and handle crossings.
-        stop_speed = cfg.stop_speed
-        moving_speed = cfg.moving_speed
+        stop_speed = STOP_SPEED
+        moving_speed = MOVING_SPEED
         last_seg = len(segments) - 1
         crossed_at = t + dt
         crossed: list[tuple[Vehicle, int]] = []
@@ -758,9 +737,9 @@ class World:
         drops out of its queue here."""
         cfg = self.cfg
         length = cfg.vehicle_length_m
-        join_zone = length + 2.0 * cfg.standstill_gap_m
+        join_zone = length + 2.0 * STANDSTILL_GAP_M
         roll_speed = 0.5  # above this a queued vehicle is moving again
-        stop_speed = cfg.stop_speed
+        stop_speed = STOP_SPEED
         stopped: list[list[Vehicle]] = [[] for _ in self.lights]
         for v in self.vehicles.values():
             if v.speed < stop_speed and not v.queued:

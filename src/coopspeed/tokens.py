@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .games import CreditLedger, Mode, resolve_conflict
+from .planner import speed_band
 from .signals import SignalState
 
 
@@ -173,16 +174,13 @@ def _reachable(slot: int, e: Approacher, state: SignalState, table: TokenTable,
                v_min: float) -> bool:
     """Can the vehicle still arrive inside the slot's arrival window?
 
-    Slots the standing queue discharges through never are.
+    The planner's own band test decides, so a slot the round keeps is one
+    the planner can aim at.  Slots the standing queue discharges through
+    never are reachable.
     """
-    if slot <= state.queue_len:
-        return False
-    lo, hi = arrival_window(slot, table.mu, state)
-    if hi <= lo or hi <= 0:
-        return False
-    if e.dist / hi > e.cap:
-        return False
-    return lo <= 0 or e.dist / lo >= v_min
+    return (slot > state.queue_len
+            and speed_band(e.dist, arrival_window(slot, table.mu, state), v_min, e.cap)
+            is not None)
 
 
 def _first_free_reachable(e: Approacher, state: SignalState, table: TokenTable,
@@ -199,6 +197,22 @@ def _first_free_reachable(e: Approacher, state: SignalState, table: TokenTable,
     return None
 
 
+def arrival_slots(vehicles: Iterable[Approacher], state: SignalState, mu: float,
+                  n_dep: int) -> dict[int, int]:
+    """``vin -> slot`` for each vehicle whose arrival falls in a slot.
+
+    The non-cooperative round: every vehicle takes its own arrival slot
+    and assumes it free, with no table and no games.
+    """
+    slots: dict[int, int] = {}
+    for e in vehicles:
+        tti = _request_tti(e, state)
+        slot = None if tti is None else slot_for_arrival(tti, state, mu, n_dep)
+        if slot is not None:
+            slots[e.vin] = slot
+    return slots
+
+
 def allocation_round(
     table: TokenTable,
     state: SignalState,
@@ -207,17 +221,13 @@ def allocation_round(
     ledger: CreditLedger,
     rng,
     tl_rng,
-    *,
-    cooperative: bool,
 ) -> dict[int, int]:
-    """One allocation round for one light; returns ``vin -> slot`` for
-    every vehicle left holding a slot.
+    """One cooperative allocation round for one light; returns ``vin ->
+    slot`` for every vehicle left holding a slot.
 
     ``vehicles`` are the light's approaching, unqueued vehicles in
-    ascending VIN order.  Without ``cooperative`` each vehicle takes its
-    own arrival slot, assumed free, and the table is left alone.
-    Otherwise the table's claims are the tokens, and the round changes
-    only the table, in order:
+    ascending VIN order.  The table's claims are the tokens, and the round
+    changes only the table, in order:
 
     * a claim on a slot the vehicle can no longer reach is released;
     * a claimant moves up to the first free slot it can reach, if that is
@@ -230,15 +240,6 @@ def allocation_round(
       claims the first free slot it can reach at or after the lost one,
       or is left without a claim.
     """
-    if not cooperative:
-        slots: dict[int, int] = {}
-        for e in vehicles:
-            tti = _request_tti(e, state)
-            slot = None if tti is None else slot_for_arrival(tti, state, table.mu, table.n_dep)
-            if slot is not None:
-                slots[e.vin] = slot
-        return slots
-
     occupied_before = table.claimed()
     for e in vehicles:
         held = table.slot_of(e.vin)

@@ -8,6 +8,7 @@ from coopspeed.tokens import (
     Approacher,
     TokenTable,
     allocation_round,
+    arrival_slots,
     arrival_window,
     detect_conflicts,
     slot_for_arrival,
@@ -44,11 +45,11 @@ def approacher(vin: int, tti: float, mode: Mode = Mode.NORMAL,
     return Approacher(vin=vin, dist=tti * speed, speed=speed, cap=V_MAX, mode=mode)
 
 
-def run_round(table, state, vehicles, ledger=None, seed=0, cooperative=True):
+def run_round(table, state, vehicles, ledger=None, seed=0):
     """The round's ``vin -> slot`` result."""
     ledger = CreditLedger() if ledger is None else ledger
     return allocation_round(table, state, V_MIN, vehicles, ledger, random.Random(seed),
-                            random.Random(seed + 1), cooperative=cooperative)
+                            random.Random(seed + 1))
 
 
 def assert_one_claim_per_slot(table, slots):
@@ -268,13 +269,9 @@ def test_fresh_request_claims_the_arrival_slot():
 
 
 def test_non_cooperative_round_assumes_every_slot_free():
-    table = fresh_table()
+    # Two arrivals in slot 7 both take it; the third arrives after the green.
     vehicles = [approacher(1, 20.0), approacher(2, 19.5), approacher(3, 50.0)]
-    ledger = CreditLedger()
-    slots = run_round(table, green_state(24.0), vehicles, ledger, cooperative=False)
-    assert slots == {1: 7, 2: 7}
-    assert table.requests() == []
-    assert ledger.total() == 0
+    assert arrival_slots(vehicles, green_state(24.0), MU, 8) == {1: 7, 2: 7}
 
 
 def test_windows_tile_without_gap_or_overlap():
