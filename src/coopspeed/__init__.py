@@ -9,7 +9,7 @@ from .games import (
     play_pair,
     resolve_conflict,
 )
-from .planner import KinematicState, Objective, PlanResult, density_speed, plan, plan_to_window
+from .planner import Objective, PlanResult, density_speed, plan, plan_to_window
 from .signals import (
     SignalConfig,
     SignalState,
@@ -25,7 +25,6 @@ from .tokens import (
     arrival_window,
     detect_conflicts,
     slot_for_arrival,
-    token_window,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

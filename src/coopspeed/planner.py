@@ -19,8 +19,8 @@ leaves the rest of the green for vehicles behind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .signals import SignalState
 
@@ -30,22 +30,11 @@ class Objective(Enum):
     HOLD = "hold"
 
 
-@dataclass(frozen=True)
-class KinematicState:
-    speed: float  # m/s
-    dist: float  # meters to the stop line
-    v_min: float  # m/s
-    v_max: float  # m/s
-
-    def __post_init__(self) -> None:
-        if self.dist < 0:
-            raise ValueError("distance to stop line must be non-negative")
-        if not 0 <= self.v_min <= self.v_max:
-            raise ValueError("need 0 <= v_min <= v_max")
+# Module aliases: an enum member lookup through the class costs more than a global.
+_HOLD, _MAX_SPEED = Objective.HOLD, Objective.MAX_SPEED
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(NamedTuple):
     speed: float
     case: str
     feasible: bool
@@ -76,34 +65,40 @@ def speed_band(
         return None
     lo = dist / t_hi
     hi = math.inf if t_lo == 0 else dist / t_lo
-    band_lo = max(lo, v_min)
-    band_hi = min(hi, v_max)
+    band_lo = v_min if v_min > lo else lo  # max(lo, v_min)
+    band_hi = v_max if v_max < hi else hi  # min(hi, v_max)
     if band_lo > band_hi:
         return None
     return band_lo, band_hi
 
 
 def plan_to_window(
-    k: KinematicState, window: tuple[float, float], objective: Objective
+    speed: float, dist: float, v_min: float, v_max: float,
+    window: tuple[float, float], objective: Objective,
 ) -> float | None:
     """Speed command meeting ``window`` under ``objective``, or None."""
-    band = speed_band(k.dist, window, k.v_min, k.v_max)
+    band = speed_band(dist, window, v_min, v_max)
     if band is None:
         return None
     lo, hi = band
-    if objective is Objective.MAX_SPEED:
+    if objective is _MAX_SPEED:
         return hi
-    return min(max(k.speed, lo), hi)
+    return min(max(speed, lo), hi)
 
 
 def plan(
-    k: KinematicState,
+    speed: float,
+    dist: float,
+    v_min: float,
+    v_max: float,
     state: SignalState,
     slot_window: tuple[float, float] | None,
     t_q: float,
 ) -> PlanResult:
     """Dispatch the case program for the current signal phase and TTI.
 
+    The vehicle is at ``speed`` m/s, ``dist`` meters before the stop
+    line, and may plan speeds in [``v_min``, ``v_max``] m/s.
     ``slot_window`` is the arrival window of the vehicle's token slot in
     seconds from now (``tokens.arrival_window``), or None without a token.
     ``t_q`` is the time needed to clear the standing queue.  Exactly one
@@ -111,7 +106,11 @@ def plan(
     the deferral program for the following green, and finally to a
     ``v_min`` crawl (the vehicle will stop and join the queue).
     """
-    cur_tti = k.dist / k.speed if k.speed > 0 else math.inf
+    if dist < 0:
+        raise ValueError("distance to stop line must be non-negative")
+    if not 0 <= v_min <= v_max:
+        raise ValueError("need 0 <= v_min <= v_max")
+    cur_tti = dist / speed if speed > 0 else math.inf
     t_g, t_r = state.green_s, state.red_s
     margin = state.green_end_margin_s
 
@@ -119,45 +118,45 @@ def plan(
         r_g = state.remaining
         if slot_window is not None:
             if cur_tti <= r_g:
-                s = plan_to_window(k, slot_window, Objective.HOLD)
+                s = plan_to_window(speed, dist, v_min, v_max, slot_window, _HOLD)
                 if s is not None:
                     return PlanResult(s, "green_c1", True, slot_window)
             else:
-                s = plan_to_window(k, slot_window, Objective.MAX_SPEED)
+                s = plan_to_window(speed, dist, v_min, v_max, slot_window, _MAX_SPEED)
                 if s is not None:
                     return PlanResult(s, "green_c2_accel", True, slot_window)
         elif cur_tti <= r_g:
             # In-green arrival but no token (queue lead-in or lost game):
             # aim beyond the queue, before green ends.
             window = (t_q, r_g - margin)
-            s = plan_to_window(k, window, Objective.HOLD)
+            s = plan_to_window(speed, dist, v_min, v_max, window, _HOLD)
             if s is not None:
                 return PlanResult(s, "green_c1", True, window)
         if cur_tti > r_g + t_r and slot_window is None:
             # Next-cycle green; no token yet, keep the current speed.
-            s = min(max(k.speed, k.v_min), k.v_max)
+            s = min(max(speed, v_min), v_max)
             return PlanResult(s, "green_c3", True, None)
         window = (r_g + t_r + t_q, r_g + t_r + t_g - margin)
-        s = plan_to_window(k, window, Objective.MAX_SPEED)
+        s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)
         if s is not None:
             return PlanResult(s, "green_c2_defer", True, window)
-        return PlanResult(k.v_min, "queue_join", False, None)
+        return PlanResult(v_min, "queue_join", False, None)
 
     r_r = state.remaining
     if slot_window is not None:
-        s = plan_to_window(k, slot_window, Objective.HOLD)
+        s = plan_to_window(speed, dist, v_min, v_max, slot_window, _HOLD)
         if s is not None:
             return PlanResult(s, "red_c2", True, slot_window)
     if cur_tti <= r_r + t_g:
         # Early arrival (or denied token): meet the upcoming green once
         # the queue has cleared.
         window = (r_r + t_q, r_r + t_g - margin)
-        s = plan_to_window(k, window, Objective.MAX_SPEED)
+        s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)
         if s is not None:
             return PlanResult(s, "red_c1", True, window)
-        return PlanResult(k.v_min, "queue_join", False, None)
+        return PlanResult(v_min, "queue_join", False, None)
     window = (r_r + t_g + t_r + t_q, r_r + t_r + 2.0 * t_g - margin)
-    s = plan_to_window(k, window, Objective.MAX_SPEED)
+    s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)
     if s is not None:
         return PlanResult(s, "red_c3", True, window)
-    return PlanResult(k.v_min, "queue_join", False, None)
+    return PlanResult(v_min, "queue_join", False, None)

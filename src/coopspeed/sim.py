@@ -37,7 +37,7 @@ from operator import attrgetter
 
 from .energy import EnergyParams, energy_model
 from .games import CreditLedger, Mode
-from .planner import KinematicState, density_speed, plan
+from .planner import density_speed, plan
 from .signals import (
     SignalConfig,
     SignalState,
@@ -472,7 +472,6 @@ class World:
         vehicle in ``slots`` aims at that slot's arrival window."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
-        lengths = [seg.length_m for seg in cfg.segments]
         # Queued vehicles wait for a crossable light; the rest cruise
         # until they are close enough to plan.
         queued_target = [seg.v_max if state.crossable else 0.0
@@ -480,9 +479,11 @@ class World:
         cruise = [min(ENTRY_SPEED, seg.v_max) for seg in cfg.segments]
         if cfg.technique == "fixed":
             return [queued_target[v.seg] if v.queued else cruise[v.seg] for v in fleet]
-        t_qs = [queue_clear_time(len(light.queue), light.cfg.departure_rate) + ARRIVAL_BIAS_S
-                for light in self.lights]
-        mus = [light.table.mu for light in self.lights]
+        per_seg = [
+            (seg.length_m, seg.v_min, state, light.table.mu,
+             queue_clear_time(len(light.queue), light.cfg.departure_rate) + ARRIVAL_BIAS_S)
+            for seg, state, light in zip(cfg.segments, states, self.lights)
+        ]
         targets: list[float] = []
         for v in fleet:
             seg_idx = v.seg
@@ -490,16 +491,14 @@ class World:
                 # The stop-line gate and car-following govern discharge.
                 targets.append(queued_target[seg_idx])
                 continue
-            d = lengths[seg_idx] - v.pos
+            length, v_min, state, mu, t_q = per_seg[seg_idx]
+            d = length - v.pos
             if d > reach:
                 targets.append(cruise[seg_idx])
                 continue
-            seg = cfg.segments[seg_idx]
-            state = states[seg_idx]
-            k = KinematicState(speed=v.speed, dist=d, v_min=seg.v_min, v_max=caps[v.vin])
             slot = slots.get(v.vin)
-            window = None if slot is None else arrival_window(slot, mus[seg_idx], state)
-            targets.append(plan(k, state, window, t_qs[seg_idx]).speed)
+            window = None if slot is None else arrival_window(slot, mu, state)
+            targets.append(plan(v.speed, d, v_min, caps[v.vin], state, window, t_q).speed)
         return targets
 
     def _lane_changes(self, fleet: list[Vehicle], lanes: dict, leaders: dict[int, Vehicle],

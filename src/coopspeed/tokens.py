@@ -11,8 +11,8 @@ a new claim moves its old one.  A claim is the vehicle's token; there is
 no other record of it.  Two vehicles can still claim one slot when their
 requests land on it in the same round; those are the conflicts the
 precedence games settle.  After ``allocation_round`` every slot has at
-most one claimant.  ``arrival_window`` turns a slot into the arrival
-times that meet it, for the round and the planner alike.
+most one claimant.  ``arrival_window`` is the one mapping from a slot to
+the arrival times that meet it, for the round and the planner alike.
 """
 
 from __future__ import annotations
@@ -23,16 +23,6 @@ from typing import Iterable, Sequence
 from .games import CreditLedger, Mode, resolve_conflict
 from .planner import speed_band
 from .signals import SignalState
-
-
-def token_window(tau: int, mu: float) -> tuple[float, float]:
-    """Boundaries of slot ``tau``: ((tau-1)/mu, tau/mu) after the green start."""
-    if tau < 1:
-        raise ValueError("token index must be >= 1")
-    if mu <= 0:
-        raise ValueError("departure rate mu must be positive")
-    tsd = 1.0 / mu
-    return (tau - 1) * tsd, tau * tsd
 
 
 class TokenTable:
@@ -119,16 +109,24 @@ def detect_conflicts(requests: Iterable[tuple[int, int]]) -> dict[int, list[int]
 def arrival_window(tau: int, mu: float, state: SignalState) -> tuple[float, float]:
     """Arrival times, in seconds from now, that meet slot ``tau``.
 
-    The slot's end is pulled in by ``state.green_end_margin_s`` so that
-    arrivals dodge the all-red gap.  In green the window is shifted by the
-    green already elapsed and opens no earlier than now; in red it is
-    offset by the red remaining.
+    Slot ``tau`` spans ((tau-1)/mu, tau/mu) after the green start.  Its
+    end is pulled in by ``state.green_end_margin_s`` so that arrivals
+    dodge the all-red gap.  In green the window is shifted by the green
+    already elapsed and opens no earlier than now; in red it is offset by
+    the red remaining.
     """
-    a, b = token_window(tau, mu)
-    b = min(b, state.green_s - state.green_end_margin_s)
+    if tau < 1:
+        raise ValueError("token index must be >= 1")
+    if mu <= 0:
+        raise ValueError("departure rate mu must be positive")
+    tsd = 1.0 / mu
+    a, b = (tau - 1) * tsd, tau * tsd
+    end = state.green_s - state.green_end_margin_s
+    b = end if end < b else b  # min(b, end), keeping b on a tie
     if state.approach_green:
         elapsed = state.green_s - state.remaining
-        return max(0.0, a - elapsed), b - elapsed
+        a -= elapsed
+        return (a if a > 0.0 else 0.0), b - elapsed
     r_r = state.remaining
     return r_r + a, r_r + b
 

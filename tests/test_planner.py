@@ -5,7 +5,6 @@ import pytest
 
 from coopspeed.games import Mode
 from coopspeed.planner import (
-    KinematicState,
     Objective,
     density_speed,
     plan,
@@ -13,7 +12,7 @@ from coopspeed.planner import (
     speed_band,
 )
 from coopspeed.signals import SignalState
-from coopspeed.tokens import Approacher, TokenTable, _reachable, arrival_window, token_window
+from coopspeed.tokens import Approacher, TokenTable, _reachable, arrival_window
 from tests.test_tokens import green_state, red_state
 
 MU = 0.333
@@ -22,7 +21,8 @@ V_MAX = 16.67
 
 
 def ks(speed: float, dist: float, v_min: float = V_MIN, v_max: float = V_MAX):
-    return KinematicState(speed=speed, dist=dist, v_min=v_min, v_max=v_max)
+    """The (speed, dist, v_min, v_max) arguments of ``plan`` and ``plan_to_window``."""
+    return speed, dist, v_min, v_max
 
 
 def token(tau: int, state) -> tuple[float, float]:
@@ -54,7 +54,7 @@ def test_density_speed_errors():
 
 
 def test_plan_to_window_hold_keeps_feasible_speed():
-    s = plan_to_window(ks(5.0, 100.0), (18.02, 21.02), Objective.HOLD)
+    s = plan_to_window(*ks(5.0, 100.0), (18.02, 21.02), Objective.HOLD)
     assert s == pytest.approx(5.0)
     band = speed_band(100.0, (18.02, 21.02), V_MIN, V_MAX)
     assert band == pytest.approx((4.757, 5.549), abs=0.001)
@@ -62,28 +62,38 @@ def test_plan_to_window_hold_keeps_feasible_speed():
 
 def test_plan_to_window_physical_bound():
     # 100 m in at most 3 s needs 33 m/s; beyond the road limit.
-    assert plan_to_window(ks(10.0, 100.0), (0.0, 3.003), Objective.MAX_SPEED) is None
+    assert plan_to_window(*ks(10.0, 100.0), (0.0, 3.003), Objective.MAX_SPEED) is None
 
 
 def test_plan_to_window_zero_open_window_has_no_cap():
-    s = plan_to_window(ks(10.0, 10.0), (0.0, 30.0), Objective.MAX_SPEED)
+    s = plan_to_window(*ks(10.0, 10.0), (0.0, 30.0), Objective.MAX_SPEED)
     assert s == pytest.approx(V_MAX)
 
 
 def test_plan_to_window_rejects_bad_window():
     # An empty window has no feasible speed; one opening before now is an error.
-    assert plan_to_window(ks(10.0, 100.0), (5.0, 5.0), Objective.HOLD) is None
+    assert plan_to_window(*ks(10.0, 100.0), (5.0, 5.0), Objective.HOLD) is None
     with pytest.raises(ValueError):
-        plan_to_window(ks(10.0, 100.0), (-1.0, 5.0), Objective.HOLD)
+        plan_to_window(*ks(10.0, 100.0), (-1.0, 5.0), Objective.HOLD)
+
+
+def test_plan_rejects_bad_kinematics():
+    # A vehicle past the stop line or an inverted speed band is an error.
+    with pytest.raises(ValueError):
+        plan(*ks(10.0, -1.0), green_state(24.0), None, t_q=0.0)
+    with pytest.raises(ValueError):
+        plan(*ks(10.0, 100.0, v_min=5.0, v_max=4.0), green_state(24.0), None, t_q=0.0)
+    with pytest.raises(ValueError):
+        plan(*ks(10.0, 100.0, v_min=-1.0), red_state(30.0), None, t_q=0.0)
 
 
 def test_green_case1_holds_inside_token_window():
     k = ks(5.0, 100.0)  # TTI = 20 <= R_g
     state = green_state(24.0)
-    res = plan(k, state, token(7, state), t_q=0.0)
+    res = plan(*k, state, token(7, state), t_q=0.0)
     assert res.case == "green_c1"
-    lo, hi = token_window(7, MU)
-    assert lo <= k.dist / res.speed <= hi
+    lo, hi = token(7, state)  # slot 7's bounds: the green has just started
+    assert lo <= 100.0 / res.speed <= hi
     assert res.speed == pytest.approx(5.0)
 
 
@@ -92,14 +102,14 @@ def test_green_case2_accelerates_into_token():
     k = ks(10.0, 300.0)
     state = green_state(24.0)
     window = token(8, state)
-    res = plan(k, state, window, t_q=0.0)
+    res = plan(*k, state, window, t_q=0.0)
     assert res.case == "green_c2_accel"
     assert res.speed == pytest.approx(min(V_MAX, 300.0 / window[0]))
 
 
 def test_green_case2_defers_to_next_green_without_token():
     k = ks(10.0, 300.0)  # TTI = 30, in (R_g, R_g + T_r]
-    res = plan(k, green_state(24.0), None, t_q=0.0)
+    res = plan(*k, green_state(24.0), None, t_q=0.0)
     assert res.case == "green_c2_defer"
     # Window opens at R_g + T_r and closes a green later; the slow-down
     # binds at the window open, so the vehicle arrives first-come.
@@ -109,33 +119,33 @@ def test_green_case2_defers_to_next_green_without_token():
 
 def test_green_case3_holds_current_speed():
     k = ks(12.0, 900.0)  # TTI = 75 > R_g + T_r = 60
-    res = plan(k, green_state(24.0), None, t_q=0.0)
+    res = plan(*k, green_state(24.0), None, t_q=0.0)
     assert res.case == "green_c3"
     assert res.speed == pytest.approx(12.0)
 
 
 def test_green_case3_clamps_to_limits():
-    res = plan(ks(1.0, 900.0, v_min=2.0), green_state(2.0), None, t_q=0.0)
+    res = plan(*ks(1.0, 900.0, v_min=2.0), green_state(2.0), None, t_q=0.0)
     assert res.case == "green_c3"
     assert res.speed == pytest.approx(2.0)
 
 
 def test_red_case1_slows_to_meet_green():
     k = ks(10.0, 200.0)  # TTI = 20 < R_r = 30
-    res = plan(k, red_state(30.0), None, t_q=0.0)
+    res = plan(*k, red_state(30.0), None, t_q=0.0)
     assert res.case == "red_c1"
     assert res.window == pytest.approx((30.0, 54.0))
     # Queue-adjusted bound binds: arrive as the window opens.
     assert res.speed == pytest.approx(200.0 / 30.0)
     # A standing queue pushes the target arrival back.
-    res_q = plan(k, red_state(30.0), None, t_q=9.0)
+    res_q = plan(*k, red_state(30.0), None, t_q=9.0)
     assert res_q.speed == pytest.approx(200.0 / 39.0)
 
 
 def test_red_case2_holds_inside_offset_token_window():
     k = ks(10.0, 450.0)  # TTI = 45 in (R_r, R_r + T_g]
     state = red_state(30.0)
-    res = plan(k, state, token(1, state), t_q=0.0)
+    res = plan(*k, state, token(1, state), t_q=0.0)
     assert res.case == "red_c2"
     assert res.window == pytest.approx((30.0, 33.003), abs=0.001)
     assert res.speed == pytest.approx(450.0 / 33.003003, abs=1e-6)
@@ -143,7 +153,7 @@ def test_red_case2_holds_inside_offset_token_window():
 
 def test_red_case3_targets_next_cycle_green():
     k = ks(5.0, 800.0)  # TTI = 160 > R_r + T_g
-    res = plan(k, red_state(30.0), None, t_q=3.0)
+    res = plan(*k, red_state(30.0), None, t_q=3.0)
     assert res.case == "red_c3"
     assert res.window == pytest.approx((30.0 + 24.0 + 36.0 + 3.0, 30.0 + 36.0 + 48.0))
     assert res.speed == pytest.approx(800.0 / 93.0)
@@ -151,7 +161,7 @@ def test_red_case3_targets_next_cycle_green():
 
 def test_all_windows_infeasible_joins_queue():
     # 10 m out during fresh red: even v_min arrives long before the green.
-    res = plan(ks(8.0, 10.0), red_state(35.0), None, t_q=0.0)
+    res = plan(*ks(8.0, 10.0), red_state(35.0), None, t_q=0.0)
     assert res.case == "queue_join"
     assert not res.feasible
     assert res.speed == V_MIN
@@ -160,7 +170,7 @@ def test_all_windows_infeasible_joins_queue():
 def test_green_no_token_waits_for_queue_to_clear():
     # In-green arrival, no token: aim past the queue, before green ends.
     k = ks(10.0, 120.0)  # TTI = 12
-    res = plan(k, green_state(24.0), None, t_q=15.0)
+    res = plan(*k, green_state(24.0), None, t_q=15.0)
     assert res.case == "green_c1"
     assert res.window == pytest.approx((15.0, 24.0))
     assert 120.0 / res.speed >= 15.0 - 1e-9
@@ -170,8 +180,8 @@ def test_exactly_one_case_fires_across_the_tti_axis():
     cases = set()
     for dist in (40.0, 120.0, 260.0, 420.0, 700.0, 1200.0):
         k = ks(10.0, dist)
-        res_g = plan(k, green_state(24.0), None, t_q=0.0)
-        res_r = plan(k, red_state(30.0), None, t_q=0.0)
+        res_g = plan(*k, green_state(24.0), None, t_q=0.0)
+        res_r = plan(*k, red_state(30.0), None, t_q=0.0)
         cases.add(res_g.case)
         cases.add(res_r.case)
         assert res_g.case in {"green_c1", "green_c2_defer", "green_c3", "queue_join"}
@@ -189,7 +199,7 @@ def test_output_always_within_limits():
             else red_state(rng.uniform(0.5, 36.0), rng.randint(0, 6))
         )
         tok = token(rng.randint(1, 8), state) if rng.random() < 0.4 else None
-        res = plan(k, state, tok, t_q=rng.uniform(0.0, 20.0))
+        res = plan(*k, state, tok, t_q=rng.uniform(0.0, 20.0))
         assert V_MIN - 1e-9 <= res.speed <= V_MAX + 1e-9
 
 
@@ -201,9 +211,9 @@ def test_window_soundness_against_interval_oracle():
         t_hi = t_lo + rng.uniform(0.1, 60.0)
         v_min = rng.uniform(0.5, 5.0)
         v_max = v_min + rng.uniform(1.0, 25.0)
-        k = KinematicState(rng.uniform(0, v_max), d, v_min, v_max)
+        k = (rng.uniform(0, v_max), d, v_min, v_max)
         obj = rng.choice(list(Objective))
-        got = plan_to_window(k, (t_lo, t_hi), obj)
+        got = plan_to_window(*k, (t_lo, t_hi), obj)
         lo = max(d / t_hi, v_min)
         hi = min(d / t_lo if t_lo > 0 else math.inf, v_max)
         if lo > hi:
@@ -235,8 +245,8 @@ def test_round_and_planner_agree_on_reachable_slots():
         e = Approacher(vin=1, dist=rng.uniform(0.0, 600.0), speed=rng.uniform(0.0, cap),
                        cap=cap, mode=Mode.NORMAL)
         slot = rng.randint(queue + 1, 8)
-        k = KinematicState(speed=e.speed, dist=e.dist, v_min=V_MIN, v_max=cap)
-        res = plan(k, state, arrival_window(slot, MU, state), t_q=rng.uniform(0.0, 15.0))
+        res = plan(e.speed, e.dist, V_MIN, cap, state, arrival_window(slot, MU, state),
+                   t_q=rng.uniform(0.0, 15.0))
         ok = _reachable(slot, e, state, table, V_MIN)
         assert ok == (res.case in token_cases), (state, e, slot, res)
         reachable += ok

@@ -12,7 +12,6 @@ from coopspeed.tokens import (
     arrival_window,
     detect_conflicts,
     slot_for_arrival,
-    token_window,
 )
 
 MU = 0.333
@@ -58,18 +57,24 @@ def assert_one_claim_per_slot(table, slots):
     assert dict(requests) == slots
 
 
-def test_token_window_values():
-    a, b = token_window(1, MU)
+def slot_bounds(tau: int, mu: float = MU) -> tuple[float, float]:
+    """Slot ``tau``'s bounds after the green start: its arrival window as
+    a green opens that is too long to clip it."""
+    return arrival_window(tau, mu, green_state(1e6, green_s=1e6))
+
+
+def test_arrival_window_slot_bounds():
+    a, b = slot_bounds(1)
     assert (a, b) == pytest.approx((0.0, 3.003), abs=0.001)
-    a, b = token_window(3, MU)
+    a, b = slot_bounds(3)
     assert (a, b) == pytest.approx((6.006, 9.009), abs=0.001)
 
 
-def test_token_window_errors():
+def test_arrival_window_errors():
     with pytest.raises(ValueError):
-        token_window(0, MU)
+        arrival_window(0, MU, green_state(24.0))
     with pytest.raises(ValueError):
-        token_window(1, 0.0)
+        arrival_window(1, 0.0, green_state(24.0))
 
 
 def test_arrival_window_values():
@@ -281,7 +286,7 @@ def test_windows_tile_without_gap_or_overlap():
         n = rng.randint(1, 12)
         prev_b = 0.0
         for tau in range(1, n + 1):
-            a, b = token_window(tau, mu)
+            a, b = slot_bounds(tau, mu)
             assert a == pytest.approx(prev_b, abs=1e-9)
             assert b - a == pytest.approx(1.0 / mu, abs=1e-9)
             prev_b = b

@@ -1,0 +1,46 @@
+"""The benchmark's tracer still finds the engine layers it times.
+
+``perfbench/tracing.py`` wraps engine names by string and marks a name it
+cannot find as an absent layer instead of failing, so a rename would drop
+the layer from every traced run without a word.  This test fails instead.
+"""
+
+import sys
+from pathlib import Path
+
+import coopspeed.sim as sim
+from coopspeed.sim import InitialVehicle, SimConfig, World
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+
+def _tracing_module():
+    """``perfbench/tracing.py``, imported without writing into ``perfbench/``."""
+    sys.path.insert(0, PERFBENCH)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        import tracing
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(PERFBENCH)
+    return tracing
+
+
+def test_tracer_times_the_planner_on_an_ncso_world():
+    # A vehicle starts inside the activation distance, so the planner runs
+    # from the first step.
+    cfg = SimConfig(duration_s=60.0, technique="ncso", arrival_rate_veh_s=0.25, seed=1,
+                    initial_vehicles=(InitialVehicle(pos=600.0, speed=13.89),))
+    world = World(cfg)
+    plan = sim.plan
+    tracer = _tracing_module().Tracer(sim)
+    tracer.install()
+    try:
+        while world.t < 20.0:
+            world.step()
+    finally:
+        tracer.uninstall()
+    assert sim.plan is plan
+    assert "planner.plan" not in tracer.absent
+    assert tracer.counts["planner.plan.calls"] > 0
