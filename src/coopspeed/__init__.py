@@ -24,6 +24,7 @@ from .tokens import (
     arrival_slots,
     arrival_window,
     detect_conflicts,
+    request_tti,
     slot_for_arrival,
 )
 

@@ -16,8 +16,9 @@ Three techniques share identical road physics:
 * ``fixed`` -- no speed optimization; cruise and react.
 
 Each step, every light runs one round over the unqueued vehicles within
-activation distance: ``tokens.allocation_round`` against its token table
-for ``csof``, ``tokens.arrival_slots`` for ``ncso``.  The round returns
+activation distance that hold a claim or submit a request:
+``tokens.allocation_round`` against its token table for ``csof``,
+``tokens.arrival_slots`` for ``ncso``.  The round returns
 the slot each vehicle is left holding, and the planner aims at that
 slot's ``tokens.arrival_window``.  Under ``csof`` a vehicle's token is
 its claim in the light's table, released when the vehicle crosses or
@@ -45,7 +46,14 @@ from .signals import (
     queue_clear_time,
     state_at,
 )
-from .tokens import Approacher, TokenTable, allocation_round, arrival_slots, arrival_window
+from .tokens import (
+    Approacher,
+    TokenTable,
+    allocation_round,
+    arrival_slots,
+    arrival_window,
+    request_tti,
+)
 
 TECHNIQUES = ("csof", "ncso", "fixed")
 
@@ -362,26 +370,33 @@ class World:
 
     def _maintain_tokens(self, states: list[SignalState], fleet: list[Vehicle],
                          caps: dict[int, float]) -> dict[int, int]:
-        """Run each light's allocation round over its approaching vehicles;
-        returns ``vin -> slot`` for every vehicle left holding a slot."""
+        """Run each light's allocation round over its approaching vehicles
+        that hold or request a slot; returns ``vin -> slot`` for every
+        vehicle left holding a slot.  A vehicle that does neither cannot
+        change the round, so it is left out."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
         lengths = [seg.length_m for seg in cfg.segments]
-        per_light: list[list[Vehicle]] = [[] for _ in self.lights]
+        holds = [light.table.slot_of for light in self.lights]
+        per_light: list[list[Approacher]] = [[] for _ in self.lights]
         for v in fleet:
-            if not v.queued and lengths[v.seg] - v.pos <= reach:
-                per_light[v.seg].append(v)
+            if v.queued:
+                continue
+            seg_idx = v.seg
+            d = lengths[seg_idx] - v.pos
+            if d > reach:
+                continue
+            vin = v.vin
+            cap = caps[vin]
+            tti = request_tti(d, v.speed, cap, states[seg_idx])
+            if tti is not None or holds[seg_idx](vin) is not None:
+                per_light[seg_idx].append(Approacher(vin, d, cap, v.mode, tti))
         cooperative = cfg.technique == "csof"
         slots: dict[int, int] = {}
-        for light, state, approaching in zip(self.lights, states, per_light):
-            seg = cfg.segments[light.idx]
-            entries = [
-                Approacher(v.vin, seg.length_m - v.pos, v.speed, caps[v.vin], v.mode)
-                for v in approaching
-            ]
+        for light, state, entries in zip(self.lights, states, per_light):
             if cooperative:
-                slots.update(allocation_round(light.table, state, seg.v_min, entries,
-                                              self.ledger, self.rng_games, self.rng_tl))
+                slots.update(allocation_round(light.table, state, cfg.segments[light.idx].v_min,
+                                              entries, self.ledger, self.rng_games, self.rng_tl))
             else:
                 slots.update(arrival_slots(entries, state, light.table.mu, light.n_dep))
         return slots

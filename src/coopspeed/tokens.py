@@ -13,6 +13,11 @@ requests land on it in the same round; those are the conflicts the
 precedence games settle.  After ``allocation_round`` every slot has at
 most one claimant.  ``arrival_window`` is the one mapping from a slot to
 the arrival times that meet it, for the round and the planner alike.
+
+A round's participants are the light's approaching vehicles that hold a
+claim or submit a request (``request_tti`` is not None).  Any other
+vehicle leaves the table, the credits and the games' draws untouched,
+so the engine leaves it out.
 """
 
 from __future__ import annotations
@@ -51,9 +56,16 @@ class TokenTable:
     def slot_of(self, vin: int) -> int | None:
         return self._slot_of.get(vin)
 
-    def claimed(self) -> set[int]:
-        """Slots with at least one claimant."""
-        return set(self._slot_of.values())
+    def occupancy(self) -> list[int]:
+        """Number of claimants of each slot, indexed by slot (0 unused)."""
+        counts = [0] * (self.n_dep + 1)
+        for slot in self._slot_of.values():
+            counts[slot] += 1
+        return counts
+
+    def claims(self) -> dict[int, int]:
+        """Every claim, ``vin -> slot``."""
+        return dict(self._slot_of)
 
     def requests(self) -> list[tuple[int, int]]:
         """All (vin, slot) claims, ordered by slot then vin."""
@@ -136,31 +148,34 @@ class Approacher:
     """One vehicle taking part in a light's allocation round.
 
     ``cap`` is the highest speed the vehicle can plan for (the road limit
-    or what its leader allows).
+    or what its leader allows).  ``tti`` is the arrival time it submits
+    with a request, ``request_tti`` of its distance, speed and cap under
+    the round's signal state, or None when it requests nothing.
     """
 
     vin: int
     dist: float  # meters to the stop line
-    speed: float
     cap: float
     mode: Mode
+    tti: float | None
 
 
-def _request_tti(e: Approacher, state: SignalState) -> float | None:
-    """Arrival time the vehicle submits with a request, or None.
+def request_tti(dist: float, speed: float, cap: float, state: SignalState) -> float | None:
+    """Arrival time a vehicle ``dist`` m before the line at ``speed`` submits
+    with a request, or None when it requests nothing.
 
     In green, a vehicle that would miss the green at its current speed
     submits its arrival at ``cap`` when that still makes it.
     """
-    if e.speed <= 0:
+    if speed <= 0:
         return None
-    tti = e.dist / e.speed
+    tti = dist / speed
     if state.approach_green:
         r_g = state.remaining
         if tti <= r_g:
             return tti
-        if e.cap > 0 and e.dist / e.cap <= r_g and tti <= r_g + state.red_s:
-            return e.dist / e.cap
+        if cap > 0 and dist / cap <= r_g and tti <= r_g + state.red_s:
+            return dist / cap
         return None
     r_r = state.remaining
     if r_r < tti <= r_r + state.green_s:
@@ -168,7 +183,15 @@ def _request_tti(e: Approacher, state: SignalState) -> float | None:
     return None
 
 
-def _reachable(slot: int, e: Approacher, state: SignalState, table: TokenTable,
+def _slot_windows(table: TokenTable, state: SignalState) -> list[tuple[float, float] | None]:
+    """Arrival window of each of the table's slots, indexed by slot; None
+    for index 0 and for the slots the standing queue discharges through."""
+    first = state.queue_len + 1
+    return [None] * first + [arrival_window(j, table.mu, state)
+                             for j in range(first, table.n_dep + 1)]
+
+
+def _reachable(slot: int, e: Approacher, windows: list[tuple[float, float] | None],
                v_min: float) -> bool:
     """Can the vehicle still arrive inside the slot's arrival window?
 
@@ -176,21 +199,22 @@ def _reachable(slot: int, e: Approacher, state: SignalState, table: TokenTable,
     the planner can aim at.  Slots the standing queue discharges through
     never are reachable.
     """
-    return (slot > state.queue_len
-            and speed_band(e.dist, arrival_window(slot, table.mu, state), v_min, e.cap)
-            is not None)
+    window = windows[slot]
+    return window is not None and speed_band(e.dist, window, v_min, e.cap) is not None
 
 
-def _first_free_reachable(e: Approacher, state: SignalState, table: TokenTable,
-                          v_min: float, occupied: set[int], start: int = 1) -> int | None:
-    """First unclaimed, reachable slot at or after ``start``.
+def _first_free_reachable(e: Approacher, windows: list[tuple[float, float] | None],
+                          v_min: float, occupied: list[int], start: int,
+                          stop: int) -> int | None:
+    """First slot in [``start``, ``stop``) with no claimant in ``occupied``
+    (claimants per slot) that the vehicle can reach.
 
     Scanning forward from the natural arrival slot keeps allocation
     roughly first-come-first-served: a vehicle slows into a later free
     slot rather than racing ahead of traffic for an early one.
     """
-    for j in range(max(start, state.queue_len + 1), table.n_dep + 1):
-        if j not in occupied and _reachable(j, e, state, table, v_min):
+    for j in range(start, stop):
+        if not occupied[j] and _reachable(j, e, windows, v_min):
             return j
     return None
 
@@ -204,8 +228,7 @@ def arrival_slots(vehicles: Iterable[Approacher], state: SignalState, mu: float,
     """
     slots: dict[int, int] = {}
     for e in vehicles:
-        tti = _request_tti(e, state)
-        slot = None if tti is None else slot_for_arrival(tti, state, mu, n_dep)
+        slot = None if e.tti is None else slot_for_arrival(e.tti, state, mu, n_dep)
         if slot is not None:
             slots[e.vin] = slot
     return slots
@@ -224,8 +247,10 @@ def allocation_round(
     slot`` for every vehicle left holding a slot.
 
     ``vehicles`` are the light's approaching, unqueued vehicles in
-    ascending VIN order.  The table's claims are the tokens, and the round
-    changes only the table, in order:
+    ascending VIN order.  Only a vehicle that holds a claim in ``table``
+    or submits a request (``tti`` is not None) can change anything, so a
+    caller may leave every other vehicle out.  The table's claims are the
+    tokens, and the round changes only the table, in order:
 
     * a claim on a slot the vehicle can no longer reach is released;
     * a claimant moves up to the first free slot it can reach, if that is
@@ -237,36 +262,54 @@ def allocation_round(
       drive their random tier, credits move in ``ledger``).  A loser
       claims the first free slot it can reach at or after the lost one,
       or is left without a claim.
-    """
-    occupied_before = table.claimed()
-    for e in vehicles:
-        held = table.slot_of(e.vin)
-        if held is not None and not _reachable(held, e, state, table, v_min):
-            table.release(e.vin)
-            held = None
-        if held is not None:
-            upgrade = _first_free_reachable(e, state, table, v_min, table.claimed())
-            if upgrade is not None and upgrade < held:
-                table.claim(upgrade, e.vin)
-            continue
-        tti = _request_tti(e, state)
-        if tti is None:
-            continue
-        slot = slot_for_arrival(tti, state, table.mu, table.n_dep)
-        if slot is None or slot in occupied_before:
-            slot = _first_free_reachable(e, state, table, v_min, occupied_before)
-        if slot is not None:
-            table.claim(slot, e.vin)
 
-    by_vin = {e.vin: e for e in vehicles}
-    for tau, group in detect_conflicts(table.requests()).items():
-        modes = {vin: by_vin[vin].mode for vin in group}
-        result = resolve_conflict(group, modes, ledger, rng, tl_rng)
-        live = table.claimed()
-        for vin in result.losers:
+    The round skips what cannot change a decision.  It counts slot
+    occupancy once and keeps the count up to date with every claim and
+    release.  It computes each slot's arrival window once, stops a
+    claimant's upgrade scan at the claimant's own slot, and plays the
+    games only when some slot has two claimants.
+    """
+    if not vehicles:
+        return table.claims()
+    n_dep = table.n_dep
+    first = state.queue_len + 1  # the first slot the queue leaves free
+    end = n_dep + 1
+    windows = _slot_windows(table, state)
+    live = table.occupancy()
+    before = live.copy()  # occupancy at the start of the round
+    for e in vehicles:
+        vin = e.vin
+        held = table.slot_of(vin)
+        if held is not None:
+            if _reachable(held, e, windows, v_min):
+                upgrade = _first_free_reachable(e, windows, v_min, live, first, held)
+                if upgrade is not None:
+                    table.claim(upgrade, vin)
+                    live[held] -= 1
+                    live[upgrade] += 1
+                continue
             table.release(vin)
-            alt = _first_free_reachable(by_vin[vin], state, table, v_min, live, start=tau)
-            if alt is not None:
-                table.claim(alt, vin)
-                live.add(alt)
-    return dict(table.requests())
+            live[held] -= 1
+        if e.tti is None:
+            continue
+        slot = slot_for_arrival(e.tti, state, table.mu, n_dep)
+        if slot is None or before[slot]:
+            slot = _first_free_reachable(e, windows, v_min, before, first, end)
+        if slot is not None:
+            table.claim(slot, vin)
+            live[slot] += 1
+
+    if max(live) > 1:
+        by_vin = {e.vin: e for e in vehicles}
+        for tau, group in detect_conflicts(table.requests()).items():
+            modes = {vin: by_vin[vin].mode for vin in group}
+            result = resolve_conflict(group, modes, ledger, rng, tl_rng)
+            for vin in result.losers:
+                table.release(vin)
+                live[tau] -= 1
+                alt = _first_free_reachable(by_vin[vin], windows, v_min, live,
+                                            max(tau, first), end)
+                if alt is not None:
+                    table.claim(alt, vin)
+                    live[alt] += 1
+    return table.claims()

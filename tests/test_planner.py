@@ -12,7 +12,7 @@ from coopspeed.planner import (
     speed_band,
 )
 from coopspeed.signals import SignalState
-from coopspeed.tokens import Approacher, TokenTable, _reachable, arrival_window
+from coopspeed.tokens import Approacher, TokenTable, _reachable, _slot_windows, arrival_window
 from tests.test_tokens import green_state, red_state
 
 MU = 0.333
@@ -242,12 +242,13 @@ def test_round_and_planner_agree_on_reachable_slots():
             green_end_margin_s=rng.choice([0.0, rng.uniform(0.0, 4.0)]),
         )
         cap = rng.uniform(V_MIN, V_MAX)
-        e = Approacher(vin=1, dist=rng.uniform(0.0, 600.0), speed=rng.uniform(0.0, cap),
-                       cap=cap, mode=Mode.NORMAL)
+        dist = rng.uniform(0.0, 600.0)
+        speed = rng.uniform(0.0, cap)
+        e = Approacher(vin=1, dist=dist, cap=cap, mode=Mode.NORMAL, tti=None)
         slot = rng.randint(queue + 1, 8)
-        res = plan(e.speed, e.dist, V_MIN, cap, state, arrival_window(slot, MU, state),
+        res = plan(speed, dist, V_MIN, cap, state, arrival_window(slot, MU, state),
                    t_q=rng.uniform(0.0, 15.0))
-        ok = _reachable(slot, e, state, table, V_MIN)
+        ok = _reachable(slot, e, _slot_windows(table, state), V_MIN)
         assert ok == (res.case in token_cases), (state, e, slot, res)
         reachable += ok
     assert 5000 < reachable < 45000

@@ -168,6 +168,19 @@ def test_queue_discharge_never_exceeds_departures_per_green(technique):
     assert max(first.green_crossing_history) >= first.n_dep - 1
 
 
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_corridor_drains_once_arrivals_stop(technique):
+    # No deadlock: 24 arrivals in the first 120 s, then none; every
+    # vehicle enters and leaves the corridor well before 900 s.
+    arrivals = tuple(5.0 * k for k in range(24))
+    world = World(SimConfig(duration_s=900.0, technique=technique, scripted_arrivals=arrivals))
+    while world.t < 900.0 and (world.spawned < len(arrivals) or world.vehicles):
+        world.step()
+    report = world.report()
+    assert world.t < 900.0
+    assert (report.spawned, report.completed, report.in_network, report.waiting) == (24, 24, 0, 0)
+
+
 # -- per-step invariants ------------------------------------------------------
 
 def _check_lanes_and_accounting(world):

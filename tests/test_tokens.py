@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from coopspeed.games import CreditLedger, Mode
+from coopspeed.games import CreditLedger, Mode, resolve_conflict
+from coopspeed.planner import speed_band
 from coopspeed.signals import SignalState
 from coopspeed.tokens import (
     Approacher,
@@ -11,6 +13,7 @@ from coopspeed.tokens import (
     arrival_slots,
     arrival_window,
     detect_conflicts,
+    request_tti,
     slot_for_arrival,
 )
 
@@ -38,10 +41,13 @@ def fresh_table(n_dep: int = 8) -> TokenTable:
     return TokenTable(mu=MU, n_dep=n_dep)
 
 
-def approacher(vin: int, tti: float, mode: Mode = Mode.NORMAL,
+def approacher(vin: int, tti: float, state: SignalState, mode: Mode = Mode.NORMAL,
                speed: float = 10.0) -> Approacher:
-    """Vehicle arriving in ``tti`` seconds at its current speed."""
-    return Approacher(vin=vin, dist=tti * speed, speed=speed, cap=V_MAX, mode=mode)
+    """Vehicle arriving in ``tti`` seconds at its current speed, with the
+    request it submits under ``state``."""
+    dist = tti * speed
+    return Approacher(vin=vin, dist=dist, cap=V_MAX, mode=mode,
+                      tti=request_tti(dist, speed, V_MAX, state))
 
 
 def run_round(table, state, vehicles, ledger=None, seed=0):
@@ -96,7 +102,7 @@ def test_arrival_window_values():
 def test_allocate_green_basic():
     table = fresh_table()
     state = green_state(24.0)
-    slots = run_round(table, state, [approacher(11, 20.0)])
+    slots = run_round(table, state, [approacher(11, 20.0, state)])
     assert slots == {11: 7}
     lo, hi = arrival_window(7, MU, state)
     assert lo <= 20.0 <= hi
@@ -168,10 +174,11 @@ def test_release_restores_uniqueness():
 
 def test_two_fresh_requests_on_one_slot_leave_one_holder():
     table = fresh_table()
-    winner = approacher(1, 20.0, Mode.RUSH)
-    loser = approacher(2, 19.5, Mode.NORMAL)
+    state = green_state(24.0)
+    winner = approacher(1, 20.0, state, Mode.RUSH)
+    loser = approacher(2, 19.5, state, Mode.NORMAL)
     ledger = CreditLedger()
-    slots = run_round(table, green_state(24.0), [winner, loser], ledger)
+    slots = run_round(table, state, [winner, loser], ledger)
     # One pair game: the winner pays the loser one credit.
     assert (ledger.get(1), ledger.get(2)) == (-1, 1)
     assert table.holder(7) == 1
@@ -185,8 +192,8 @@ def test_reassign_goes_to_a_free_slot_only():
     # A 30 s green has ten slots; slot 8 is taken in the same round.
     table = fresh_table(n_dep=10)
     state = green_state(30.0, green_s=30.0)
-    vehicles = [approacher(1, 20.0, Mode.RUSH), approacher(2, 19.5),
-                approacher(3, 22.0)]
+    vehicles = [approacher(1, 20.0, state, Mode.RUSH), approacher(2, 19.5, state),
+                approacher(3, 22.0, state)]
     slots = run_round(table, state, vehicles)
     assert [slots[e.vin] for e in vehicles] == [7, 9, 8]
     assert_one_claim_per_slot(table, slots)
@@ -194,9 +201,10 @@ def test_reassign_goes_to_a_free_slot_only():
 
 def test_reassign_beyond_green_fails():
     table = fresh_table()
-    winner = approacher(1, 22.0, Mode.RUSH)
-    loser = approacher(2, 22.5)
-    slots = run_round(table, green_state(24.0), [winner, loser])
+    state = green_state(24.0)
+    winner = approacher(1, 22.0, state, Mode.RUSH)
+    loser = approacher(2, 22.5, state)
+    slots = run_round(table, state, [winner, loser])
     assert slots == {1: 8}
     assert table.slot_of(2) is None
 
@@ -206,9 +214,9 @@ def test_upgraded_holder_that_loses_keeps_one_claim_and_a_token():
     state = green_state(24.0)
     # Vehicle 3 holds slot 8 and can reach slot 6 but nothing earlier.
     table.claim(8, 3)
-    holder = approacher(3, 280.0 / 12.0, speed=12.0)
+    holder = approacher(3, 280.0 / 12.0, state, speed=12.0)
     # Vehicle 4 requests slot 6, which was free when the round began.
-    rival = approacher(4, 16.5, Mode.RUSH)
+    rival = approacher(4, 16.5, state, Mode.RUSH)
     slots = run_round(table, state, [holder, rival])
     # The upgrade to slot 6 lost the game; the holder takes the next free slot.
     assert slots == {4: 6, 3: 7}
@@ -220,7 +228,8 @@ def test_token_inside_queue_lead_in_is_released():
     table = fresh_table()
     table.claim(2, 1)
     # Three queued vehicles now discharge through slots 1 to 3.
-    slots = run_round(table, green_state(24.0, queue=3), [approacher(1, 5.0)])
+    state = green_state(24.0, queue=3)
+    slots = run_round(table, state, [approacher(1, 5.0, state)])
     assert slots[1] > 3
     assert_one_claim_per_slot(table, slots)
 
@@ -238,7 +247,8 @@ def test_clear_then_round_releases_stale_cycle_tokens():
     table.claim(7, 1)
     table.clear(cycle_id=1)
     # The old claim is gone and the request is made again in the new cycle.
-    slots = run_round(table, green_state(24.0), [approacher(1, 20.0)])
+    state = green_state(24.0)
+    slots = run_round(table, state, [approacher(1, 20.0, state)])
     assert slots == {1: 7}
     assert table.cycle_id == 1
     assert_one_claim_per_slot(table, slots)
@@ -249,9 +259,10 @@ def test_allocation_is_deterministic():
     for _ in range(3):
         table = fresh_table()
         # Equal modes and credits: the light's random draw decides.
-        vehicles = [approacher(vin, 20.0 - 0.1 * vin) for vin in (1, 2, 3)]
+        state = green_state(24.0)
+        vehicles = [approacher(vin, 20.0 - 0.1 * vin, state) for vin in (1, 2, 3)]
         ledger = CreditLedger()
-        run_round(table, green_state(24.0), vehicles, ledger, seed=4)
+        run_round(table, state, vehicles, ledger, seed=4)
         outcomes.append((table.requests(), [ledger.get(vin) for vin in (1, 2, 3)]))
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
@@ -269,14 +280,16 @@ def test_fresh_request_claims_the_arrival_slot():
         if slot is None:
             continue
         table = fresh_table()
-        slots = run_round(table, state, [approacher(1, tti)])
+        slots = run_round(table, state, [approacher(1, tti, state)])
         assert table.slot_of(1) == slots[1] == slot
 
 
 def test_non_cooperative_round_assumes_every_slot_free():
     # Two arrivals in slot 7 both take it; the third arrives after the green.
-    vehicles = [approacher(1, 20.0), approacher(2, 19.5), approacher(3, 50.0)]
-    assert arrival_slots(vehicles, green_state(24.0), MU, 8) == {1: 7, 2: 7}
+    state = green_state(24.0)
+    vehicles = [approacher(1, 20.0, state), approacher(2, 19.5, state),
+                approacher(3, 50.0, state)]
+    assert arrival_slots(vehicles, state, MU, 8) == {1: 7, 2: 7}
 
 
 def test_windows_tile_without_gap_or_overlap():
@@ -291,3 +304,212 @@ def test_windows_tile_without_gap_or_overlap():
             assert b - a == pytest.approx(1.0 / mu, abs=1e-9)
             prev_b = b
         assert prev_b == pytest.approx(n / mu, abs=1e-6)
+
+
+def test_request_in_green_submits_the_arrival_at_the_current_speed():
+    assert request_tti(100.0, 10.0, V_MAX, green_state(20.0)) == 10.0
+    # An arrival exactly as the green ends still counts.
+    assert request_tti(200.0, 10.0, V_MAX, green_state(20.0)) == 20.0
+
+
+def test_request_in_green_submits_the_arrival_at_cap_when_only_that_makes_it():
+    state = green_state(10.0)
+    # 15 s at 10 m/s misses the green; 150 m at cap takes 9 s.
+    assert request_tti(150.0, 10.0, V_MAX, state) == 150.0 / V_MAX
+    # Even at cap the green is missed.
+    assert request_tti(200.0, 10.0, V_MAX, state) is None
+    # The arrival at the current speed lies beyond the following red.
+    assert request_tti(150.0, 3.0, V_MAX, state) is None
+    assert request_tti(150.0, 10.0, 0.0, state) is None
+
+
+def test_request_in_red_needs_an_arrival_inside_the_next_green():
+    state = red_state(12.0)
+    assert request_tti(130.0, 10.0, V_MAX, state) == 13.0
+    assert request_tti(120.0, 10.0, V_MAX, state) is None  # as the red ends
+    assert request_tti(360.0, 10.0, V_MAX, state) == 36.0  # as the green ends
+    assert request_tti(365.0, 10.0, V_MAX, state) is None
+
+
+@pytest.mark.parametrize("speed", [0.0, -1.0])
+def test_request_needs_a_positive_speed(speed):
+    assert request_tti(100.0, speed, V_MAX, green_state(20.0)) is None
+    assert request_tti(100.0, speed, V_MAX, red_state(12.0)) is None
+
+
+# -- the round against a reference copy ------------------------------------
+# The round as it stood before it counted occupancy once, kept each slot's
+# window for the round, stopped upgrade scans at the held slot and played
+# games only on a contested table.  It takes every approaching vehicle as
+# (vin, dist, speed, cap, mode), rebuilds the claimed set for each check
+# and scans every slot.  ``seen`` counts the branches the round took.
+
+POOL = tuple(range(1, 13))  # vins of approachers and of other claimants
+
+
+def _ref_request_tti(dist, speed, cap, state):
+    if speed <= 0:
+        return None
+    tti = dist / speed
+    if state.approach_green:
+        r_g = state.remaining
+        if tti <= r_g:
+            return tti
+        if cap > 0 and dist / cap <= r_g and tti <= r_g + state.red_s:
+            return dist / cap
+        return None
+    r_r = state.remaining
+    if r_r < tti <= r_r + state.green_s:
+        return tti
+    return None
+
+
+def _ref_claimed(table):
+    return {slot for _, slot in table.requests()}
+
+
+def _ref_reachable(slot, v, state, table, v_min):
+    _, dist, _, cap, _ = v
+    return (slot > state.queue_len
+            and speed_band(dist, arrival_window(slot, table.mu, state), v_min, cap) is not None)
+
+
+def _ref_first_free_reachable(v, state, table, v_min, occupied, start=1):
+    for j in range(max(start, state.queue_len + 1), table.n_dep + 1):
+        if j not in occupied and _ref_reachable(j, v, state, table, v_min):
+            return j
+    return None
+
+
+def reference_round(table, state, v_min, vehicles, ledger, rng, tl_rng, seen):
+    occupied_before = _ref_claimed(table)
+    for v in vehicles:
+        vin, dist, speed, cap, _ = v
+        held = table.slot_of(vin)
+        if held is not None and not _ref_reachable(held, v, state, table, v_min):
+            table.release(vin)
+            seen["released"] += 1
+            held = None
+        if held is not None:
+            upgrade = _ref_first_free_reachable(v, state, table, v_min, _ref_claimed(table))
+            if upgrade is not None and upgrade < held:
+                table.claim(upgrade, vin)
+                seen["upgraded"] += 1
+            continue
+        tti = _ref_request_tti(dist, speed, cap, state)
+        if tti is None:
+            continue
+        slot = slot_for_arrival(tti, state, table.mu, table.n_dep)
+        if slot is None or slot in occupied_before:
+            slot = _ref_first_free_reachable(v, state, table, v_min, occupied_before)
+            seen["fell_back"] += 1
+        if slot is not None:
+            table.claim(slot, vin)
+    by_vin = {v[0]: v for v in vehicles}
+    for tau, group in detect_conflicts(table.requests()).items():
+        modes = {vin: by_vin[vin][4] for vin in group}
+        result = resolve_conflict(group, modes, ledger, rng, tl_rng)
+        seen["games"] += 1
+        live = _ref_claimed(table)
+        for vin in result.losers:
+            table.release(vin)
+            alt = _ref_first_free_reachable(by_vin[vin], state, table, v_min, live, start=tau)
+            if alt is not None:
+                table.claim(alt, vin)
+                live.add(alt)
+                seen["reassigned"] += 1
+    return dict(table.requests())
+
+
+def _random_round(rng):
+    """One round's inputs: the table's claims, the signal, the vehicles
+    as (vin, dist, speed, cap, mode), credits and the games' seed."""
+    mu = rng.choice([MU, rng.uniform(0.2, 0.6)])
+    n_dep = rng.randint(1, 10)
+    green_s, red_s = rng.uniform(6.0, 40.0), rng.uniform(10.0, 50.0)
+    green = rng.random() < 0.5
+    state = SignalState(
+        approach_green=green, crossable=green,
+        remaining=rng.uniform(0.05, green_s if green else red_s),
+        green_s=green_s, red_s=red_s, queue_len=rng.randint(0, n_dep + 1),
+        green_end_margin_s=rng.choice([0.0, rng.uniform(0.0, 3.0)]),
+    )
+    n_claims = rng.randint(0, n_dep)
+    claims = dict(zip(rng.sample(POOL, n_claims), rng.sample(range(1, n_dep + 1), n_claims)))
+    # Arrivals crowd into the coming green, and a claimant often still
+    # arrives inside its slot, so games and upgrades are common.
+    if green:
+        green_arrival = (0.0, state.remaining)
+    else:
+        green_arrival = (state.remaining, state.remaining + green_s)
+    vehicles = []
+    for vin in sorted(rng.sample(POOL, rng.randint(0, 8))):
+        cap = rng.uniform(V_MIN, V_MAX)
+        speed = rng.choice([0.0, rng.uniform(0.0, cap), rng.uniform(0.0, cap),
+                            rng.uniform(0.0, cap), rng.uniform(cap, 1.3 * cap)])
+        arrival = rng.choice([rng.uniform(0.0, 70.0), rng.uniform(*green_arrival)])
+        if vin in claims and claims[vin] > state.queue_len and rng.random() < 0.8:
+            lo, hi = arrival_window(claims[vin], mu, state)
+            arrival = rng.uniform(lo, max(lo, hi))
+        dist = speed * arrival if speed > 0 else rng.uniform(0.0, 400.0)
+        vehicles.append((vin, dist, speed, cap, rng.choice(list(Mode))))
+    credits = {vin: rng.randint(-2, 2) for vin in POOL}
+    v_min = rng.choice([V_MIN, rng.uniform(0.0, V_MIN)])
+    return mu, n_dep, claims, state, vehicles, credits, v_min, rng.randrange(10**6)
+
+
+def _play(spec, run):
+    """Run ``run(table, state, v_min, vehicles, ledger, rng, tl_rng)`` on a
+    fresh copy of the round's inputs; returns everything it can change."""
+    mu, n_dep, claims, state, vehicles, credits, v_min, seed = spec
+    table = TokenTable(mu, n_dep)
+    for vin, slot in claims.items():
+        table.claim(slot, vin)
+    ledger = CreditLedger()
+    for vin, credit in credits.items():
+        ledger.set(vin, credit)
+    rng, tl_rng = random.Random(seed), random.Random(seed + 1)
+    slots = run(table, state, v_min, vehicles, ledger, rng, tl_rng)
+    return (slots, table.requests(), [ledger.get(vin) for vin in POOL], ledger.total(),
+            rng.getstate(), tl_rng.getstate())
+
+
+def _approachers(vehicles, state):
+    return [Approacher(vin, dist, cap, mode, request_tti(dist, speed, cap, state))
+            for vin, dist, speed, cap, mode in vehicles]
+
+
+def test_round_decides_as_the_reference_round():
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(3000):
+        spec = _random_round(rng)
+        expected = _play(spec, lambda *args: reference_round(*args, seen))
+        got = _play(spec, lambda table, state, v_min, vehicles, *rest: allocation_round(
+            table, state, v_min, _approachers(vehicles, state), *rest))
+        assert got == expected, spec
+    # The random rounds take every branch of the round many times.
+    assert min(seen[k] for k in ("released", "upgraded", "fell_back", "games",
+                                 "reassigned")) >= 50, seen
+
+
+def test_a_vehicle_that_neither_holds_nor_requests_changes_nothing():
+    rng = random.Random(13)
+    idle_seen = 0
+    for _ in range(2000):
+        spec = _random_round(rng)
+        claims, state = spec[2], spec[3]
+        entries = _approachers(spec[4], state)
+        active = [e for e in entries if e.tti is not None or e.vin in claims]
+        idle_seen += len(entries) - len(active)
+        everyone = _play(spec, lambda t, s, v_min, _, *rest:
+                         allocation_round(t, s, v_min, entries, *rest))
+        without_idle = _play(spec, lambda t, s, v_min, _, *rest:
+                             allocation_round(t, s, v_min, active, *rest))
+        assert everyone == without_idle, spec
+        # A round over idle vehicles alone leaves table, ledger and RNGs as they were.
+        untouched = _play(spec, lambda *args: dict(args[0].requests()))
+        idle_only = _play(spec, lambda t, s, v_min, _, *rest: allocation_round(
+            t, s, v_min, [e for e in entries if e not in active], *rest))
+        assert idle_only == untouched, spec
+    assert idle_seen > 1000

@@ -13,7 +13,10 @@ the file, or is missing from either side.  The configs:
 * the benchmark's inputs at ``--seed 1``, taken from ``perfbench/run.py``;
 * 900 s at 600 veh/h, seed 2, for every technique;
 * 300 s on graded segments (+1 %, -1 %, flat), seed 2, for every technique;
-* 300 s at dt 0.2 s, seed 2, for every technique.
+* 300 s at dt 0.2 s, seed 2, for every technique;
+* the ``csof_peak`` input at seeds 2 and 3, and 600 s at 900 veh/h on a
+  three-lane corridor, seed 2, for ``csof`` and ``ncso``: runs that play
+  games, move holders up and reassign losers.
 """
 
 from __future__ import annotations
@@ -61,6 +64,16 @@ def configs() -> list[tuple[str, SimConfig]]:
         out.append((f"dt0.2-{technique}", SimConfig(
             duration_s=300.0, dt_s=0.2, seed=2, technique=technique,
             arrival_rate_veh_s=ARRIVAL_RATE)))
+    peak = bench.WORKLOADS["csof_peak"]
+    for seed in (2, 3):
+        out.append((f"bench-csof_peak-{seed}", SimConfig(
+            duration_s=bench.DURATION_S, dt_s=bench.DT_S, seed=seed,
+            technique=peak.technique, scripted_arrivals=bench.arrivals_for(seed, peak.veh_per_h))))
+    three_lanes = tuple(SegmentConfig(lanes=3) for _ in range(3))
+    for technique in ("csof", "ncso"):
+        out.append((f"3lane-{technique}", SimConfig(
+            duration_s=600.0, seed=2, technique=technique,
+            arrival_rate_veh_s=900.0 / 3600.0, segments=three_lanes)))
     return out
 
 
