@@ -1,6 +1,6 @@
 """Cooperative speed optimization and time-token allocation for signalized corridors."""
 
-from .energy import EnergyParams, energy_model
+from .energy import step_energy
 from .games import (
     ConflictResult,
     CreditLedger,
@@ -21,8 +21,8 @@ from .tokens import (
     Approacher,
     TokenTable,
     allocation_round,
-    arrival_slots,
     arrival_window,
+    arrival_windows,
     detect_conflicts,
     request_tti,
     slot_for_arrival,

@@ -1,8 +1,8 @@
 """Per-step electric-vehicle energy accounting.
 
-``energy_model(params)`` is the whole model: it returns the function the
-corridor engine calls once per vehicle and step, which gives the step's
-total in joules as the sum of four signed terms:
+``step_energy`` is the whole model: the corridor engine calls it once per
+vehicle and step, and it gives the step's total in joules as the sum of
+three signed terms:
 
 * potential energy, ``m·g·Δh/η``: consumed uphill, recuperated downhill
   at the same rate, so a climb and the matching descent cancel;
@@ -10,66 +10,40 @@ total in joules as the sum of four signed terms:
   speed, ``(c_r·m·g·v + ½·ρ·A·C_d·v³)·Δt/η``, always consumed;
 * kinetic energy, from the change ``ΔKE = ½·m·(v² − v₀²)``: speeding up
   costs ``ΔKE/η`` and braking returns ``|ΔKE|·η``, so every speed cycle
-  loses energy and a trip's total converges as the step shrinks;
-* on-board devices, a constant draw times the step length.
+  loses energy and a trip's total converges as the step shrinks.
 
 The kinetic form is the one of power-based EV consumption models (Fiori,
-Ahn & Rakha 2016, *Applied Energy*).  The products of the parameters are
-taken once, when the function is built.
+Ahn & Rakha 2016, *Applied Energy*).  Those models describe one vehicle,
+so its parameters are the constants below, the same in every scenario.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+ETA = 0.9  # drivetrain efficiency
+MASS_KG = 1500.0
+GRAVITY = 9.81  # m/s^2
+ROLLING = 0.01  # rolling friction coefficient
+AIR_DENSITY = 1.2  # kg/m^3
+FRONTAL_AREA_M2 = 2.3
+DRAG = 0.28  # air drag coefficient
+
+_MG = MASS_KG * GRAVITY
+_ROLLING_MG = ROLLING * MASS_KG * GRAVITY
+_HALF_RHO_A_CD = 0.5 * AIR_DENSITY * FRONTAL_AREA_M2 * DRAG
+_HALF_M = 0.5 * MASS_KG
 
 
-@dataclass(frozen=True)
-class EnergyParams:
-    eta: float = 0.9  # drivetrain efficiency, (0, 1]
-    mass: float = 1500.0  # kg
-    gravity: float = 9.81  # m/s^2
-    rolling: float = 0.01  # rolling friction coefficient
-    air_density: float = 1.2  # kg/m^3
-    frontal_area: float = 2.3  # m^2
-    drag: float = 0.28  # air drag coefficient
-    device_power_w: float = 0.0  # constant on-board device draw
-
-    def __post_init__(self) -> None:
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
-        for name in ("mass", "gravity", "air_density", "frontal_area"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.rolling < 0 or self.drag < 0 or self.device_power_w < 0:
-            raise ValueError("coefficients must be non-negative")
-
-
-def energy_model(params: EnergyParams) -> Callable[[float, float, float, float], float]:
-    """The step-energy function for ``params``.
-
-    ``step(v_prev, v_now, dt, rise)`` is the energy, in joules, of one
-    step of ``dt`` seconds that ends at ``v_now`` after starting at
-    ``v_prev`` and climbing ``rise`` meters (negative downhill).
-    """
-    eta = params.eta
-    mg = params.mass * params.gravity
-    rolling_mg = params.rolling * params.mass * params.gravity
-    half_rho_a_cd = 0.5 * params.air_density * params.frontal_area * params.drag
-    half_m = 0.5 * params.mass
-    device_w = params.device_power_w
-
-    def step(v_prev: float, v_now: float, dt: float, rise: float) -> float:
-        if v_now < 0:
-            raise ValueError("speed must be non-negative")
-        if dt < 0:
-            raise ValueError("dt must be non-negative")
-        dke = half_m * (v_now * v_now - v_prev * v_prev)
-        return (
-            mg * rise / eta
-            + (rolling_mg * v_now + half_rho_a_cd * v_now**3) * dt / eta
-            + (dke / eta if dke > 0 else dke * eta)
-            + device_w * dt
-        )
-
-    return step
+def step_energy(v_prev: float, v_now: float, dt: float, rise: float) -> float:
+    """Energy, in joules, of one step of ``dt`` seconds that ends at
+    ``v_now`` after starting at ``v_prev`` and climbing ``rise`` meters
+    (negative downhill)."""
+    if v_now < 0:
+        raise ValueError("speed must be non-negative")
+    if dt < 0:
+        raise ValueError("dt must be non-negative")
+    dke = _HALF_M * (v_now * v_now - v_prev * v_prev)
+    return (
+        _MG * rise / ETA
+        + (_ROLLING_MG * v_now + _HALF_RHO_A_CD * v_now**3) * dt / ETA
+        + (dke / ETA if dke > 0 else dke * ETA)
+    )

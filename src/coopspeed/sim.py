@@ -18,14 +18,13 @@ Three techniques share identical road physics:
 Each step, every light runs one round over the unqueued vehicles within
 activation distance that hold a claim or submit a request:
 ``tokens.allocation_round`` against its token table for ``csof``,
-``tokens.arrival_slots`` for ``ncso``.  The round returns
-the slot each vehicle is left holding, and the planner aims at that
-slot's ``tokens.arrival_window``.  Under ``csof`` a vehicle's token is
-its claim in the light's table, released when the vehicle crosses or
-joins the queue.  Tables live in per-light allocation epochs: an epoch
-opens at a red start and closes when the following green ends, so slots
-granted during red carry into the green they target and everything
-expires with it.
+``tokens.arrival_windows`` for ``ncso``.  The round returns the arrival
+window of the slot each vehicle is left holding, and the planner aims at
+that window.  Under ``csof`` a vehicle's token is its claim in the
+light's table, released when the vehicle crosses or joins the queue.
+Tables live in per-light allocation epochs: an epoch opens at a red
+start and closes when the following green ends, so slots granted during
+red carry into the green they target and everything expires with it.
 """
 
 from __future__ import annotations
@@ -33,10 +32,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .energy import EnergyParams, energy_model
+from .energy import step_energy
 from .games import CreditLedger, Mode
 from .planner import density_speed, plan
 from .signals import (
@@ -50,8 +50,7 @@ from .tokens import (
     Approacher,
     TokenTable,
     allocation_round,
-    arrival_slots,
-    arrival_window,
+    arrival_windows,
     request_tti,
 )
 
@@ -70,6 +69,7 @@ PLAN_MARGIN_S = 0.5  # extra slack before a green closes
 ARRIVAL_BIAS_S = 0.5  # aim this far into the target window
 STOP_SPEED = 0.1  # below this a vehicle counts as stopped
 MOVING_SPEED = 1.0  # stop detector re-arms above this
+JAM_DENSITY_VEH_KM_LANE = 150.0
 DENSITY_CAP_RATIO = 0.85
 
 _pos = attrgetter("pos")
@@ -82,7 +82,6 @@ class SegmentConfig:
     lanes: int = 2
     v_min: float = 10.0 * KMH
     v_max: float = 60.0 * KMH
-    d_max_veh_km_lane: float = 150.0
     grade: float = 0.0  # elevation gain per meter traveled
     signal: SignalConfig = field(default_factory=SignalConfig)
 
@@ -93,20 +92,17 @@ class SegmentConfig:
             raise ValueError("the corridor needs at least two lanes")
         if not 0 <= self.v_min <= self.v_max:
             raise ValueError("need 0 <= v_min <= v_max")
-        if self.d_max_veh_km_lane <= 0:
-            raise ValueError("d_max must be positive")
 
 
 @dataclass(frozen=True)
 class InitialVehicle:
-    """Deterministically pre-placed vehicle for scripted scenarios."""
+    """Deterministically pre-placed vehicle for scripted scenarios; it
+    drives in ``Mode.NORMAL``."""
 
     seg: int = 0
     lane: int = 0
     pos: float = 0.0
     speed: float = 0.0
-    mode: Mode = Mode.NORMAL
-    credits: int = 0
 
 
 def _default_segments() -> tuple[SegmentConfig, ...]:
@@ -143,15 +139,21 @@ class SimConfig:
             # A vehicle crosses into the same lane of the next segment; the
             # engine has no lane-drop model.
             raise ValueError("every segment must have the same number of lanes")
-        if self.arrival_rate_veh_s < 0:
-            raise ValueError("arrival rate must be non-negative")
+        if not 0 <= self.arrival_rate_veh_s < math.inf:
+            # An infinite rate never lets the spawner leave its loop; NaN
+            # would spawn nothing.
+            raise ValueError("arrival rate must be finite and non-negative")
         if self.vehicle_length_m <= 0:
             # Lane order rests on vehicles never overlapping.
             raise ValueError("vehicle length must be positive")
         arrivals = self.scripted_arrivals
-        if arrivals is not None and any(a > b for a, b in zip(arrivals, arrivals[1:])):
-            # Spawning stops at the first arrival still in the future.
-            raise ValueError("scripted arrivals must be non-decreasing")
+        if arrivals is not None:
+            if not all(map(math.isfinite, arrivals)):
+                # A NaN passes the order check and blocks every later arrival.
+                raise ValueError("scripted arrivals must be finite")
+            if any(a > b for a, b in zip(arrivals, arrivals[1:])):
+                # Spawning stops at the first arrival still in the future.
+                raise ValueError("scripted arrivals must be non-decreasing")
         self._check_initial_vehicles()
 
     def _check_initial_vehicles(self) -> None:
@@ -177,6 +179,20 @@ class SimConfig:
                                      f"segment {seg_idx} lane {lane}")
 
 
+def _arrival_times(cfg: SimConfig, rng: random.Random) -> Iterator[float]:
+    """The scenario's arrival times in order: its scripted arrivals, or a
+    Poisson stream of ``cfg.arrival_rate_veh_s`` drawn from ``rng``, which
+    never ends."""
+    if cfg.scripted_arrivals is not None:
+        yield from cfg.scripted_arrivals
+        return
+    rate = cfg.arrival_rate_veh_s
+    t = 0.0
+    while rate > 0:
+        t += rng.expovariate(rate)
+        yield t
+
+
 class Vehicle:
     __slots__ = (
         "vin", "mode", "seg", "lane", "pos", "speed",
@@ -200,14 +216,17 @@ class Vehicle:
 
 
 class LightAgent:
-    """Per-intersection runtime: token table, queue, crossing gate."""
+    """Per-intersection runtime: token table, queue length, crossing gate.
+
+    The queue itself is the set of the segment's vehicles flagged
+    ``queued``; the light keeps only their count."""
 
     def __init__(self, idx: int, seg_cfg: SegmentConfig) -> None:
         self.idx = idx
         self.cfg = seg_cfg.signal
         self.n_dep = departures_per_green(self.cfg.departure_rate, self.cfg.green_s)
         self.table = TokenTable(self.cfg.departure_rate, self.n_dep, cycle_id=-(10**9))
-        self.queue: list[Vehicle] = []  # in joining order
+        self.queue_len = 0
         self.last_cross_t = -math.inf
         self.was_crossable = False
         self.was_green = False
@@ -286,13 +305,12 @@ class World:
         self.rng_games = random.Random(base * 6 + 2)
         self.rng_tl = random.Random(base * 6 + 3)
         self._pending_spawns = 0
-        self._next_arrival = self._draw_arrival(0.0)
-        self._scripted_idx = 0
+        self._arrivals = _arrival_times(cfg, self.rng_arrivals)
+        self._next_arrival = next(self._arrivals, None)
         n = len(cfg.segments)
         self._sum_idle = [0.0] * n
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
-        self._energy = energy_model(EnergyParams())
         # The lane index: every (segment, lane) group, in ascending pos, kept
         # across steps.  Vehicles never overlap, so order within a lane only
         # changes where a vehicle enters or leaves it.
@@ -301,15 +319,9 @@ class World:
             for lane in range(seg.lanes)
         }
         for iv in cfg.initial_vehicles:
-            self._place(iv.seg, iv.lane, iv.pos, iv.speed, mode=iv.mode,
-                        credits=iv.credits)
+            self._place(iv.seg, iv.lane, iv.pos, iv.speed, Mode.NORMAL)
 
     # -- spawning ----------------------------------------------------------
-
-    def _draw_arrival(self, now: float) -> float | None:
-        if self.cfg.scripted_arrivals is not None or self.cfg.arrival_rate_veh_s <= 0:
-            return None
-        return now + self.rng_arrivals.expovariate(self.cfg.arrival_rate_veh_s)
 
     def _sample_mode(self) -> Mode:
         r = self.rng_modes.random()
@@ -320,21 +332,15 @@ class World:
             return Mode.NORMAL
         return Mode.RUSH
 
-    def _place(self, seg: int, lane: int, pos: float, speed: float,
-               mode: Mode | None = None, credits: int = 0) -> Vehicle:
+    def _place(self, seg: int, lane: int, pos: float, speed: float, mode: Mode) -> None:
         v = Vehicle(
-            vin=self.next_vin,
-            mode=self._sample_mode() if mode is None else mode,
-            seg=seg, lane=lane, pos=pos, speed=speed,
+            vin=self.next_vin, mode=mode, seg=seg, lane=lane, pos=pos, speed=speed,
             n_segments=len(self.cfg.segments), spawned_at=self.t,
         )
         self.next_vin += 1
         self.spawned += 1
         self.vehicles[v.vin] = v
         insort(self._lanes[(seg, lane)], v, key=_pos)
-        if credits:
-            self.ledger.set(v.vin, credits)
-        return v
 
     def _entry_lane(self) -> int | None:
         """Freest entry lane of segment 0, or None while all are blocked."""
@@ -350,30 +356,24 @@ class World:
         return best_lane
 
     def _spawn_due(self) -> None:
-        if self.cfg.scripted_arrivals is not None:
-            script = self.cfg.scripted_arrivals
-            while self._scripted_idx < len(script) and script[self._scripted_idx] <= self.t:
-                self._pending_spawns += 1
-                self._scripted_idx += 1
-        else:
-            while self._next_arrival is not None and self._next_arrival <= self.t:
-                self._pending_spawns += 1
-                self._next_arrival = self._draw_arrival(self._next_arrival)
+        while self._next_arrival is not None and self._next_arrival <= self.t:
+            self._pending_spawns += 1
+            self._next_arrival = next(self._arrivals, None)
         while self._pending_spawns:
             lane = self._entry_lane()
             if lane is None:
                 break
             self._pending_spawns -= 1
-            self._place(0, lane, 0.0, ENTRY_SPEED)
+            self._place(0, lane, 0.0, ENTRY_SPEED, self._sample_mode())
 
     # -- token protocol ----------------------------------------------------
 
     def _maintain_tokens(self, states: list[SignalState], fleet: list[Vehicle],
-                         caps: dict[int, float]) -> dict[int, int]:
+                         caps: dict[int, float]) -> dict[int, tuple[float, float]]:
         """Run each light's allocation round over its approaching vehicles
-        that hold or request a slot; returns ``vin -> slot`` for every
-        vehicle left holding a slot.  A vehicle that does neither cannot
-        change the round, so it is left out."""
+        that hold or request a slot; returns ``vin -> arrival window`` for
+        every vehicle left holding a slot.  A vehicle that does neither
+        cannot change the round, so it is left out."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
         lengths = [seg.length_m for seg in cfg.segments]
@@ -392,14 +392,14 @@ class World:
             if tti is not None or holds[seg_idx](vin) is not None:
                 per_light[seg_idx].append(Approacher(vin, d, cap, v.mode, tti))
         cooperative = cfg.technique == "csof"
-        slots: dict[int, int] = {}
+        windows: dict[int, tuple[float, float]] = {}
         for light, state, entries in zip(self.lights, states, per_light):
             if cooperative:
-                slots.update(allocation_round(light.table, state, cfg.segments[light.idx].v_min,
-                                              entries, self.ledger, self.rng_games, self.rng_tl))
+                windows.update(allocation_round(light.table, state, cfg.segments[light.idx].v_min,
+                                                entries, self.ledger, self.rng_games, self.rng_tl))
             else:
-                slots.update(arrival_slots(entries, state, light.table.mu, light.n_dep))
-        return slots
+                windows.update(arrival_windows(entries, state, light.table.mu, light.n_dep))
+        return windows
 
     def _plan_cap(self, v: Vehicle, leader: Vehicle | None, seg: SegmentConfig) -> float:
         """Achievable speed ceiling for planning: the road limit, or what
@@ -420,7 +420,7 @@ class World:
         states: list[SignalState] = []
         for light in self.lights:
             state = state_at(light.cfg, t)
-            state.queue_len = len(light.queue)
+            state.queue_len = light.queue_len
             state.green_end_margin_s = light.cfg.all_red_gap_s + PLAN_MARGIN_S
             states.append(state)
 
@@ -482,9 +482,10 @@ class World:
         return caps
 
     def _plan_targets(self, fleet: list[Vehicle], states: list[SignalState],
-                      caps: dict[int, float], slots: dict[int, int]) -> list[float]:
+                      caps: dict[int, float],
+                      windows: dict[int, tuple[float, float]]) -> list[float]:
         """Planned speed of each vehicle of ``fleet``, in its order; a
-        vehicle in ``slots`` aims at that slot's arrival window."""
+        vehicle in ``windows`` aims at its arrival window there."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
         # Queued vehicles wait for a crossable light; the rest cruise
@@ -495,8 +496,8 @@ class World:
         if cfg.technique == "fixed":
             return [queued_target[v.seg] if v.queued else cruise[v.seg] for v in fleet]
         per_seg = [
-            (seg.length_m, seg.v_min, state, light.table.mu,
-             queue_clear_time(len(light.queue), light.cfg.departure_rate) + ARRIVAL_BIAS_S)
+            (seg.length_m, seg.v_min, state,
+             queue_clear_time(light.queue_len, light.cfg.departure_rate) + ARRIVAL_BIAS_S)
             for seg, state, light in zip(cfg.segments, states, self.lights)
         ]
         targets: list[float] = []
@@ -506,14 +507,13 @@ class World:
                 # The stop-line gate and car-following govern discharge.
                 targets.append(queued_target[seg_idx])
                 continue
-            length, v_min, state, mu, t_q = per_seg[seg_idx]
+            length, v_min, state, t_q = per_seg[seg_idx]
             d = length - v.pos
             if d > reach:
                 targets.append(cruise[seg_idx])
                 continue
-            slot = slots.get(v.vin)
-            window = None if slot is None else arrival_window(slot, mu, state)
-            targets.append(plan(v.speed, d, v_min, caps[v.vin], state, window, t_q).speed)
+            targets.append(plan(v.speed, d, v_min, caps[v.vin], state, windows.get(v.vin),
+                                t_q).speed)
         return targets
 
     def _lane_changes(self, fleet: list[Vehicle], lanes: dict, leaders: dict[int, Vehicle],
@@ -614,7 +614,7 @@ class World:
         leaders = self._leaders(lanes)
         caps = self._caps(lanes)
 
-        slots = self._maintain_tokens(states, fleet, caps) if cfg.technique != "fixed" else {}
+        windows = self._maintain_tokens(states, fleet, caps) if cfg.technique != "fixed" else {}
 
         # Per-segment density speed cap (density saturates at the cap ratio).
         counts = [0] * len(segments)
@@ -623,10 +623,10 @@ class World:
         density_cap = []
         for seg, n in zip(segments, counts):
             density = n / (seg.length_m / 1000.0) / seg.lanes
-            density = min(density, DENSITY_CAP_RATIO * seg.d_max_veh_km_lane)
-            density_cap.append(density_speed(density, seg.d_max_veh_km_lane, seg.v_max))
+            density = min(density, DENSITY_CAP_RATIO * JAM_DENSITY_VEH_KM_LANE)
+            density_cap.append(density_speed(density, JAM_DENSITY_VEH_KM_LANE, seg.v_max))
 
-        targets = self._plan_targets(fleet, states, caps, slots)
+        targets = self._plan_targets(fleet, states, caps, windows)
         if self._lane_changes(fleet, lanes, leaders, caps):
             leaders = self._leaders(lanes)
 
@@ -737,7 +737,7 @@ class World:
     def _accrue_energy(self, fleet: list[Vehicle], new_speeds: list[float]) -> None:
         """Book each vehicle's step, from its speed now to its new speed, on
         the segment it is on; runs before either changes."""
-        energy = self._energy
+        energy = step_energy
         dt = self.cfg.dt_s
         grades = [seg.grade for seg in self.cfg.segments]
         for v, sp in zip(fleet, new_speeds):
@@ -748,41 +748,48 @@ class World:
         """Queue bookkeeping: join when stopped at the line or the lane's
         queue tail, leave when rolling with the discharge wave.  A crossing
         clears ``queued``, so a vehicle that crossed or left the corridor
-        drops out of its queue here."""
+        is out of its queue already.
+
+        One pass over the vehicles counts each light's queue and takes each
+        lane's tail as the lowest rear of its queued vehicles, so the order
+        of the pass does not matter.  Stopped vehicles then join from the
+        front, each one becoming its lane's tail."""
         cfg = self.cfg
         length = cfg.vehicle_length_m
         join_zone = length + 2.0 * STANDSTILL_GAP_M
         roll_speed = 0.5  # above this a queued vehicle is moving again
         stop_speed = STOP_SPEED
-        stopped: list[list[Vehicle]] = [[] for _ in self.lights]
+        lights = self.lights
+        counts = [0] * len(lights)
+        tails: dict[tuple[int, int], float] = {}
+        stopped: list[list[Vehicle]] = [[] for _ in lights]
         for v in self.vehicles.values():
-            if v.speed < stop_speed and not v.queued:
+            if v.queued:
+                if v.speed >= roll_speed:
+                    v.queued = False
+                    continue
+                counts[v.seg] += 1
+                key = (v.seg, v.lane)
+                rear = v.pos - length
+                if key not in tails or rear < tails[key]:
+                    tails[key] = rear
+            elif v.speed < stop_speed:
                 stopped[v.seg].append(v)
-        for light, state, cands in zip(self.lights, states, stopped):
-            line_at = cfg.segments[light.idx].length_m
-            queue: list[Vehicle] = []
-            tails: dict[int, float] = {}
-            for q in light.queue:
-                if not q.queued:
-                    continue
-                if q.speed >= roll_speed:
-                    q.queued = False
-                    continue
-                queue.append(q)
-                rear = q.pos - length
-                if q.lane not in tails or rear < tails[q.lane]:
-                    tails[q.lane] = rear
-            light.queue = queue
+        for light, state, cands in zip(lights, states, stopped):
+            seg_idx = light.idx
+            line_at = cfg.segments[seg_idx].length_m
             cands.sort(key=lambda v: -v.pos)
             for v in cands:
-                tail = tails.get(v.lane)
+                key = (seg_idx, v.lane)
+                tail = tails.get(key)
                 if line_at - v.pos <= join_zone or (tail is not None and tail - v.pos <= join_zone):
                     v.queued = True
                     light.table.release(v.vin)
-                    queue.append(v)
-                    tails[v.lane] = v.pos - length
+                    counts[seg_idx] += 1
+                    tails[key] = v.pos - length
                     if not state.approach_green:
                         light.red_joins += 1
+            light.queue_len = counts[seg_idx]
 
     def run(self) -> MetricsReport:
         steps = int(round(self.cfg.duration_s / self.cfg.dt_s))

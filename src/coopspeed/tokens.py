@@ -12,7 +12,8 @@ no other record of it.  Two vehicles can still claim one slot when their
 requests land on it in the same round; those are the conflicts the
 precedence games settle.  After ``allocation_round`` every slot has at
 most one claimant.  ``arrival_window`` is the one mapping from a slot to
-the arrival times that meet it, for the round and the planner alike.
+the arrival times that meet it.  A round returns the window of the slot
+each vehicle is left holding, and the planner aims at that window.
 
 A round's participants are the light's approaching vehicles that hold a
 claim or submit a request (``request_tti`` is not None).  Any other
@@ -45,14 +46,6 @@ class TokenTable:
         """Claim ``slot`` for ``vin``, replacing any earlier claim of ``vin``."""
         self._slot_of[vin] = slot
 
-    def claimants(self, slot: int) -> tuple[int, ...]:
-        return tuple(sorted(vin for vin, s in self._slot_of.items() if s == slot))
-
-    def holder(self, slot: int) -> int | None:
-        """Sole claimant of ``slot``, or None while free or contested."""
-        vins = self.claimants(slot)
-        return vins[0] if len(vins) == 1 else None
-
     def slot_of(self, vin: int) -> int | None:
         return self._slot_of.get(vin)
 
@@ -62,10 +55,6 @@ class TokenTable:
         for slot in self._slot_of.values():
             counts[slot] += 1
         return counts
-
-    def claims(self) -> dict[int, int]:
-        """Every claim, ``vin -> slot``."""
-        return dict(self._slot_of)
 
     def requests(self) -> list[tuple[int, int]]:
         """All (vin, slot) claims, ordered by slot then vin."""
@@ -219,19 +208,20 @@ def _first_free_reachable(e: Approacher, windows: list[tuple[float, float] | Non
     return None
 
 
-def arrival_slots(vehicles: Iterable[Approacher], state: SignalState, mu: float,
-                  n_dep: int) -> dict[int, int]:
-    """``vin -> slot`` for each vehicle whose arrival falls in a slot.
+def arrival_windows(vehicles: Iterable[Approacher], state: SignalState, mu: float,
+                    n_dep: int) -> dict[int, tuple[float, float]]:
+    """``vin -> arrival window`` of its arrival slot, for each vehicle
+    whose arrival falls in a slot.
 
     The non-cooperative round: every vehicle takes its own arrival slot
     and assumes it free, with no table and no games.
     """
-    slots: dict[int, int] = {}
+    windows: dict[int, tuple[float, float]] = {}
     for e in vehicles:
         slot = None if e.tti is None else slot_for_arrival(e.tti, state, mu, n_dep)
         if slot is not None:
-            slots[e.vin] = slot
-    return slots
+            windows[e.vin] = arrival_window(slot, mu, state)
+    return windows
 
 
 def allocation_round(
@@ -242,9 +232,10 @@ def allocation_round(
     ledger: CreditLedger,
     rng,
     tl_rng,
-) -> dict[int, int]:
+) -> dict[int, tuple[float, float]]:
     """One cooperative allocation round for one light; returns ``vin ->
-    slot`` for every vehicle left holding a slot.
+    arrival window`` for each vehicle of ``vehicles`` left holding a slot,
+    the window of that slot.
 
     ``vehicles`` are the light's approaching, unqueued vehicles in
     ascending VIN order.  Only a vehicle that holds a claim in ``table``
@@ -270,7 +261,7 @@ def allocation_round(
     games only when some slot has two claimants.
     """
     if not vehicles:
-        return table.claims()
+        return {}
     n_dep = table.n_dep
     first = state.queue_len + 1  # the first slot the queue leaves free
     end = n_dep + 1
@@ -312,4 +303,5 @@ def allocation_round(
                 if alt is not None:
                     table.claim(alt, vin)
                     live[alt] += 1
-    return table.claims()
+    slot_of = table.slot_of
+    return {e.vin: windows[slot] for e in vehicles if (slot := slot_of(e.vin)) is not None}

@@ -2,25 +2,22 @@ import random
 
 import pytest
 
-from coopspeed.energy import EnergyParams, energy_model
+from coopspeed.energy import ETA, step_energy as STEP
 
-P = EnergyParams()
-STEP = energy_model(P)
-
-# One term at a time: dt = 0 drops the losses and the devices, equal end
-# speeds drop the kinetic term, and rise = 0 drops the potential term.
+# One term at a time: dt = 0 drops the losses, equal end speeds drop the
+# kinetic term, and rise = 0 drops the potential term.
 
 
-def potential(rise, step=STEP):
-    return step(0.0, 0.0, 0.0, rise)
+def potential(rise):
+    return STEP(0.0, 0.0, 0.0, rise)
 
 
-def loss(speed, dt, step=STEP):
-    return step(speed, speed, dt, 0.0)
+def loss(speed, dt):
+    return STEP(speed, speed, dt, 0.0)
 
 
-def accel_energy(v_prev, v_now, step=STEP):
-    return step(v_prev, v_now, 0.0, 0.0)
+def accel_energy(v_prev, v_now):
+    return STEP(v_prev, v_now, 0.0, 0.0)
 
 
 def test_potential_flat_road():
@@ -53,8 +50,13 @@ def test_loss_strictly_increasing():
 
 
 def test_loss_cubic_term_scaling():
-    drag_only = energy_model(EnergyParams(rolling=0.0))
-    assert loss(10.0, 1.0, drag_only) * 8 == pytest.approx(loss(20.0, 1.0, drag_only))
+    # loss(2v) - 2·loss(v) cancels the rolling term, which is linear in v,
+    # and leaves 6 times the drag term, so it scales with v cubed.
+    def drag_6x(v):
+        return loss(2.0 * v, 1.0) - 2.0 * loss(v, 1.0)
+
+    assert drag_6x(10.0) > 0.0
+    assert drag_6x(10.0) * 8 == pytest.approx(drag_6x(20.0))
 
 
 def test_loss_matches_hand_evaluation():
@@ -87,7 +89,7 @@ def test_accel_energy_regen_returns_eta_squared_of_the_drive_cost():
         up = accel_energy(v, v + dv)
         down = accel_energy(v + dv, v)
         assert up > 0 > down
-        assert -down == pytest.approx(up * P.eta**2, rel=1e-12)
+        assert -down == pytest.approx(up * ETA**2, rel=1e-12)
 
 
 def test_accel_energy_depends_only_on_the_end_speeds():
@@ -96,15 +98,6 @@ def test_accel_energy_depends_only_on_the_end_speeds():
         speeds = [10.0 * k / steps for k in range(steps + 1)]
         total = sum(accel_energy(a, b) for a, b in zip(speeds, speeds[1:]))
         assert total == pytest.approx(0.5 * 1500.0 * 100.0 / 0.9, rel=1e-12)
-
-
-def test_device_energy():
-    assert STEP(0.0, 0.0, 60.0, 0.0) == 0.0
-    loaded = energy_model(EnergyParams(device_power_w=100.0))
-    assert loaded(0.0, 0.0, 60.0, 0.0) == pytest.approx(6000.0)
-    assert loaded(0.0, 0.0, 5.0, 0.0) == pytest.approx(500.0)
-    # Only the devices draw at standstill on a flat road; dt = 0 draws nothing.
-    assert loaded(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_step_energy_zero_everything():
@@ -124,27 +117,21 @@ def test_step_energy_sign_split():
 
 def test_total_is_sum_of_components():
     rng = random.Random(4)
-    params = EnergyParams(device_power_w=250.0)
-    step = energy_model(params)
     v_prev = 0.0
     for _ in range(500):
         v_now = rng.uniform(0.0, 17.0)
         rise = rng.uniform(-0.1, 0.1)
-        total = step(v_prev, v_now, 0.1, rise)
+        total = STEP(v_prev, v_now, 0.1, rise)
         # Each term by hand, from the parameters.
         dke = 0.5 * 1500.0 * (v_now**2 - v_prev**2)
         by_hand = (
             1500.0 * 9.81 * rise / 0.9
             + (0.01 * 1500.0 * 9.81 * v_now + 0.5 * 1.2 * 2.3 * 0.28 * v_now**3) * 0.1 / 0.9
             + (dke / 0.9 if dke > 0 else dke * 0.9)
-            + 250.0 * 0.1
         )
         assert total == pytest.approx(by_hand, abs=1e-9)
-        # The same terms, each isolated through the step function; with
-        # dt > 0 the loss step carries the devices' draw as well.
-        parts = (
-            potential(rise, step) + loss(v_now, 0.1, step) + accel_energy(v_prev, v_now, step)
-        )
+        # The same terms, each isolated through the step function.
+        parts = potential(rise) + loss(v_now, 0.1) + accel_energy(v_prev, v_now)
         assert total == pytest.approx(parts, abs=1e-9)
         v_prev = v_now
 
@@ -168,17 +155,6 @@ def test_elevation_round_trip_is_neutral():
     descent = -sum(climbs)
     total = sum(potential(u) for u in climbs) + potential(descent)
     assert abs(total) <= 1e-6
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        EnergyParams(eta=0.0)
-    with pytest.raises(ValueError):
-        EnergyParams(eta=1.5)
-    with pytest.raises(ValueError):
-        EnergyParams(mass=-1.0)
-    with pytest.raises(ValueError):
-        EnergyParams(device_power_w=-1.0)
 
 
 def test_negative_speed_or_dt_raises():

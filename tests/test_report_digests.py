@@ -1,0 +1,51 @@
+"""The 300 s configs of ``tools/report_digest.py`` still give their
+recorded reports.
+
+The graded runs (+1 %, -1 % and flat segments) and the coarse-step runs
+(dt 0.2 s) of every technique take about two seconds together, so report
+drift on them shows in the tier-1 tests.  The full set, with the longer
+benchmark runs, is ``python3 tools/report_digest.py --check
+tools/report_digests.txt``.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _recorded_configs():
+    """The tool's 300 s configs and the digests recorded for them, with
+    the tool (and the benchmark module it reads) imported without writing
+    bytecode into the repository."""
+    path = list(sys.path)
+    dont_write = sys.dont_write_bytecode
+    sys.path.insert(0, str(TOOLS))
+    sys.dont_write_bytecode = True
+    try:
+        import report_digest
+
+        configs = [(name, cfg) for name, cfg in report_digest.configs()
+                   if name.startswith(("graded-", "dt0.2-"))]
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path[:] = path
+    recorded = dict(line.split() for line in
+                    (TOOLS / "report_digests.txt").read_text().splitlines() if line.strip())
+    return report_digest.digest, [(name, cfg, recorded[name]) for name, cfg in configs]
+
+
+DIGEST, CONFIGS = _recorded_configs()
+
+
+def test_the_six_short_configs_are_checked():
+    assert sorted(name for name, _, _ in CONFIGS) == sorted(
+        f"{kind}-{technique}" for kind in ("graded", "dt0.2")
+        for technique in ("csof", "ncso", "fixed"))
+
+
+@pytest.mark.parametrize("name, cfg, expected", CONFIGS, ids=[c[0] for c in CONFIGS])
+def test_report_matches_its_recorded_digest(name, cfg, expected):
+    assert DIGEST(cfg) == expected, name

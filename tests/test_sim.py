@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -211,9 +213,8 @@ def test_invariants_hold_at_every_step(technique):
         world.step()
         _check_lanes_and_accounting(world)
         for light in world.lights:
-            on_queue = [v.vin for v in light.queue]
-            queued = [v.vin for v in world.vehicles.values() if v.queued and v.seg == light.idx]
-            assert sorted(on_queue) == queued, (world.t, light.idx)
+            queued = [v for v in world.vehicles.values() if v.queued and v.seg == light.idx]
+            assert light.queue_len == len(queued), (world.t, light.idx)
             queued_seen += len(queued)
             # Only csof keeps claims: one per slot, each held by an unqueued
             # vehicle approaching this light within activation distance.
@@ -393,6 +394,45 @@ def test_arrival_rate_must_be_non_negative():
     with pytest.raises(ValueError, match="arrival rate"):
         SimConfig(arrival_rate_veh_s=-0.1)
     SimConfig(arrival_rate_veh_s=0.0)
+
+
+def test_arrival_inputs_must_be_finite():
+    # An infinite rate would keep the spawner drawing zero gaps forever; a
+    # NaN rate would spawn nothing; a NaN arrival passes the order check
+    # and blocks itself and every later arrival.
+    for rate in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="arrival rate"):
+            SimConfig(arrival_rate_veh_s=rate)
+    for arrivals in ((1.0, math.nan, 2.0, 3.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(scripted_arrivals=arrivals)
+
+
+@pytest.mark.parametrize("technique, seed", [("csof", 2), ("ncso", 3), ("fixed", 4)])
+def test_poisson_demand_is_its_arrival_times_scripted(technique, seed):
+    # A Poisson rate is the stream of cumulative exponential gaps drawn
+    # from the arrival generator, ``random.Random(6 * seed)``; scripting
+    # those times gives the same run.
+    rate = 0.3
+    cfg = SimConfig(duration_s=120.0, technique=technique, seed=seed, arrival_rate_veh_s=rate)
+    draws = random.Random(6 * seed)
+    arrivals = [draws.expovariate(rate)]
+    while arrivals[-1] <= cfg.duration_s:
+        arrivals.append(arrivals[-1] + draws.expovariate(rate))
+    scripted = dataclasses.replace(cfg, scripted_arrivals=tuple(arrivals))
+    report = World(cfg).run()
+    assert report.spawned > 20
+    assert repr(report) == repr(World(scripted).run())
+
+
+def test_poisson_arrivals_continue_past_the_duration():
+    cfg = SimConfig(duration_s=30.0, technique="fixed", arrival_rate_veh_s=0.5, seed=1)
+    world = World(cfg)
+    world.run()
+    spawned = world.spawned
+    while world.t < 2 * cfg.duration_s:
+        world.step()
+    assert world.spawned > spawned
 
 
 def test_stop_detector_arms_at_the_configured_moving_speed():

@@ -10,8 +10,8 @@ from coopspeed.tokens import (
     Approacher,
     TokenTable,
     allocation_round,
-    arrival_slots,
     arrival_window,
+    arrival_windows,
     detect_conflicts,
     request_tti,
     slot_for_arrival,
@@ -51,10 +51,14 @@ def approacher(vin: int, tti: float, state: SignalState, mode: Mode = Mode.NORMA
 
 
 def run_round(table, state, vehicles, ledger=None, seed=0):
-    """The round's ``vin -> slot`` result."""
+    """``vin -> slot`` for each vehicle of ``vehicles`` left holding a slot,
+    after checking that the round returns the arrival window of that slot."""
     ledger = CreditLedger() if ledger is None else ledger
-    return allocation_round(table, state, V_MIN, vehicles, ledger, random.Random(seed),
-                            random.Random(seed + 1))
+    windows = allocation_round(table, state, V_MIN, vehicles, ledger, random.Random(seed),
+                               random.Random(seed + 1))
+    slots = {e.vin: table.slot_of(e.vin) for e in vehicles if table.slot_of(e.vin) is not None}
+    assert windows == {vin: arrival_window(slot, table.mu, state) for vin, slot in slots.items()}
+    return slots
 
 
 def assert_one_claim_per_slot(table, slots):
@@ -106,7 +110,7 @@ def test_allocate_green_basic():
     assert slots == {11: 7}
     lo, hi = arrival_window(7, MU, state)
     assert lo <= 20.0 <= hi
-    assert table.holder(7) == 11
+    assert table.requests() == [(11, 7)]
 
 
 def test_allocate_green_beyond_remaining():
@@ -149,12 +153,11 @@ def test_claim_moves_a_vehicles_earlier_claim():
     table.claim(7, 1)
     table.claim(5, 1)
     assert table.slot_of(1) == 5
-    assert table.claimants(7) == ()
     assert table.requests() == [(1, 5)]
-    # Two vehicles on one slot is a contested slot, with no holder.
+    # Two vehicles on one slot is a contested slot.
     table.claim(5, 2)
-    assert table.claimants(5) == (1, 2)
-    assert table.holder(5) is None
+    assert table.requests() == [(1, 5), (2, 5)]
+    assert table.occupancy()[5] == 2
 
 
 def test_detect_conflicts_examples():
@@ -168,7 +171,7 @@ def test_release_restores_uniqueness():
     table.claim(7, 1)
     table.claim(7, 2)
     assert table.release(2) is True
-    assert table.holder(7) == 1
+    assert table.requests() == [(1, 7)]
     assert table.release(2) is False  # no-op with warning flag
 
 
@@ -181,9 +184,8 @@ def test_two_fresh_requests_on_one_slot_leave_one_holder():
     slots = run_round(table, state, [winner, loser], ledger)
     # One pair game: the winner pays the loser one credit.
     assert (ledger.get(1), ledger.get(2)) == (-1, 1)
-    assert table.holder(7) == 1
     # The loser takes the next free reachable slot.
-    assert table.holder(8) == 2
+    assert table.requests() == [(1, 7), (2, 8)]
     assert slots == {1: 7, 2: 8}
     assert_one_claim_per_slot(table, slots)
 
@@ -289,7 +291,8 @@ def test_non_cooperative_round_assumes_every_slot_free():
     state = green_state(24.0)
     vehicles = [approacher(1, 20.0, state), approacher(2, 19.5, state),
                 approacher(3, 50.0, state)]
-    assert arrival_slots(vehicles, state, MU, 8) == {1: 7, 2: 7}
+    window = arrival_window(7, MU, state)
+    assert arrival_windows(vehicles, state, MU, 8) == {1: window, 2: window}
 
 
 def test_windows_tile_without_gap_or_overlap():
@@ -342,7 +345,9 @@ def test_request_needs_a_positive_speed(speed):
 # window for the round, stopped upgrade scans at the held slot and played
 # games only on a contested table.  It takes every approaching vehicle as
 # (vin, dist, speed, cap, mode), rebuilds the claimed set for each check
-# and scans every slot.  ``seen`` counts the branches the round took.
+# and scans every slot.  It returns what the round returns: the arrival
+# window of each listed vehicle's slot.  ``seen`` counts the branches the
+# round took.
 
 POOL = tuple(range(1, 13))  # vins of approachers and of other claimants
 
@@ -418,7 +423,8 @@ def reference_round(table, state, v_min, vehicles, ledger, rng, tl_rng, seen):
                 table.claim(alt, vin)
                 live.add(alt)
                 seen["reassigned"] += 1
-    return dict(table.requests())
+    return {vin: arrival_window(slot, table.mu, state)
+            for vin, slot in table.requests() if vin in by_vin}
 
 
 def _random_round(rng):
@@ -507,8 +513,9 @@ def test_a_vehicle_that_neither_holds_nor_requests_changes_nothing():
         without_idle = _play(spec, lambda t, s, v_min, _, *rest:
                              allocation_round(t, s, v_min, active, *rest))
         assert everyone == without_idle, spec
-        # A round over idle vehicles alone leaves table, ledger and RNGs as they were.
-        untouched = _play(spec, lambda *args: dict(args[0].requests()))
+        # A round over idle vehicles alone hands out no window and leaves
+        # table, ledger and RNGs as they were.
+        untouched = _play(spec, lambda *args: {})
         idle_only = _play(spec, lambda t, s, v_min, _, *rest: allocation_round(
             t, s, v_min, [e for e in entries if e not in active], *rest))
         assert idle_only == untouched, spec
