@@ -750,10 +750,9 @@ class World:
         clears ``queued``, so a vehicle that crossed or left the corridor
         is out of its queue already.
 
-        One pass over the vehicles counts each light's queue and takes each
-        lane's tail as the lowest rear of its queued vehicles, so the order
-        of the pass does not matter.  Stopped vehicles then join from the
-        front, each one becoming its lane's tail."""
+        Each lane group is walked twice.  Rear to front, rolling vehicles
+        leave and the first vehicle still queued gives the lane's tail.
+        Front to back, each stopped vehicle that joins becomes the tail."""
         cfg = self.cfg
         length = cfg.vehicle_length_m
         join_zone = length + 2.0 * STANDSTILL_GAP_M
@@ -761,35 +760,32 @@ class World:
         stop_speed = STOP_SPEED
         lights = self.lights
         counts = [0] * len(lights)
-        tails: dict[tuple[int, int], float] = {}
-        stopped: list[list[Vehicle]] = [[] for _ in lights]
-        for v in self.vehicles.values():
-            if v.queued:
-                if v.speed >= roll_speed:
-                    v.queued = False
-                    continue
-                counts[v.seg] += 1
-                key = (v.seg, v.lane)
-                rear = v.pos - length
-                if key not in tails or rear < tails[key]:
-                    tails[key] = rear
-            elif v.speed < stop_speed:
-                stopped[v.seg].append(v)
-        for light, state, cands in zip(lights, states, stopped):
-            seg_idx = light.idx
+        for (seg_idx, _), group in self._lanes.items():
+            n = 0
+            tail = math.inf  # rear of the lane's queue; none yet
+            for v in group:
+                if v.queued:
+                    if v.speed >= roll_speed:
+                        v.queued = False
+                        continue
+                    n += 1
+                    if tail == math.inf:
+                        tail = v.pos - length
+            light = lights[seg_idx]
             line_at = cfg.segments[seg_idx].length_m
-            cands.sort(key=lambda v: -v.pos)
-            for v in cands:
-                key = (seg_idx, v.lane)
-                tail = tails.get(key)
-                if line_at - v.pos <= join_zone or (tail is not None and tail - v.pos <= join_zone):
+            for v in reversed(group):
+                if v.queued or v.speed >= stop_speed:
+                    continue
+                if line_at - v.pos <= join_zone or tail - v.pos <= join_zone:
                     v.queued = True
                     light.table.release(v.vin)
-                    counts[seg_idx] += 1
-                    tails[key] = v.pos - length
-                    if not state.approach_green:
+                    n += 1
+                    tail = v.pos - length
+                    if not states[seg_idx].approach_green:
                         light.red_joins += 1
-            light.queue_len = counts[seg_idx]
+            counts[seg_idx] += n
+        for light, n in zip(lights, counts):
+            light.queue_len = n
 
     def run(self) -> MetricsReport:
         steps = int(round(self.cfg.duration_s / self.cfg.dt_s))
