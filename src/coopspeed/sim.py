@@ -576,30 +576,22 @@ class World:
         return moved
 
     def _gate_open(self, light: LightAgent, state: SignalState, lanes: dict,
-                   v: Vehicle, lanes_sorted: bool) -> bool:
+                   v: Vehicle) -> bool:
         return (
             state.crossable
             and self.t + self.cfg.dt_s - light.last_cross_t
             >= 1.0 / light.cfg.departure_rate - 1e-9
-            and self._next_entry_clear(lanes, v, lanes_sorted)
+            and self._next_entry_clear(lanes, v)
         )
 
-    def _next_entry_clear(self, lanes: dict, v: Vehicle, lanes_sorted: bool) -> bool:
-        """Room to land at the start of the next segment (spillback guard).
-
-        Before integration the lane groups are sorted, so the rearmost
-        vehicle decides.  During integration they hold part-advanced
-        positions, among them vehicles that have already moved on a
-        segment, so every member is checked.
-        """
+    def _next_entry_clear(self, lanes: dict, v: Vehicle) -> bool:
+        """Room to land at the start of the next segment (spillback guard):
+        the rearmost vehicle of the lane there decides."""
         nxt = v.seg + 1
         if nxt >= len(self.cfg.segments):
             return True
-        need = self.cfg.vehicle_length_m + STANDSTILL_GAP_M
-        group = lanes.get((nxt, v.lane), ())
-        if lanes_sorted:
-            return not group or group[0].pos >= need
-        return all(o.pos >= need for o in group)
+        group = lanes[(nxt, v.lane)]
+        return not group or group[0].pos >= self.cfg.vehicle_length_m + STANDSTILL_GAP_M
 
     def step(self) -> None:
         cfg = self.cfg
@@ -668,8 +660,7 @@ class World:
 
             # Stop line behaves as an obstacle unless the gate is open.
             d = line_at - v.pos
-            if d <= zone and not gate_open(lights[v.seg], states[v.seg], lanes, v,
-                                           lanes_sorted=True):
+            if d <= zone and not gate_open(lights[v.seg], states[v.seg], lanes, v):
                 line_safe = d / time_gap
                 line_safe = line_safe if line_safe > 0.0 else 0.0
                 if sp > line_safe:
@@ -681,12 +672,17 @@ class World:
 
         self._accrue_energy(fleet, new_speeds)
 
-        # Integrate, accrue metrics, and handle crossings.
+        # Integrate, accrue metrics, and move each crossing vehicle in the
+        # lane index as it crosses, so every entry check reads the vehicles
+        # on the next segment now.  The lane groups stay sorted meanwhile: a
+        # follower never passes its leader's position at the start of the
+        # step, because its advance is below the gap.  It is at most
+        # gap * dt / TIME_GAP_S, or (speed - ACCEL_LIMIT * dt) * dt when the
+        # gap is at least speed * REACTION_TIME_S (dt below both times).
         stop_speed = STOP_SPEED
         moving_speed = MOVING_SPEED
         last_seg = len(segments) - 1
         crossed_at = t + dt
-        crossed: list[tuple[Vehicle, int]] = []
         for v, sp in zip(fleet, new_speeds):
             seg_idx = v.seg
             v.speed = sp
@@ -703,32 +699,26 @@ class World:
             line_at = zones[seg_idx][0]
             if v.pos >= line_at:
                 light = lights[seg_idx]
-                if gate_open(light, states[seg_idx], lanes, v, lanes_sorted=False):
-                    light.last_cross_t = crossed_at
-                    light.green_crossings += 1
-                    light.table.release(v.vin)
-                    v.queued = False
-                    crossed.append((v, seg_idx))
-                    if seg_idx != last_seg:
-                        v.pos -= line_at
-                        v.seg = seg_idx + 1
-                else:
+                if not gate_open(light, states[seg_idx], lanes, v):
                     v.pos = line_at - 0.01
                     v.speed = 0.0
-
-        # Crossings reach the lane index only now, so the entry checks above
-        # all read the groups as they stood before the integration.
-        for v, seg_idx in crossed:
-            lanes[(seg_idx, v.lane)].remove(v)
-            if seg_idx != last_seg:
-                insort(lanes[(v.seg, v.lane)], v, key=_pos)
-                continue
-            del vehicles[v.vin]
-            self.completed += 1
-            for i in range(len(segments)):
-                self._sum_idle[i] += v.idle[i]
-                self._sum_stops[i] += v.stops[i]
-                self._sum_energy[i] += v.energy_j[i]
+                    continue
+                light.last_cross_t = crossed_at
+                light.green_crossings += 1
+                light.table.release(v.vin)
+                v.queued = False
+                lanes[(seg_idx, v.lane)].remove(v)
+                if seg_idx != last_seg:
+                    v.pos -= line_at
+                    v.seg = seg_idx + 1
+                    insort(lanes[(v.seg, v.lane)], v, key=_pos)
+                    continue
+                del vehicles[v.vin]
+                self.completed += 1
+                for i in range(len(segments)):
+                    self._sum_idle[i] += v.idle[i]
+                    self._sum_stops[i] += v.stops[i]
+                    self._sum_energy[i] += v.energy_j[i]
 
         self._update_queues(states)
         self._spawn_due()

@@ -183,6 +183,21 @@ def test_corridor_drains_once_arrivals_stop(technique):
     assert (report.spawned, report.completed, report.in_network, report.waiting) == (24, 24, 0, 0)
 
 
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_a_vehicle_that_moved_on_does_not_hold_its_follower_at_the_line(technique):
+    # Both vehicles cross a green line in the first step, the one ahead
+    # first.  Once it has left segment 1 the lane there is empty, so the
+    # one behind must cross too instead of being held as if the first were
+    # still at the start of segment 1.
+    cfg = SimConfig(duration_s=1.0, technique=technique, arrival_rate_veh_s=0.0,
+                    initial_vehicles=(InitialVehicle(seg=1, lane=0, pos=999.5, speed=10.0),
+                                      InitialVehicle(seg=0, lane=0, pos=999.5, speed=10.0)))
+    world = World(cfg)
+    world.step()
+    assert (world.vehicles[1].seg, world.vehicles[2].seg) == (2, 1)
+    assert world.vehicles[2].stops == [0, 0, 0]
+
+
 # -- per-step invariants ------------------------------------------------------
 
 def _check_lanes_and_accounting(world):
