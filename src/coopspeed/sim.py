@@ -224,8 +224,9 @@ class LightAgent:
     def __init__(self, idx: int, seg_cfg: SegmentConfig) -> None:
         self.idx = idx
         self.cfg = seg_cfg.signal
-        self.n_dep = departures_per_green(self.cfg.departure_rate, self.cfg.green_s)
-        self.table = TokenTable(self.cfg.departure_rate, self.n_dep, cycle_id=-(10**9))
+        self.table = TokenTable(self.cfg.departure_rate,
+                                departures_per_green(self.cfg.departure_rate, self.cfg.green_s),
+                                cycle_id=-(10**9))
         self.queue_len = 0
         self.last_cross_t = -math.inf
         self.was_crossable = False
@@ -311,6 +312,8 @@ class World:
         self._sum_idle = [0.0] * n
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
+        # Speed of a vehicle entering or cruising on each segment.
+        self._cruise = [min(ENTRY_SPEED, seg.v_max) for seg in cfg.segments]
         # The lane index: every (segment, lane) group, in ascending pos, kept
         # across steps.  Vehicles never overlap, so order within a lane only
         # changes where a vehicle enters or leaves it.
@@ -364,7 +367,7 @@ class World:
             if lane is None:
                 break
             self._pending_spawns -= 1
-            self._place(0, lane, 0.0, ENTRY_SPEED, self._sample_mode())
+            self._place(0, lane, 0.0, self._cruise[0], self._sample_mode())
 
     # -- token protocol ----------------------------------------------------
 
@@ -398,7 +401,7 @@ class World:
                 windows.update(allocation_round(light.table, state, cfg.segments[light.idx].v_min,
                                                 entries, self.ledger, self.rng_games, self.rng_tl))
             else:
-                windows.update(arrival_windows(entries, state, light.table.mu, light.n_dep))
+                windows.update(arrival_windows(entries, state, light.table.mu, light.table.n_dep))
         return windows
 
     def _plan_cap(self, v: Vehicle, leader: Vehicle | None, seg: SegmentConfig) -> float:
@@ -492,7 +495,7 @@ class World:
         # until they are close enough to plan.
         queued_target = [seg.v_max if state.crossable else 0.0
                          for seg, state in zip(cfg.segments, states)]
-        cruise = [min(ENTRY_SPEED, seg.v_max) for seg in cfg.segments]
+        cruise = self._cruise
         if cfg.technique == "fixed":
             return [queued_target[v.seg] if v.queued else cruise[v.seg] for v in fleet]
         per_seg = [

@@ -165,9 +165,10 @@ def test_queue_discharge_never_exceeds_departures_per_green(technique):
     world.run()
     for light in world.lights:
         assert light.green_crossing_history, light.idx
-        assert max(light.green_crossing_history) <= light.n_dep, (light.idx, light.n_dep)
+        n_dep = light.table.n_dep
+        assert max(light.green_crossing_history) <= n_dep, (light.idx, n_dep)
     first = world.lights[0]
-    assert max(first.green_crossing_history) >= first.n_dep - 1
+    assert max(first.green_crossing_history) >= first.table.n_dep - 1
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
@@ -196,6 +197,18 @@ def test_a_vehicle_that_moved_on_does_not_hold_its_follower_at_the_line(techniqu
     world.step()
     assert (world.vehicles[1].seg, world.vehicles[2].seg) == (2, 1)
     assert world.vehicles[2].stops == [0, 0, 0]
+
+
+def test_a_vehicle_enters_no_faster_than_the_first_segment_allows():
+    slow = SegmentConfig(v_min=5.0 * KMH, v_max=20.0 * KMH)
+    world = World(SimConfig(duration_s=60.0, technique="fixed", scripted_arrivals=(0.0,),
+                            segments=(slow,)))
+    top = 0.0
+    while world.t < 60.0:
+        world.step()
+        top = max([top] + [v.speed for v in world.vehicles.values()])
+    assert world.spawned == 1
+    assert 0.0 < top <= slow.v_max
 
 
 # -- per-step invariants ------------------------------------------------------
