@@ -754,14 +754,13 @@ class World:
         lights = self.lights
         counts = [0] * len(lights)
         for (seg_idx, _), group in self._lanes.items():
-            n = 0
             tail = math.inf  # rear of the lane's queue; none yet
             for v in group:
                 if v.queued:
                     if v.speed >= roll_speed:
                         v.queued = False
                         continue
-                    n += 1
+                    counts[seg_idx] += 1
                     if tail == math.inf:
                         tail = v.pos - length
             light = lights[seg_idx]
@@ -772,11 +771,10 @@ class World:
                 if line_at - v.pos <= join_zone or tail - v.pos <= join_zone:
                     v.queued = True
                     light.table.release(v.vin)
-                    n += 1
+                    counts[seg_idx] += 1
                     tail = v.pos - length
                     if not states[seg_idx].approach_green:
                         light.red_joins += 1
-            counts[seg_idx] += n
         for light, n in zip(lights, counts):
             light.queue_len = n
 
