@@ -25,7 +25,6 @@ from .tokens import (
     arrival_windows,
     detect_conflicts,
     request_tti,
-    slot_for_arrival,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,10 +9,11 @@ comfort, car-following, and stop-line constraints.
 
 Three techniques share identical road physics:
 
-* ``csof``  -- token table per light, conflicts resolved by games;
+* ``csof``  -- token table per light: a vehicle claims a free slot it can
+  reach, its arrival slot if it can, and conflicts are resolved by games;
 * ``ncso``  -- the same case-based speed planning, but every vehicle
-  assumes the slot containing its own arrival is free (no table, no
-  games, no exclusivity);
+  assumes the slot whose arrival window holds its arrival is free (no
+  table, no games, no exclusivity);
 * ``fixed`` -- no speed optimization; cruise and react.
 
 Each step, every light runs one round over the unqueued vehicles within

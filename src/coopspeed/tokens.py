@@ -4,7 +4,7 @@ Each green phase is partitioned into service slots of duration ``1/mu``
 (one departure per slot).  Slots are anchored to the start of the green
 window; the first ``N_q`` slots are implicitly reserved for the standing
 queue and never offered to approaching vehicles.  A vehicle requests the
-slot containing its projected arrival.
+first slot whose arrival window holds its projected arrival.
 
 The table is keyed by vehicle: each vehicle claims at most one slot, and
 a new claim moves its old one.  A claim is the vehicle's token; there is
@@ -68,35 +68,6 @@ class TokenTable:
         """Start a fresh cycle; all outstanding tokens expire."""
         self.cycle_id = cycle_id
         self._slot_of.clear()
-
-
-def slot_for_arrival(tti: float, state: SignalState, mu: float, n_dep: int) -> int | None:
-    """Slot index containing the projected arrival, or None.
-
-    Slots the standing queue (``state.queue_len``) discharges through are
-    never returned.
-    """
-    if tti <= 0:
-        return None
-    tsd = 1.0 / mu
-    n_q = state.queue_len
-    if state.approach_green:
-        r_g = state.remaining
-        if tti > r_g:
-            return None
-        # Slots are anchored to the green start, so shift by elapsed green.
-        h = tti + (state.green_s - r_g)
-    else:
-        r_r = state.remaining
-        if tti < r_r:
-            return None
-        if not (tti > r_r + tsd * n_q and tti <= r_r + state.green_s):
-            return None
-        h = tti - r_r
-    for j in range(n_q + 1, n_dep + 1):
-        if (j - 1) * tsd <= h <= j * tsd:
-            return j
-    return None
 
 
 def detect_conflicts(requests: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
@@ -172,12 +143,20 @@ def request_tti(dist: float, speed: float, cap: float, state: SignalState) -> fl
     return None
 
 
-def _slot_windows(table: TokenTable, state: SignalState) -> list[tuple[float, float] | None]:
-    """Arrival window of each of the table's slots, indexed by slot; None
+def _slot_windows(mu: float, n_dep: int,
+                  state: SignalState) -> list[tuple[float, float] | None]:
+    """Arrival window of each of slots 1 to ``n_dep``, indexed by slot; None
     for index 0 and for the slots the standing queue discharges through."""
     first = state.queue_len + 1
-    return [None] * first + [arrival_window(j, table.mu, state)
-                             for j in range(first, table.n_dep + 1)]
+    return [None] * first + [arrival_window(j, mu, state) for j in range(first, n_dep + 1)]
+
+
+def _arrival_slot(tti: float, windows: list[tuple[float, float] | None]) -> int | None:
+    """First slot whose arrival window holds ``tti``, or None."""
+    for j, window in enumerate(windows):
+        if window is not None and window[0] <= tti <= window[1]:
+            return j
+    return None
 
 
 def _reachable(slot: int, e: Approacher, windows: list[tuple[float, float] | None],
@@ -198,9 +177,10 @@ def _first_free_reachable(e: Approacher, windows: list[tuple[float, float] | Non
     """First slot in [``start``, ``stop``) with no claimant in ``occupied``
     (claimants per slot) that the vehicle can reach.
 
-    Scanning forward from the natural arrival slot keeps allocation
-    roughly first-come-first-served: a vehicle slows into a later free
-    slot rather than racing ahead of traffic for an early one.
+    A fresh request's fallback and a holder's upgrade scan from the first
+    slot the queue leaves free (an upgrade stops at the held slot); a
+    game's loser scans from the slot it lost.  Either way the vehicle
+    gets the earliest free slot it can meet in that range.
     """
     for j in range(start, stop):
         if not occupied[j] and _reachable(j, e, windows, v_min):
@@ -208,20 +188,22 @@ def _first_free_reachable(e: Approacher, windows: list[tuple[float, float] | Non
     return None
 
 
-def arrival_windows(vehicles: Iterable[Approacher], state: SignalState, mu: float,
+def arrival_windows(vehicles: Sequence[Approacher], state: SignalState, mu: float,
                     n_dep: int) -> dict[int, tuple[float, float]]:
     """``vin -> arrival window`` of its arrival slot, for each vehicle
-    whose arrival falls in a slot.
+    whose arrival falls in a slot's arrival window.
 
     The non-cooperative round: every vehicle takes its own arrival slot
     and assumes it free, with no table and no games.
     """
-    windows: dict[int, tuple[float, float]] = {}
+    if not vehicles:
+        return {}
+    windows = _slot_windows(mu, n_dep, state)
+    out: dict[int, tuple[float, float]] = {}
     for e in vehicles:
-        slot = None if e.tti is None else slot_for_arrival(e.tti, state, mu, n_dep)
-        if slot is not None:
-            windows[e.vin] = arrival_window(slot, mu, state)
-    return windows
+        if e.tti is not None and (slot := _arrival_slot(e.tti, windows)) is not None:
+            out[e.vin] = windows[slot]
+    return out
 
 
 def allocation_round(
@@ -246,9 +228,12 @@ def allocation_round(
     * a claim on a slot the vehicle can no longer reach is released;
     * a claimant moves up to the first free slot it can reach, if that is
       earlier than its own;
-    * a vehicle without a claim requests its arrival slot, or else the
-      first free slot it can reach.  Requests act on the table as it
-      stood at the start of the round, so two can land on one slot;
+    * a vehicle without a claim requests its arrival slot, the first
+      slot whose arrival window holds its ``tti``, and claims it if it
+      was free and the vehicle can reach it; or else it claims the first
+      free slot it can reach.  So every fresh claim is reachable.
+      Requests act on the table as it stood at the start of the round,
+      so two can land on one slot;
     * each contested slot is settled by the games (``rng`` and ``tl_rng``
       drive their random tier, credits move in ``ledger``).  A loser
       claims the first free slot it can reach at or after the lost one,
@@ -265,7 +250,7 @@ def allocation_round(
     n_dep = table.n_dep
     first = state.queue_len + 1  # the first slot the queue leaves free
     end = n_dep + 1
-    windows = _slot_windows(table, state)
+    windows = _slot_windows(table.mu, n_dep, state)
     live = table.occupancy()
     before = live.copy()  # occupancy at the start of the round
     for e in vehicles:
@@ -283,8 +268,8 @@ def allocation_round(
             live[held] -= 1
         if e.tti is None:
             continue
-        slot = slot_for_arrival(e.tti, state, table.mu, n_dep)
-        if slot is None or before[slot]:
+        slot = _arrival_slot(e.tti, windows)
+        if slot is None or before[slot] or not _reachable(slot, e, windows, v_min):
             slot = _first_free_reachable(e, windows, v_min, before, first, end)
         if slot is not None:
             table.claim(slot, vin)

@@ -12,7 +12,7 @@ from coopspeed.planner import (
     speed_band,
 )
 from coopspeed.signals import SignalState
-from coopspeed.tokens import Approacher, TokenTable, _reachable, _slot_windows, arrival_window
+from coopspeed.tokens import Approacher, _reachable, _slot_windows, arrival_window
 from tests.test_tokens import green_state, red_state
 
 MU = 0.333
@@ -229,7 +229,6 @@ def test_round_and_planner_agree_on_reachable_slots():
     # The round keeps a slot the vehicle can reach; the planner meets the
     # same window with a token case.  Both read it from arrival_window.
     rng = random.Random(8)
-    table = TokenTable(mu=MU, n_dep=8)
     token_cases = {"green_c1", "green_c2_accel", "red_c2"}
     reachable = 0
     for _ in range(50000):
@@ -248,7 +247,7 @@ def test_round_and_planner_agree_on_reachable_slots():
         slot = rng.randint(queue + 1, 8)
         res = plan(speed, dist, V_MIN, cap, state, arrival_window(slot, MU, state),
                    t_q=rng.uniform(0.0, 15.0))
-        ok = _reachable(slot, e, _slot_windows(table, state), V_MIN)
+        ok = _reachable(slot, e, _slot_windows(MU, 8, state), V_MIN)
         assert ok == (res.case in token_cases), (state, e, slot, res)
         reachable += ok
     assert 5000 < reachable < 45000

@@ -53,7 +53,9 @@ def test_report_counts_arrivals_waiting_to_enter():
 # Reports recorded before the step moved to the sorted lane index, with
 # the energy fields recorded again when energy became the kinetic-energy
 # model; the `ncso` pin and the three two-segment runs, which each complete
-# at least 20 vehicles, were recorded before the step was slimmed down.
+# at least 20 vehicles, were recorded before the step was slimmed down, and
+# `csof-20` and `ncso-20` again when a request's slot became the first whose
+# arrival window holds its arrival.
 # Any change to the engine's arithmetic or to the order of its decisions
 # shows here.  Every run changes lanes, so the lane-change path is covered.
 
@@ -110,14 +112,14 @@ PINNED = {
         0.0, 0.0, 737267.7801846582),
     "csof-20": _pin(
         _two_short("csof"), 139, 25, 114,
-        [(20.55200000000013, 0.88, 7846.782079022044),
-         (2.9560000000000177, 0.16, 166158.8064990281)],
-        23.50800000000015, 1.04, 174005.58857805017),
+        [(21.24400000000014, 0.88, 9980.060303999615),
+         (2.796000000000017, 0.16, 165892.23950775544)],
+        24.040000000000155, 1.04, 175872.29981175505),
     "ncso-20": _pin(
         _two_short("ncso"), 139, 28, 111,
-        [(29.350000000000215, 1.0714285714285714, 8544.064593286512),
-         (0.39642857142857163, 0.14285714285714285, 168954.59275120418)],
-        29.746428571428787, 1.2142857142857142, 177498.6573444907),
+        [(29.350000000000215, 1.0714285714285714, 8544.022540146865),
+         (0.39642857142857163, 0.14285714285714285, 168954.59266119442)],
+        29.746428571428787, 1.2142857142857142, 177498.61520134125),
     "fixed-20": _pin(
         _two_short("fixed"), 139, 28, 111,
         [(41.54285714285732, 1.6428571428571428, 18951.366795800033),

@@ -9,12 +9,14 @@ from coopspeed.signals import SignalState
 from coopspeed.tokens import (
     Approacher,
     TokenTable,
+    _arrival_slot,
+    _reachable,
+    _slot_windows,
     allocation_round,
     arrival_window,
     arrival_windows,
     detect_conflicts,
     request_tti,
-    slot_for_arrival,
 )
 
 MU = 0.333
@@ -113,39 +115,47 @@ def test_allocate_green_basic():
     assert table.requests() == [(11, 7)]
 
 
+def arrival_slot(tti: float, state: SignalState, n_dep: int = 8) -> int | None:
+    """The slot a request for an arrival in ``tti`` seconds names: the
+    first whose arrival window holds it."""
+    return _arrival_slot(tti, _slot_windows(MU, n_dep, state))
+
+
 def test_allocate_green_beyond_remaining():
-    assert slot_for_arrival(30.0, green_state(24.0), MU, 8) is None
+    assert arrival_slot(30.0, green_state(24.0)) is None
 
 
 def test_allocate_red_too_close():
-    assert slot_for_arrival(10.0, red_state(12.0), MU, 8) is None
+    assert arrival_slot(10.0, red_state(12.0)) is None
 
 
 def test_allocate_red_window():
     # One second into the upcoming green.
-    assert slot_for_arrival(13.0, red_state(12.0), MU, 8) == 1
+    assert arrival_slot(13.0, red_state(12.0)) == 1
 
 
 def test_red_queue_reservation_is_strict():
-    # The red branch requires a strictly later arrival than the queue zone.
+    # The queue's two slots are never named; slot 3's window is closed at
+    # both ends, so the arrival on the queue's boundary already meets it.
     state = red_state(12.0, queue=2)
     boundary = 12.0 + 2 * TSD
-    assert slot_for_arrival(boundary, state, MU, 8) is None
-    assert slot_for_arrival(boundary + 0.01, state, MU, 8) == 3
+    assert arrival_slot(boundary - 0.01, state) is None
+    assert arrival_slot(boundary, state) == 3
+    assert arrival_slot(boundary + 0.01, state) == 3
 
 
 def test_green_queue_priority():
     state = green_state(24.0, queue=3)
     # Arrival inside the queue lead-in gets nothing.
-    assert slot_for_arrival(5.0, state, MU, 8) is None
+    assert arrival_slot(5.0, state) is None
     # The boundary of the first offered slot is inclusive on the green side.
-    assert slot_for_arrival(3 * TSD, state, MU, 8) == 4
-    assert slot_for_arrival(9.5, state, MU, 8) == 4
+    assert arrival_slot(3 * TSD, state) == 4
+    assert arrival_slot(9.5, state) == 4
 
 
 def test_mid_green_allocation_shifts_to_green_start():
     # 6 s into the green, a 10 s TTI lands 16 s after the green start.
-    assert slot_for_arrival(10.0, green_state(18.0), MU, 8) == 6
+    assert arrival_slot(10.0, green_state(18.0)) == 6
 
 
 def test_claim_moves_a_vehicles_earlier_claim():
@@ -270,20 +280,34 @@ def test_allocation_is_deterministic():
 
 
 def test_fresh_request_claims_the_arrival_slot():
+    # A request names the first slot whose arrival window holds its
+    # arrival; on a free table it claims that slot when it can reach it,
+    # and otherwise the first free slot it can reach.
     rng = random.Random(5)
+    seen = Counter()
     for _ in range(300):
         queue = rng.randint(0, 4)
         if rng.random() < 0.5:
             state = green_state(rng.uniform(0.5, 24.0), queue)
         else:
             state = red_state(rng.uniform(0.5, 36.0), queue)
+        state.green_end_margin_s = rng.choice([0.0, 2.5])
         tti = rng.uniform(0.1, 70.0)
-        slot = slot_for_arrival(tti, state, MU, 8)
+        speed = rng.choice([10.0, 1.2 * V_MAX])
+        e = approacher(1, tti, state, speed=speed)
+        slot = None if e.tti is None else _ref_arrival_slot(e.tti, state, MU, 8)
         if slot is None:
             continue
+        v = (e.vin, e.dist, speed, e.cap, e.mode)
         table = fresh_table()
-        slots = run_round(table, state, [approacher(1, tti, state)])
-        assert table.slot_of(1) == slots[1] == slot
+        slots = run_round(table, state, [e])
+        if _ref_reachable(slot, v, state, table, V_MIN):
+            assert slots[1] == slot
+            seen["arrival slot"] += 1
+        else:
+            assert slots.get(1) == _ref_first_free_reachable(v, state, table, V_MIN, set())
+            seen["fell back"] += 1
+    assert min(seen["arrival slot"], seen["fell back"]) >= 10, seen
 
 
 def test_non_cooperative_round_assumes_every_slot_free():
@@ -379,6 +403,14 @@ def _ref_reachable(slot, v, state, table, v_min):
             and speed_band(dist, arrival_window(slot, table.mu, state), v_min, cap) is not None)
 
 
+def _ref_arrival_slot(tti, state, mu, n_dep):
+    for j in range(state.queue_len + 1, n_dep + 1):
+        lo, hi = arrival_window(j, mu, state)
+        if lo <= tti <= hi:
+            return j
+    return None
+
+
 def _ref_first_free_reachable(v, state, table, v_min, occupied, start=1):
     for j in range(max(start, state.queue_len + 1), table.n_dep + 1):
         if j not in occupied and _ref_reachable(j, v, state, table, v_min):
@@ -404,8 +436,9 @@ def reference_round(table, state, v_min, vehicles, ledger, rng, tl_rng, seen):
         tti = _ref_request_tti(dist, speed, cap, state)
         if tti is None:
             continue
-        slot = slot_for_arrival(tti, state, table.mu, table.n_dep)
-        if slot is None or slot in occupied_before:
+        slot = _ref_arrival_slot(tti, state, table.mu, table.n_dep)
+        if (slot is None or slot in occupied_before
+                or not _ref_reachable(slot, v, state, table, v_min)):
             slot = _ref_first_free_reachable(v, state, table, v_min, occupied_before)
             seen["fell_back"] += 1
         if slot is not None:
@@ -520,3 +553,24 @@ def test_a_vehicle_that_neither_holds_nor_requests_changes_nothing():
             t, s, v_min, [e for e in entries if e not in active], *rest))
         assert idle_only == untouched, spec
     assert idle_seen > 1000
+
+
+def test_a_round_leaves_no_listed_vehicle_on_a_slot_it_cannot_reach():
+    # Every claim a listed vehicle holds after the round, fresh, kept,
+    # moved up or reassigned, is one it can meet.
+    rng = random.Random(14)
+    held = 0
+
+    def unreachable_holders(table, state, v_min, vehicles, *rest):
+        nonlocal held
+        entries = _approachers(vehicles, state)
+        allocation_round(table, state, v_min, entries, *rest)
+        windows = _slot_windows(table.mu, table.n_dep, state)
+        holders = [(e, slot) for e in entries if (slot := table.slot_of(e.vin)) is not None]
+        held += len(holders)
+        return [e.vin for e, slot in holders if not _reachable(slot, e, windows, v_min)]
+
+    for _ in range(1000):
+        spec = _random_round(rng)
+        assert _play(spec, unreachable_holders)[0] == [], spec
+    assert held > 300
