@@ -126,6 +126,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.dt_s <= 0:
             raise ValueError("dt must be positive")
+        if self.dt_s >= REACTION_TIME_S:
+            # A longer step can carry a follower past its leader within one
+            # step: vehicles in a lane overlap and the lane index falls out
+            # of order (see the integration loop in ``World.step``).
+            raise ValueError(f"dt must be below the reaction time, {REACTION_TIME_S} s")
         if self.duration_s < 0:
             raise ValueError("duration must be non-negative")
         if self.technique not in TECHNIQUES:
@@ -682,7 +687,8 @@ class World:
         # follower never passes its leader's position at the start of the
         # step, because its advance is below the gap.  It is at most
         # gap * dt / TIME_GAP_S, or (speed - ACCEL_LIMIT * dt) * dt when the
-        # gap is at least speed * REACTION_TIME_S (dt below both times).
+        # gap is at least speed * REACTION_TIME_S (``SimConfig`` keeps dt
+        # below both times).
         stop_speed = STOP_SPEED
         moving_speed = MOVING_SPEED
         last_seg = len(segments) - 1

@@ -380,14 +380,17 @@ def test_scripted_arrivals_must_not_decrease():
 
 
 def test_driving_parameters_must_be_in_range():
-    # A non-positive vehicle length lets vehicles overlap.
+    # A non-positive vehicle length lets vehicles overlap, and so does a
+    # step as long as the reaction time.
     for name, bad, message in [
         ("vehicle_length_m", 0.0, "vehicle length"), ("vehicle_length_m", -5.0, "vehicle length"),
         ("activation_distance_m", -1.0, "activation distance"),
+        ("dt_s", 1.1, "reaction time"), ("dt_s", 2.0, "reaction time"),
     ]:
         with pytest.raises(ValueError, match=message):
             SimConfig(**{name: bad})
     SimConfig(activation_distance_m=0.0)
+    SimConfig(dt_s=1.0)
 
 
 def test_segments_must_share_one_lane_count():
