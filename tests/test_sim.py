@@ -158,6 +158,25 @@ def test_trip_energy_converges_in_dt():
     assert max(trips) <= 1.02 * min(trips), trips
 
 
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_lone_vehicle_trip_converges_in_dt(technique):
+    # One vehicle entering the empty default corridor at t = 0: its energy,
+    # exit time and stops barely move with the step.
+    trips = []
+    for dt in (0.05, 0.1, 0.2, 0.5):
+        world = World(SimConfig(duration_s=300.0, dt_s=dt, technique=technique,
+                                scripted_arrivals=(0.0,)))
+        while not world.completed:
+            assert world.t < 300.0, (technique, dt)
+            world.step()
+        report = world.report()
+        trips.append((report.total_mean_energy_j, world.t, report.total_mean_stops))
+    energy, exit_t, stops = zip(*trips)
+    assert max(energy) <= 1.02 * min(energy), trips
+    assert max(exit_t) - min(exit_t) <= 1.0, trips
+    assert len(set(stops)) == 1, trips
+
+
 @pytest.mark.parametrize("technique", ["csof", "ncso", "fixed"])
 def test_queue_discharge_never_exceeds_departures_per_green(technique):
     # 1800 veh/h saturates the first lights: no green may let more
