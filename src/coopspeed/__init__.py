@@ -28,4 +28,3 @@ from .tokens import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"

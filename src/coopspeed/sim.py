@@ -236,11 +236,7 @@ class LightAgent:
         self.queue_len = 0
         self.last_cross_t = -math.inf
         self.was_crossable = False
-        self.was_green = False
-        # Per-phase measurement counters.
-        self.red_joins = 0
         self.green_crossings = 0
-        self.red_join_history: list[int] = []
         self.green_crossing_history: list[int] = []
 
     def epoch_of(self, t: float) -> int:
@@ -327,6 +323,11 @@ class World:
             (seg_idx, lane): [] for seg_idx, seg in enumerate(cfg.segments)
             for lane in range(seg.lanes)
         }
+        # What lane changes read per segment, fixed for the run: line position,
+        # keep-lane cap, speed band and the segment's groups of the index.
+        self._weave = [(seg.length_m, seg.v_max - 0.3, seg.v_min, seg.v_max,
+                        [self._lanes[(seg_idx, lane)] for lane in range(seg.lanes)])
+                       for seg_idx, seg in enumerate(cfg.segments)]
         for iv in cfg.initial_vehicles:
             self._place(iv.seg, iv.lane, iv.pos, iv.speed, Mode.NORMAL)
 
@@ -414,8 +415,8 @@ class World:
         """Achievable speed ceiling for planning: the road limit, or what
         the leader ahead allows (its speed, or the gap-safe speed).
 
-        Lane changes call this for one vehicle and a trial leader;
-        ``_caps`` computes the same for every vehicle of the step."""
+        Lane changes call this for a vehicle's own leader after a move;
+        ``_caps`` and their trial-leader test write out the same arithmetic."""
         if leader is None:
             return seg.v_max
         gap = leader.pos - self.cfg.vehicle_length_m - v.pos
@@ -436,11 +437,6 @@ class World:
             epoch = light.epoch_of(t)
             if epoch != light.table.cycle_id:
                 light.table.clear(epoch)
-
-            if state.approach_green and not light.was_green:
-                light.red_join_history.append(light.red_joins)
-                light.red_joins = 0
-            light.was_green = state.approach_green
 
             crossable = state.crossable
             if crossable and not light.was_crossable:
@@ -525,60 +521,65 @@ class World:
                                 t_q).speed)
         return targets
 
-    def _lane_changes(self, fleet: list[Vehicle], lanes: dict, leaders: dict[int, Vehicle],
+    def _lane_changes(self, fleet: list[Vehicle], leaders: dict[int, Vehicle],
                       caps: dict[int, float]) -> bool:
         """Overtake when the adjacent lane allows a higher speed and has
         safe time gaps fore and aft.  Returns whether any vehicle moved.
 
-        Until the first move, every lane group is as sorted at the start
-        of the step, so a vehicle's own cap is the step's cap.  After a
-        move, the own-lane leader is found by bisection and the step's cap
-        stands only while that leader is the one it was taken from.
-        Target-lane neighbours are found by bisecting the lane group.  The
-        rear gap is kept to the nearest follower but must fit the fastest
-        of all followers, whose speed is looked up only for a candidate
-        that already passed the cap and front-gap tests.
+        Each other lane is tried, cheapest test first: the cap its trial
+        leader allows (``_plan_cap``'s arithmetic, written out as in
+        ``_caps``) must beat the vehicle's own by 0.5 m/s, the front gap
+        must fit the vehicle's speed, and the rear gap to the nearest
+        follower must fit the fastest follower.  Before the first move the
+        own cap is the step's; after one, the own-lane leader is found by
+        bisection and ``_plan_cap`` gives the cap if that leader changed.
         """
-        cfg = self.cfg
-        segments = cfg.segments
-        length = cfg.vehicle_length_m
+        length = self.cfg.vehicle_length_m
+        standstill = STANDSTILL_GAP_M
         stop_speed = STOP_SPEED
         time_gap = TIME_GAP_S
-        plan_cap = self._plan_cap
+        weave = self._weave
         moved = False
         for v in fleet:
             if v.queued or v.speed < stop_speed:
                 continue
-            seg = segments[v.seg]
-            if seg.length_m - v.pos < 30.0:
+            line_at, keep_at, v_min, v_max, seg_lanes = weave[v.seg]
+            pos = v.pos
+            if line_at - pos < 30.0:
                 continue  # no weaving on the final approach
-            group = lanes[(v.seg, v.lane)]
+            group = seg_lanes[v.lane]
             if moved:
-                i = bisect_right(group, v.pos, key=_pos)
+                i = bisect_right(group, pos, key=_pos)
                 lead = group[i] if i < len(group) else None
-                cap_here = caps[v.vin] if lead is leaders.get(v.vin) else plan_cap(v, lead, seg)
+                cap_here = (caps[v.vin] if lead is leaders.get(v.vin)
+                            else self._plan_cap(v, lead, self.cfg.segments[v.seg]))
             else:
                 cap_here = caps[v.vin]
-            if cap_here >= seg.v_max - 0.3:
+            if cap_here >= keep_at:
                 continue
-            for other_lane in range(seg.lanes):
-                if other_lane == v.lane:
+            wanted = cap_here + 0.5
+            for lane, other in enumerate(seg_lanes):
+                if lane == v.lane:
                     continue
-                other = lanes[(v.seg, other_lane)]
-                i = bisect_left(other, v.pos, key=_pos)
-                new_lead = other[i] if i < len(other) else None
-                if plan_cap(v, new_lead, seg) <= cap_here + 0.5:
-                    continue
-                if new_lead is not None and (
-                    new_lead.pos - length - v.pos < time_gap * max(v.speed, 1.0)
-                ):
+                i = bisect_left(other, pos, key=_pos)
+                if i < len(other):
+                    lead = other[i]
+                    safe = (lead.pos - length - pos - standstill) / time_gap
+                    safe = safe if safe > 0.0 else 0.0
+                    cap = safe if safe > lead.speed else lead.speed
+                    cap = cap if cap < v_max else v_max
+                    if (cap if cap > v_min else v_min) <= wanted:
+                        continue
+                    if lead.pos - length - pos < time_gap * max(v.speed, 1.0):
+                        continue
+                elif v_max <= wanted:
                     continue
                 if i:
                     fastest = max(map(_speed, other[:i]))
-                    if v.pos - length - other[i - 1].pos < time_gap * max(fastest, 1.0):
+                    if pos - length - other[i - 1].pos < time_gap * max(fastest, 1.0):
                         continue
                 group.remove(v)
-                v.lane = other_lane
+                v.lane = lane
                 insort(other, v, key=_pos)
                 moved = True
                 break
@@ -628,7 +629,7 @@ class World:
             density_cap.append(density_speed(density, JAM_DENSITY_VEH_KM_LANE, seg.v_max))
 
         targets = self._plan_targets(fleet, states, caps, windows)
-        if self._lane_changes(fleet, lanes, leaders, caps):
+        if self._lane_changes(fleet, leaders, caps):
             leaders = self._leaders(lanes)
 
         # Compose clamps: comfort-limited planning, hard safety overrides.
@@ -730,21 +731,23 @@ class World:
                     self._sum_stops[i] += v.stops[i]
                     self._sum_energy[i] += v.energy_j[i]
 
-        self._update_queues(states)
+        self._update_queues()
         self._spawn_due()
         self.t = t + dt
 
     def _accrue_energy(self, fleet: list[Vehicle], new_speeds: list[float]) -> None:
         """Book each vehicle's step, from its speed now to its new speed, on
-        the segment it is on; runs before either changes."""
+        the segment it is on; runs before either changes.  A step at rest
+        is skipped: it books exactly +0.0 J, which changes no total."""
         energy = step_energy
         dt = self.cfg.dt_s
         grades = [seg.grade for seg in self.cfg.segments]
         for v, sp in zip(fleet, new_speeds):
-            seg_idx = v.seg
-            v.energy_j[seg_idx] += energy(v.speed, sp, dt, grades[seg_idx] * sp * dt)
+            if sp or v.speed:
+                seg_idx = v.seg
+                v.energy_j[seg_idx] += energy(v.speed, sp, dt, grades[seg_idx] * sp * dt)
 
-    def _update_queues(self, states: list[SignalState]) -> None:
+    def _update_queues(self) -> None:
         """Queue bookkeeping: join when stopped at the line or the lane's
         queue tail, leave when rolling with the discharge wave.  A crossing
         clears ``queued``, so a vehicle that crossed or left the corridor
@@ -780,8 +783,6 @@ class World:
                     light.table.release(v.vin)
                     counts[seg_idx] += 1
                     tail = v.pos - length
-                    if not states[seg_idx].approach_green:
-                        light.red_joins += 1
         for light, n in zip(lights, counts):
             light.queue_len = n
 

@@ -105,6 +105,15 @@ def test_step_energy_zero_everything():
     assert STEP(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
+def test_a_step_at_rest_books_positive_zero_on_any_grade():
+    # The engine skips a step from 0.0 to 0.0 m/s on this fact: adding +0.0
+    # leaves every total as it is.  The rise of a descent is -0.0, and it
+    # must not leave a -0.0.
+    for grade in (0.01, -0.01, 0.0):
+        for dt in (0.05, 0.1, 0.2):
+            assert repr(STEP(0.0, 0.0, dt, grade * 0.0 * dt)) == "0.0", (grade, dt)
+
+
 def test_step_energy_sign_split():
     # Climbing while speeding up costs; descending while braking returns
     # energy, the losses of the step notwithstanding.

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import random
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -8,7 +11,10 @@ from coopspeed.signals import SignalConfig
 from coopspeed.sim import (
     KMH,
     MOVING_SPEED,
+    STANDSTILL_GAP_M,
+    STOP_SPEED,
     TECHNIQUES,
+    TIME_GAP_S,
     InitialVehicle,
     IntersectionMetrics,
     MetricsReport,
@@ -366,7 +372,7 @@ def test_lane_groups_stay_sorted_when_both_lanes_change():
     fleet = list(world.vehicles.values())
     leaders = world._leaders(lanes)
     caps = world._caps(lanes)
-    assert world._lane_changes(fleet, lanes, leaders, caps)
+    assert world._lane_changes(fleet, leaders, caps)
     assert [[v.vin for v in lanes[(0, lane)]] for lane in (0, 1)] == [[2, 3], [1, 4]]
     for group in lanes.values():
         assert [v.pos for v in group] == sorted(v.pos for v in group)
@@ -386,8 +392,144 @@ def test_a_move_gives_the_vehicle_behind_a_new_leader_in_the_same_step():
 def test_no_move_reports_nothing_moved():
     world = _lane_world((0, 0, 100.0, 10.0), (0, 1, 300.0, 10.0))
     lanes = world._by_lane()
-    assert not world._lane_changes(list(world.vehicles.values()), lanes,
-                                   world._leaders(lanes), world._caps(lanes))
+    assert not world._lane_changes(list(world.vehicles.values()), world._leaders(lanes),
+                                   world._caps(lanes))
+
+
+# -- lane changes against a reference copy ------------------------------------
+# The lane changes as they stood before the trial-leader cap test was
+# written out in the loop: ``_plan_cap`` (copied here too) is called for
+# every trial leader, and every segment constant is read per vehicle.
+# ``seen`` counts the branches taken.
+
+_by_pos = attrgetter("pos")
+
+
+def _ref_plan_cap(world, v, leader, seg):
+    if leader is None:
+        return seg.v_max
+    gap = leader.pos - world.cfg.vehicle_length_m - v.pos
+    safe = max(0.0, (gap - STANDSTILL_GAP_M) / TIME_GAP_S)
+    return max(seg.v_min, min(seg.v_max, max(leader.speed, safe)))
+
+
+def reference_lane_changes(world, fleet, lanes, leaders, caps, seen):
+    cfg = world.cfg
+    length = cfg.vehicle_length_m
+    moved = False
+    for v in fleet:
+        if v.queued or v.speed < STOP_SPEED:
+            continue
+        seg = cfg.segments[v.seg]
+        if seg.length_m - v.pos < 30.0:
+            continue
+        group = lanes[(v.seg, v.lane)]
+        if moved:
+            i = bisect_right(group, v.pos, key=_by_pos)
+            lead = group[i] if i < len(group) else None
+            if lead is leaders.get(v.vin):
+                cap_here = caps[v.vin]
+            else:
+                cap_here = _ref_plan_cap(world, v, lead, seg)
+                seen["new_leader"] += 1
+        else:
+            cap_here = caps[v.vin]
+        if cap_here >= seg.v_max - 0.3:
+            continue
+        for other_lane in range(seg.lanes):
+            if other_lane == v.lane:
+                continue
+            other = lanes[(v.seg, other_lane)]
+            i = bisect_left(other, v.pos, key=_by_pos)
+            new_lead = other[i] if i < len(other) else None
+            trial_cap = _ref_plan_cap(world, v, new_lead, seg)
+            seen["cap_tie"] += trial_cap == cap_here + 0.5
+            if trial_cap <= cap_here + 0.5:
+                seen["cap"] += 1
+                continue
+            if new_lead is None:
+                seen["free_lane"] += 1
+            elif new_lead.pos - length - v.pos < TIME_GAP_S * max(v.speed, 1.0):
+                seen["front_gap"] += 1
+                continue
+            if i:
+                fastest = max(map(attrgetter("speed"), other[:i]))
+                if v.pos - length - other[i - 1].pos < TIME_GAP_S * max(fastest, 1.0):
+                    seen["rear_gap"] += 1
+                    continue
+            group.remove(v)
+            v.lane = other_lane
+            insort(other, v, key=_by_pos)
+            moved = True
+            seen["moved"] += 1
+            break
+    return moved
+
+
+def _random_lane_state(rng):
+    """A config with densely placed vehicles on a 2- or 3-lane corridor of
+    one or two short segments, and the vins to flag as queued.  Half the
+    states put positions, speeds and limits on a coarse grid, so that the
+    tests' comparisons meet ties."""
+    grid = rng.random() < 0.5
+
+    def draw(lo, hi, step):
+        x = rng.uniform(lo, hi)
+        return round(x / step) * step if grid else x
+
+    lanes = rng.choice((2, 3))
+    segments = []
+    for _ in range(rng.randint(1, 2)):
+        v_max = draw(20.0 * KMH, 80.0 * KMH, 0.5)
+        segments.append(SegmentConfig(length_m=draw(100.0, 300.0, 10.0), lanes=lanes,
+                                      v_min=min(v_max, draw(0.0, 20.0 * KMH, 0.5)),
+                                      v_max=v_max))
+    placed = []
+    for seg_idx, seg in enumerate(segments):
+        for lane in range(lanes):
+            pos = draw(0.0, 20.0, 0.5)
+            while pos < seg.length_m and len(placed) < 40:
+                speed = rng.choice((0.0, draw(0.0, 2.0 * STOP_SPEED, 0.05),
+                                    draw(0.0, seg.v_max, 0.25), draw(0.0, seg.v_max, 0.25),
+                                    draw(0.5 * seg.v_max, 1.2 * seg.v_max, 0.25)))
+                placed.append(InitialVehicle(seg_idx, lane, pos, speed))
+                pos += 5.0 + rng.choice((draw(0.0, 4.0, 0.5), draw(0.0, 20.0, 0.5),
+                                         draw(0.0, 80.0, 0.5)))
+    cfg = SimConfig(duration_s=0.0, technique="fixed", arrival_rate_veh_s=0.0,
+                    activation_distance_m=min(s.length_m for s in segments),
+                    segments=tuple(segments), initial_vehicles=tuple(placed))
+    queued = {k + 1 for k in range(len(placed)) if rng.random() < 0.1}
+    return cfg, queued
+
+
+def _lane_change_outcome(cfg, queued, lane_changes):
+    """Run ``lane_changes(world, fleet, lanes, leaders, caps)`` on a fresh
+    world of ``cfg`` at the start of its first step; returns the result,
+    every vehicle's lane and every lane group's vins in order."""
+    world = World(cfg)
+    for vin in queued:
+        world.vehicles[vin].queued = True
+    lanes = world._by_lane()
+    fleet = list(world.vehicles.values())
+    moved = lane_changes(world, fleet, lanes, world._leaders(lanes), world._caps(lanes))
+    return (moved, [v.lane for v in fleet],
+            {key: [v.vin for v in group] for key, group in lanes.items()})
+
+
+def test_lane_changes_decide_as_the_reference_copy():
+    rng = random.Random(21)
+    seen = Counter()
+    for _ in range(2000):
+        cfg, queued = _random_lane_state(rng)
+        expected = _lane_change_outcome(
+            cfg, queued, lambda world, *args: reference_lane_changes(world, *args, seen))
+        got = _lane_change_outcome(
+            cfg, queued, lambda world, fleet, lanes, *args: world._lane_changes(fleet, *args))
+        assert got == expected, cfg
+    # Moves, moves after which a later vehicle has a new own-lane leader,
+    # and rejections by each test, ties of the cap test among them.
+    assert min(seen[k] for k in ("moved", "new_leader", "cap", "front_gap", "rear_gap",
+                                 "free_lane", "cap_tie")) >= 100, seen
 
 
 # -- configuration and spawning -------------------------------------------------
