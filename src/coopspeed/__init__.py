@@ -1,30 +1,7 @@
 """Cooperative speed optimization and time-token allocation for signalized corridors."""
 
-from .energy import step_energy
-from .games import (
-    ConflictResult,
-    CreditLedger,
-    Mode,
-    PairOutcome,
-    play_pair,
-    resolve_conflict,
-)
-from .planner import Objective, PlanResult, density_speed, plan, plan_to_window
-from .signals import (
-    SignalConfig,
-    SignalState,
-    departures_per_green,
-    queue_clear_time,
-    state_at,
-)
-from .tokens import (
-    Approacher,
-    TokenTable,
-    allocation_round,
-    arrival_window,
-    arrival_windows,
-    detect_conflicts,
-    request_tti,
-)
+from .sim import (TECHNIQUES, InitialVehicle, MetricsReport, SegmentConfig, SignalConfig,
+                  SimConfig, run)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["SimConfig", "SegmentConfig", "SignalConfig", "InitialVehicle", "MetricsReport",
+           "TECHNIQUES", "run"]

@@ -23,6 +23,9 @@ class SignalConfig:
     departure_rate: float = 0.333  # mu, veh/s
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.green_s, self.red_s, self.all_red_gap_s,
+                                       self.offset_s, self.departure_rate))):
+            raise ValueError("signal timings and departure rate must be finite")
         if self.green_s <= 0 or self.red_s <= 0:
             raise ValueError("green_s and red_s must be positive")
         if self.departure_rate <= 0:

@@ -87,6 +87,8 @@ class SegmentConfig:
     signal: SignalConfig = field(default_factory=SignalConfig)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.length_m, self.v_min, self.v_max, self.grade))):
+            raise ValueError("segment length, speed band and grade must be finite")
         if self.length_m <= 0:
             raise ValueError("segment length must be positive")
         if self.lanes < 2:
@@ -124,6 +126,9 @@ class SimConfig:
     scripted_arrivals: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.duration_s, self.dt_s, self.activation_distance_m,
+                                       self.vehicle_length_m))):
+            raise ValueError("duration, dt, activation distance and vehicle length must be finite")
         if self.dt_s <= 0:
             raise ValueError("dt must be positive")
         if self.dt_s >= REACTION_TIME_S:
@@ -174,8 +179,8 @@ class SimConfig:
                 raise ValueError(f"initial vehicle in lane {iv.lane} of a {seg.lanes}-lane segment")
             if not 0 <= iv.pos < seg.length_m:
                 raise ValueError(f"initial vehicle position {iv.pos} outside [0, {seg.length_m})")
-            if iv.speed < 0:
-                raise ValueError("initial vehicle speed must be non-negative")
+            if not 0 <= iv.speed < math.inf:
+                raise ValueError("initial vehicle speed must be finite and non-negative")
             lanes.setdefault((iv.seg, iv.lane), []).append(iv.pos)
         for (seg_idx, lane), positions in lanes.items():
             positions.sort()
@@ -222,7 +227,8 @@ class Vehicle:
 
 
 class LightAgent:
-    """Per-intersection runtime: token table, queue length, crossing gate.
+    """Per-intersection runtime: token table, queue length, and the time
+    of the last crossing, which the crossing gate's headway test reads.
 
     The queue itself is the set of the segment's vehicles flagged
     ``queued``; the light keeps only their count."""
@@ -235,9 +241,6 @@ class LightAgent:
                                 cycle_id=-(10**9))
         self.queue_len = 0
         self.last_cross_t = -math.inf
-        self.was_crossable = False
-        self.green_crossings = 0
-        self.green_crossing_history: list[int] = []
 
     def epoch_of(self, t: float) -> int:
         """Allocation epoch: opens at a red start, ends with its green."""
@@ -299,8 +302,7 @@ class World:
         self.lights = [LightAgent(i, s) for i, s in enumerate(cfg.segments)]
         self.vehicles: dict[int, Vehicle] = {}
         self.ledger = CreditLedger()
-        self.next_vin = 1
-        self.spawned = 0
+        self.spawned = 0  # also the last vin handed out
         self.completed = 0
         base = cfg.seed
         self.rng_arrivals = random.Random(base * 6 + 0)
@@ -343,12 +345,11 @@ class World:
         return Mode.RUSH
 
     def _place(self, seg: int, lane: int, pos: float, speed: float, mode: Mode) -> None:
+        self.spawned += 1
         v = Vehicle(
-            vin=self.next_vin, mode=mode, seg=seg, lane=lane, pos=pos, speed=speed,
+            vin=self.spawned, mode=mode, seg=seg, lane=lane, pos=pos, speed=speed,
             n_segments=len(self.cfg.segments), spawned_at=self.t,
         )
-        self.next_vin += 1
-        self.spawned += 1
         self.vehicles[v.vin] = v
         insort(self._lanes[(seg, lane)], v, key=_pos)
 
@@ -437,13 +438,6 @@ class World:
             epoch = light.epoch_of(t)
             if epoch != light.table.cycle_id:
                 light.table.clear(epoch)
-
-            crossable = state.crossable
-            if crossable and not light.was_crossable:
-                light.green_crossings = 0
-            if not crossable and light.was_crossable:
-                light.green_crossing_history.append(light.green_crossings)
-            light.was_crossable = crossable
         return states
 
     def _by_lane(self) -> dict[tuple[int, int], list[Vehicle]]:
@@ -715,7 +709,6 @@ class World:
                     v.speed = 0.0
                     continue
                 light.last_cross_t = crossed_at
-                light.green_crossings += 1
                 light.table.release(v.vin)
                 v.queued = False
                 lanes[(seg_idx, v.lane)].remove(v)

@@ -9,11 +9,12 @@ first slot whose arrival window holds its projected arrival.
 The table is keyed by vehicle: each vehicle claims at most one slot, and
 a new claim moves its old one.  A claim is the vehicle's token; there is
 no other record of it.  Two vehicles can still claim one slot when their
-requests land on it in the same round; those are the conflicts the
-precedence games settle.  After ``allocation_round`` every slot has at
-most one claimant.  ``arrival_window`` is the one mapping from a slot to
-the arrival times that meet it.  A round returns the window of the slot
-each vehicle is left holding, and the planner aims at that window.
+requests land on it in the same round.  The round finds those conflicts
+in its count of claimants per slot, and the precedence games settle
+them.  After ``allocation_round`` every slot has at most one claimant.
+``arrival_window`` is the one mapping from a slot to the arrival times
+that meet it.  A round returns the window of the slot each vehicle is
+left holding, and the planner aims at that window.
 
 A round's participants are the light's approaching vehicles that hold a
 claim or submit a request (``request_tti`` is not None).  Any other
@@ -24,7 +25,7 @@ so the engine leaves it out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .games import CreditLedger, Mode, resolve_conflict
 from .planner import speed_band
@@ -68,14 +69,6 @@ class TokenTable:
         """Start a fresh cycle; all outstanding tokens expire."""
         self.cycle_id = cycle_id
         self._slot_of.clear()
-
-
-def detect_conflicts(requests: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    """Group request (vin, tau) pairs by token; keep groups of two or more."""
-    by_tau: dict[int, list[int]] = {}
-    for vin, tau in requests:
-        by_tau.setdefault(tau, []).append(vin)
-    return {tau: sorted(vins) for tau, vins in sorted(by_tau.items()) if len(vins) > 1}
 
 
 def arrival_window(tau: int, mu: float, state: SignalState) -> tuple[float, float]:
@@ -241,9 +234,11 @@ def allocation_round(
 
     The round skips what cannot change a decision.  It counts slot
     occupancy once and keeps the count up to date with every claim and
-    release.  It computes each slot's arrival window once, stops a
-    claimant's upgrade scan at the claimant's own slot, and plays the
-    games only when some slot has two claimants.
+    release.  It computes each slot's arrival window once and stops a
+    claimant's upgrade scan at the claimant's own slot.  The count also
+    names the contested slots, which the games settle in ascending slot
+    order.  A loser moves only to a slot nobody claims, so it never joins
+    a contested slot still to be settled.
     """
     if not vehicles:
         return {}
@@ -275,18 +270,19 @@ def allocation_round(
             table.claim(slot, vin)
             live[slot] += 1
 
+    slot_of = table.slot_of
     if max(live) > 1:
         by_vin = {e.vin: e for e in vehicles}
-        for tau, group in detect_conflicts(table.requests()).items():
-            modes = {vin: by_vin[vin].mode for vin in group}
-            result = resolve_conflict(group, modes, ledger, rng, tl_rng)
+        for tau in range(first, end):
+            if live[tau] < 2:
+                continue
+            modes = {e.vin: e.mode for e in vehicles if slot_of(e.vin) == tau}
+            result = resolve_conflict(list(modes), modes, ledger, rng, tl_rng)
             for vin in result.losers:
                 table.release(vin)
                 live[tau] -= 1
-                alt = _first_free_reachable(by_vin[vin], windows, v_min, live,
-                                            max(tau, first), end)
+                alt = _first_free_reachable(by_vin[vin], windows, v_min, live, tau, end)
                 if alt is not None:
                     table.claim(alt, vin)
                     live[alt] += 1
-    slot_of = table.slot_of
     return {e.vin: windows[slot] for e in vehicles if (slot := slot_of(e.vin)) is not None}

@@ -183,19 +183,35 @@ def test_lone_vehicle_trip_converges_in_dt(technique):
     assert len(set(stops)) == 1, trips
 
 
-@pytest.mark.parametrize("technique", ["csof", "ncso", "fixed"])
+@pytest.mark.parametrize("technique", TECHNIQUES)
 def test_queue_discharge_never_exceeds_departures_per_green(technique):
-    # 1800 veh/h saturates the first lights: no green may let more
-    # vehicles cross than the service rate allows in it.
+    # 1800 veh/h saturates the first lights.  Crossings are watched from
+    # outside, by the segment each vehicle is on before and after a step.
+    # A crossing falls in the crossable part of the cycle, comes at least
+    # 1/mu after the light's previous one, and no green lets more vehicles
+    # cross than the light's table has slots.
     cfg = SimConfig(duration_s=300.0, technique=technique, arrival_rate_veh_s=0.5, seed=1)
     world = World(cfg)
-    world.run()
-    for light in world.lights:
-        assert light.green_crossing_history, light.idx
-        n_dep = light.table.n_dep
-        assert max(light.green_crossing_history) <= n_dep, (light.idx, n_dep)
-    first = world.lights[0]
-    assert max(first.green_crossing_history) >= first.table.n_dep - 1
+    per_green = [Counter() for _ in world.lights]  # cycle number -> crossings
+    last_cross = [-math.inf] * len(world.lights)
+    for _ in range(round(cfg.duration_s / cfg.dt_s)):
+        t = world.t
+        seg_of = {vin: v.seg for vin, v in world.vehicles.items()}
+        world.step()
+        for vin, seg in seg_of.items():
+            v = world.vehicles.get(vin)
+            if v is not None and v.seg == seg:
+                continue
+            sig = cfg.segments[seg].signal
+            cycle, into = divmod(t - sig.offset_s, sig.cycle_s)
+            assert into < sig.green_s - sig.all_red_gap_s, (seg, t)
+            assert t - last_cross[seg] >= 1.0 / sig.departure_rate - 1e-6, (seg, t)
+            last_cross[seg] = t
+            per_green[seg][cycle] += 1
+    for light, counts in zip(world.lights, per_green):
+        assert counts, light.idx
+        assert max(counts.values()) <= light.table.n_dep, (light.idx, counts)
+    assert max(per_green[0].values()) >= world.lights[0].table.n_dep - 1, per_green[0]
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
@@ -600,6 +616,26 @@ def test_arrival_inputs_must_be_finite():
     for arrivals in ((1.0, math.nan, 2.0, 3.0), (math.nan,), (1.0, math.inf), (-math.inf, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(scripted_arrivals=arrivals)
+
+
+@pytest.mark.parametrize("config, name, value", [
+    (SimConfig, "duration_s", math.inf), (SimConfig, "dt_s", math.nan),
+    (SimConfig, "activation_distance_m", math.nan), (SimConfig, "vehicle_length_m", math.inf),
+    (SegmentConfig, "length_m", math.nan), (SegmentConfig, "v_min", math.nan),
+    (SegmentConfig, "v_max", math.inf), (SegmentConfig, "grade", math.nan),
+    (SignalConfig, "green_s", math.inf), (SignalConfig, "red_s", math.nan),
+    (SignalConfig, "all_red_gap_s", math.nan), (SignalConfig, "offset_s", math.nan),
+    (SignalConfig, "departure_rate", math.nan),
+    (InitialVehicle, "speed", math.inf), (InitialVehicle, "speed", math.nan),
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_config_numbers_must_be_finite(config, name, value):
+    # Most of these used to be accepted: a NaN activation distance let
+    # every vehicle plan from anywhere on its segment, and a NaN grade
+    # made every energy figure NaN.
+    with pytest.raises(ValueError, match="finite"):
+        made = config(**{name: value})
+        if config is InitialVehicle:
+            SimConfig(initial_vehicles=(made,))
 
 
 @pytest.mark.parametrize("technique, seed", [("csof", 2), ("ncso", 3), ("fixed", 4)])

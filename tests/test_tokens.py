@@ -15,7 +15,6 @@ from coopspeed.tokens import (
     allocation_round,
     arrival_window,
     arrival_windows,
-    detect_conflicts,
     request_tti,
 )
 
@@ -168,12 +167,6 @@ def test_claim_moves_a_vehicles_earlier_claim():
     table.claim(5, 2)
     assert table.requests() == [(1, 5), (2, 5)]
     assert table.occupancy()[5] == 2
-
-
-def test_detect_conflicts_examples():
-    assert detect_conflicts([(1, 3), (2, 3)]) == {3: [1, 2]}
-    assert detect_conflicts([(1, 3), (2, 4)]) == {}
-    assert detect_conflicts([(1, 5), (2, 5), (3, 5)]) == {5: [1, 2, 3]}
 
 
 def test_release_restores_uniqueness():
@@ -411,6 +404,14 @@ def _ref_arrival_slot(tti, state, mu, n_dep):
     return None
 
 
+def _ref_detect_conflicts(requests):
+    """Group request (vin, tau) pairs by token; keep groups of two or more."""
+    by_tau = {}
+    for vin, tau in requests:
+        by_tau.setdefault(tau, []).append(vin)
+    return {tau: sorted(vins) for tau, vins in sorted(by_tau.items()) if len(vins) > 1}
+
+
 def _ref_first_free_reachable(v, state, table, v_min, occupied, start=1):
     for j in range(max(start, state.queue_len + 1), table.n_dep + 1):
         if j not in occupied and _ref_reachable(j, v, state, table, v_min):
@@ -444,7 +445,9 @@ def reference_round(table, state, v_min, vehicles, ledger, rng, tl_rng, seen):
         if slot is not None:
             table.claim(slot, vin)
     by_vin = {v[0]: v for v in vehicles}
-    for tau, group in detect_conflicts(table.requests()).items():
+    conflicts = _ref_detect_conflicts(table.requests())
+    seen["several_contested"] += len(conflicts) > 1
+    for tau, group in conflicts.items():
         modes = {vin: by_vin[vin][4] for vin in group}
         result = resolve_conflict(group, modes, ledger, rng, tl_rng)
         seen["games"] += 1
@@ -475,18 +478,22 @@ def _random_round(rng):
     )
     n_claims = rng.randint(0, n_dep)
     claims = dict(zip(rng.sample(POOL, n_claims), rng.sample(range(1, n_dep + 1), n_claims)))
-    # Arrivals crowd into the coming green, and a claimant often still
-    # arrives inside its slot, so games and upgrades are common.
+    # Arrivals crowd into the coming green and into two of its free slots,
+    # and a claimant often still arrives inside its slot, so games (on two
+    # slots of one round too) and upgrades are common.
     if green:
         green_arrival = (0.0, state.remaining)
     else:
         green_arrival = (state.remaining, state.remaining + green_s)
+    free = [j for j in range(state.queue_len + 1, n_dep + 1) if j not in claims.values()]
+    hot = [arrival_window(j, mu, state) for j in rng.sample(free, min(2, len(free)))]
     vehicles = []
-    for vin in sorted(rng.sample(POOL, rng.randint(0, 8))):
+    for vin in sorted(rng.sample(POOL, rng.randint(0, 12))):
         cap = rng.uniform(V_MIN, V_MAX)
         speed = rng.choice([0.0, rng.uniform(0.0, cap), rng.uniform(0.0, cap),
                             rng.uniform(0.0, cap), rng.uniform(cap, 1.3 * cap)])
-        arrival = rng.choice([rng.uniform(0.0, 70.0), rng.uniform(*green_arrival)])
+        arrival = rng.choice([rng.uniform(0.0, 70.0), rng.uniform(*green_arrival),
+                              rng.uniform(*rng.choice(hot or [green_arrival]))])
         if vin in claims and claims[vin] > state.queue_len and rng.random() < 0.8:
             lo, hi = arrival_window(claims[vin], mu, state)
             arrival = rng.uniform(lo, max(lo, hi))
@@ -527,9 +534,10 @@ def test_round_decides_as_the_reference_round():
         got = _play(spec, lambda table, state, v_min, vehicles, *rest: allocation_round(
             table, state, v_min, _approachers(vehicles, state), *rest))
         assert got == expected, spec
-    # The random rounds take every branch of the round many times.
+    # The random rounds take every branch of the round many times, and
+    # settle two or more contested slots in one round many times.
     assert min(seen[k] for k in ("released", "upgraded", "fell_back", "games",
-                                 "reassigned")) >= 50, seen
+                                 "reassigned", "several_contested")) >= 50, seen
 
 
 def test_a_vehicle_that_neither_holds_nor_requests_changes_nothing():
