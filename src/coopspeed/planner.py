@@ -83,7 +83,9 @@ def plan_to_window(
     lo, hi = band
     if objective is _MAX_SPEED:
         return hi
-    return min(max(speed, lo), hi)
+    # min(max(speed, lo), hi), written out with the builtins' tie-breaks.
+    s = lo if lo > speed else speed
+    return hi if hi < s else s
 
 
 def plan(
@@ -133,8 +135,10 @@ def plan(
             if s is not None:
                 return PlanResult(s, "green_c1", True, window)
         if cur_tti > r_g + t_r and slot_window is None:
-            # Next-cycle green; no token yet, keep the current speed.
-            s = min(max(speed, v_min), v_max)
+            # Next-cycle green; no token yet, keep the current speed,
+            # clamped to the band as in ``plan_to_window``.
+            s = v_min if v_min > speed else speed
+            s = v_max if v_max < s else s
             return PlanResult(s, "green_c3", True, None)
         window = (r_g + t_r + t_q, r_g + t_r + t_g - margin)
         s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)

@@ -38,7 +38,7 @@ class SignalConfig:
         return self.green_s + self.red_s
 
 
-@dataclass
+@dataclass(slots=True)
 class SignalState:
     """Signal as seen from the approach at one instant.
 

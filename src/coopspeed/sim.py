@@ -16,13 +16,14 @@ Three techniques share identical road physics:
   table, no games, no exclusivity);
 * ``fixed`` -- no speed optimization; cruise and react.
 
-Each step, every light runs one round over the unqueued vehicles within
-activation distance that hold a claim or submit a request:
-``tokens.allocation_round`` against its token table for ``csof``,
-``tokens.arrival_windows`` for ``ncso``.  The round returns the arrival
-window of the slot each vehicle is left holding, and the planner aims at
-that window.  Under ``csof`` a vehicle's token is its claim in the
-light's table, released when the vehicle crosses or joins the queue.
+Each step, every light with a participant runs one round over the
+unqueued vehicles within activation distance that hold a claim or submit
+a request: ``tokens.allocation_round`` against its token table for
+``csof``, ``tokens.arrival_windows`` for ``ncso``.  The round returns
+the arrival window of the slot each vehicle is left holding, and the
+planner aims at that window.  Under ``csof`` a vehicle's token is its
+claim in the light's table, released when the vehicle crosses or joins
+the queue.
 Tables live in per-light allocation epochs: an epoch opens at a red
 start and closes when the following green ends, so slots granted during
 red carry into the green they target and everything expires with it.
@@ -91,6 +92,8 @@ class SegmentConfig:
             raise ValueError("segment length, speed band and grade must be finite")
         if self.length_m <= 0:
             raise ValueError("segment length must be positive")
+        if not isinstance(self.lanes, int):
+            raise ValueError("the number of lanes must be an integer")
         if self.lanes < 2:
             raise ValueError("the corridor needs at least two lanes")
         if not 0 <= self.v_min <= self.v_max:
@@ -172,6 +175,10 @@ class SimConfig:
         least a vehicle length from the others in its lane."""
         lanes: dict[tuple[int, int], list[float]] = {}
         for iv in self.initial_vehicles:
+            if not (isinstance(iv.seg, int) and isinstance(iv.lane, int)):
+                # A float index would fail later, in the lane index or in a
+                # lookup, with an unrelated error.
+                raise ValueError("initial vehicle segment and lane must be integers")
             if not 0 <= iv.seg < len(self.segments):
                 raise ValueError(f"initial vehicle on segment {iv.seg}, which does not exist")
             seg = self.segments[iv.seg]
@@ -316,8 +323,18 @@ class World:
         self._sum_idle = [0.0] * n
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
-        # Speed of a vehicle entering or cruising on each segment.
+        # Per segment, fixed for the run: the speed of a vehicle entering or
+        # cruising on it, the stop-line position, the distance to the line
+        # within which the line may bind, and the grade.
         self._cruise = [min(ENTRY_SPEED, seg.v_max) for seg in cfg.segments]
+        self._line_at = [seg.length_m for seg in cfg.segments]
+        self._line_zone = [TIME_GAP_S * seg.v_max + 5.0 for seg in cfg.segments]
+        self._grades = [seg.grade for seg in cfg.segments]
+        # The energy of a step that starts and ends at the cruise speed: the
+        # float a ``step_energy`` call for that step gives.
+        dt = cfg.dt_s
+        self._cruise_step_j = [step_energy(c, c, dt, grade * c * dt)
+                               for c, grade in zip(self._cruise, self._grades)]
         # The lane index: every (segment, lane) group, in ascending pos, kept
         # across steps.  Vehicles never overlap, so order within a lane only
         # changes where a vehicle enters or leaves it.
@@ -384,10 +401,11 @@ class World:
         """Run each light's allocation round over its approaching vehicles
         that hold or request a slot; returns ``vin -> arrival window`` for
         every vehicle left holding a slot.  A vehicle that does neither
-        cannot change the round, so it is left out."""
+        cannot change the round, so it is left out, and a light with no
+        participant runs no round: it would return nothing."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
-        lengths = [seg.length_m for seg in cfg.segments]
+        lengths = self._line_at
         holds = [light.table.slot_of for light in self.lights]
         per_light: list[list[Approacher]] = [[] for _ in self.lights]
         for v in fleet:
@@ -405,6 +423,8 @@ class World:
         cooperative = cfg.technique == "csof"
         windows: dict[int, tuple[float, float]] = {}
         for light, state, entries in zip(self.lights, states, per_light):
+            if not entries:
+                continue
             if cooperative:
                 windows.update(allocation_round(light.table, state, cfg.segments[light.idx].v_min,
                                                 entries, self.ledger, self.rng_games, self.rng_tl))
@@ -636,8 +656,7 @@ class World:
         reaction = REACTION_TIME_S
         # Per segment: stop-line position, the distance to it within which
         # the line may bind, and the density cap.
-        zones = [(seg.length_m, time_gap * seg.v_max + 5.0, cap)
-                 for seg, cap in zip(segments, density_cap)]
+        zones = list(zip(self._line_at, self._line_zone, density_cap))
         lights = self.lights
         gate_open = self._gate_open
         leader_of = leaders.get
@@ -731,14 +750,21 @@ class World:
     def _accrue_energy(self, fleet: list[Vehicle], new_speeds: list[float]) -> None:
         """Book each vehicle's step, from its speed now to its new speed, on
         the segment it is on; runs before either changes.  A step at rest
-        is skipped: it books exactly +0.0 J, which changes no total."""
+        is skipped: it books exactly +0.0 J, which changes no total.  A step
+        at the segment's cruise speed throughout books the segment's
+        constant for it, the float ``step_energy`` gives for that step."""
         energy = step_energy
         dt = self.cfg.dt_s
-        grades = [seg.grade for seg in self.cfg.segments]
+        grades = self._grades
+        cruise = self._cruise
+        cruise_step_j = self._cruise_step_j
         for v, sp in zip(fleet, new_speeds):
             if sp or v.speed:
                 seg_idx = v.seg
-                v.energy_j[seg_idx] += energy(v.speed, sp, dt, grades[seg_idx] * sp * dt)
+                if sp == v.speed == cruise[seg_idx]:
+                    v.energy_j[seg_idx] += cruise_step_j[seg_idx]
+                else:
+                    v.energy_j[seg_idx] += energy(v.speed, sp, dt, grades[seg_idx] * sp * dt)
 
     def _update_queues(self) -> None:
         """Queue bookkeeping: join when stopped at the line or the lane's

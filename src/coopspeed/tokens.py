@@ -187,15 +187,28 @@ def arrival_windows(vehicles: Sequence[Approacher], state: SignalState, mu: floa
     whose arrival falls in a slot's arrival window.
 
     The non-cooperative round: every vehicle takes its own arrival slot
-    and assumes it free, with no table and no games.
+    and assumes it free, with no table and no games.  It gives what
+    ``_arrival_slot`` over ``_slot_windows`` gives, but builds a window
+    only when a lookup reaches it.  A lookup stops at the first window
+    that opens after the arrival: window starts never decrease in slot
+    order, so no later window holds it.
     """
-    if not vehicles:
-        return {}
-    windows = _slot_windows(mu, n_dep, state)
+    slots = range(state.queue_len + 1, n_dep + 1)
+    built: list[tuple[float, float]] = []  # windows of ``slots``, built so far
     out: dict[int, tuple[float, float]] = {}
     for e in vehicles:
-        if e.tti is not None and (slot := _arrival_slot(e.tti, windows)) is not None:
-            out[e.vin] = windows[slot]
+        tti = e.tti
+        if tti is None:
+            continue
+        for k, j in enumerate(slots):
+            if k == len(built):
+                built.append(arrival_window(j, mu, state))
+            window = built[k]
+            if window[0] > tti:
+                break
+            if tti <= window[1]:
+                out[e.vin] = window
+                break
     return out
 
 

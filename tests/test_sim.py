@@ -7,8 +7,10 @@ from operator import attrgetter
 
 import pytest
 
+from coopspeed.energy import step_energy
 from coopspeed.signals import SignalConfig
 from coopspeed.sim import (
+    ENTRY_SPEED,
     KMH,
     MOVING_SPEED,
     STANDSTILL_GAP_M,
@@ -636,6 +638,45 @@ def test_config_numbers_must_be_finite(config, name, value):
         made = config(**{name: value})
         if config is InitialVehicle:
             SimConfig(initial_vehicles=(made,))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SimConfig(initial_vehicles=(InitialVehicle(lane=0.5),)),
+    lambda: SimConfig(initial_vehicles=(InitialVehicle(lane=1.0),)),
+    lambda: SimConfig(initial_vehicles=(InitialVehicle(seg=0.0),)),
+    lambda: SegmentConfig(lanes=2.5),
+    lambda: SegmentConfig(lanes=3.0),
+], ids=["lane-0.5", "lane-1.0", "seg-0.0", "lanes-2.5", "lanes-3.0"])
+def test_config_indices_must_be_integers(make):
+    # These used to fail later with an unrelated error (a KeyError in the
+    # lane index, a TypeError from an index or from ``range``), or, for a
+    # whole float, to be accepted until something indexed a list with it.
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
+@pytest.mark.parametrize("grade", [0.01, -0.01])
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+def test_a_cruising_step_books_what_step_energy_gives(grade, dt):
+    # A lone vehicle at the cruise speed keeps it until it comes within
+    # the activation distance of the line; each of those steps books the
+    # segment's cruise-step constant, which must be the same float as the
+    # step's own ``step_energy`` call: the running totals match by ``repr``
+    # after every step.
+    segment = SegmentConfig(grade=grade)
+    cruise = min(ENTRY_SPEED, segment.v_max)
+    world = World(SimConfig(dt_s=dt, segments=(segment,),
+                            initial_vehicles=(InitialVehicle(speed=cruise),)))
+    v = world.vehicles[1]
+    expected = 0.0
+    steps = 0
+    while segment.length_m - v.pos > world.cfg.activation_distance_m:
+        world.step()
+        expected += step_energy(cruise, cruise, dt, grade * cruise * dt)
+        steps += 1
+        assert v.speed == cruise
+        assert repr(v.energy_j[0]) == repr(expected), steps
+    assert steps > 100
 
 
 @pytest.mark.parametrize("technique, seed", [("csof", 2), ("ncso", 3), ("fixed", 4)])

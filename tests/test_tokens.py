@@ -312,6 +312,47 @@ def test_non_cooperative_round_assumes_every_slot_free():
     assert arrival_windows(vehicles, state, MU, 8) == {1: window, 2: window}
 
 
+def test_arrival_windows_match_the_full_window_list():
+    # The non-cooperative round builds windows only as far as a lookup
+    # needs and stops at the first window that opens after the arrival.
+    # It must name what the first holding window of the whole list names,
+    # in green and in red, behind queues longer than the green serves,
+    # and for arrivals placed exactly on window edges.
+    rng = random.Random(18)
+    seen = Counter()
+    for _ in range(3000):
+        mu = rng.choice([MU, rng.uniform(0.2, 0.6)])
+        n_dep = rng.randint(1, 10)
+        green_s, red_s = rng.uniform(6.0, 40.0), rng.uniform(10.0, 50.0)
+        green = rng.random() < 0.5
+        state = SignalState(
+            approach_green=green, crossable=green,
+            remaining=rng.uniform(0.05, green_s if green else red_s),
+            green_s=green_s, red_s=red_s, queue_len=rng.randint(0, n_dep + 2),
+            green_end_margin_s=rng.choice([0.0, rng.uniform(0.0, 3.0)]),
+        )
+        windows = _slot_windows(mu, n_dep, state)
+        edges = [edge for window in windows if window is not None for edge in window]
+        vehicles = []
+        for vin in range(rng.randint(0, 8)):
+            draws = [None, rng.uniform(0.0, 70.0), rng.uniform(0.0, 70.0)]
+            if edges:
+                draws += [rng.choice(edges)] * 2
+            tti = rng.choice(draws)
+            vehicles.append(Approacher(vin, 100.0, V_MAX, Mode.NORMAL, tti))
+        expected = {}
+        for e in vehicles:
+            slot = None if e.tti is None else _arrival_slot(e.tti, windows)
+            if slot is not None:
+                expected[e.vin] = windows[slot]
+                seen["on a window start" if e.tti == windows[slot][0] else "found"] += 1
+            seen["no request" if e.tti is None else "edge" if e.tti in edges else "drawn"] += 1
+        assert arrival_windows(vehicles, state, mu, n_dep) == expected
+        seen["green" if green else "red"] += 1
+        seen["queue beyond the green" if state.queue_len >= n_dep else "slots offered"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_windows_tile_without_gap_or_overlap():
     rng = random.Random(11)
     for _ in range(50):
