@@ -1,13 +1,15 @@
-"""Eight configs of ``tools/report_digest.py`` still give their recorded
+"""Eleven configs of ``tools/report_digest.py`` still give their recorded
 reports.
 
-The 300 s graded runs (+1 %, -1 % and flat segments) and coarse-step runs
-(dt 0.2 s) of every technique take about two seconds together, the
-benchmark's saturated ``fixed`` input (``bench-fixed_sat-1``, where lane
-changes and steps at rest dominate) about 2.5 s more, and one of its
-light-traffic ``ncso`` inputs (``bench-ncso_light-14``, where the
-non-cooperative round and cruising steps weigh most) about 1 s, so
-report drift on them shows in the tier-1 tests.  The full set, with the
+The 300 s graded runs (+1 %, -1 % and flat segments), coarse-step runs
+(dt 0.2 s) and mixed-corridor runs (segments that differ in length, speed
+band, grade and signal timing) of every technique take about three
+seconds together, the benchmark's saturated ``fixed`` input
+(``bench-fixed_sat-1``, where lane changes and steps at rest dominate)
+about 2.5 s more, and one of its light-traffic ``ncso`` inputs
+(``bench-ncso_light-14``, where the non-cooperative round and cruising
+steps weigh most) about 1 s, so report drift on them shows in the tier-1
+tests.  The full set, with the
 other benchmark and longer runs, is ``python3 tools/report_digest.py
 --check tools/report_digests.txt``.
 """
@@ -32,7 +34,7 @@ def _recorded_configs():
         import report_digest
 
         configs = [(name, cfg) for name, cfg in report_digest.configs()
-                   if name.startswith(("graded-", "dt0.2-"))
+                   if name.startswith(("graded-", "dt0.2-", "mixed-"))
                    or name in ("bench-fixed_sat-1", "bench-ncso_light-14")]
     finally:
         sys.dont_write_bytecode = dont_write
@@ -45,9 +47,9 @@ def _recorded_configs():
 DIGEST, CONFIGS = _recorded_configs()
 
 
-def test_the_eight_tier1_configs_are_checked():
+def test_the_eleven_tier1_configs_are_checked():
     assert sorted(name for name, _, _ in CONFIGS) == sorted(
-        [f"{kind}-{technique}" for kind in ("graded", "dt0.2")
+        [f"{kind}-{technique}" for kind in ("graded", "dt0.2", "mixed")
          for technique in ("csof", "ncso", "fixed")]
         + ["bench-fixed_sat-1", "bench-ncso_light-14"])
 

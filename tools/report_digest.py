@@ -16,7 +16,11 @@ the file, or is missing from either side.  The configs:
 * 300 s at dt 0.2 s, seed 2, for every technique;
 * the ``csof_peak`` input at seeds 2 and 3, and 600 s at 900 veh/h on a
   three-lane corridor, seed 2, for ``csof`` and ``ncso``: runs that play
-  games, move holders up and reassign losers.
+  games, move holders up and reassign losers;
+* 300 s at 600 veh/h on a mixed corridor, seed 2, for every technique:
+  segments of 700, 1000 and 600 m with different speed bands, grades and
+  signal timings, so a phase that reads one segment's facts for another
+  light changes a report.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from coopspeed.sim import TECHNIQUES, SegmentConfig, SimConfig, run  # noqa: E402
+from coopspeed.signals import SignalConfig  # noqa: E402
+from coopspeed.sim import KMH, TECHNIQUES, SegmentConfig, SimConfig, run  # noqa: E402
 
 ARRIVAL_RATE = 600.0 / 3600.0  # veh/s: 600 veh/h
 
@@ -74,6 +79,19 @@ def configs() -> list[tuple[str, SimConfig]]:
         out.append((f"3lane-{technique}", SimConfig(
             duration_s=600.0, seed=2, technique=technique,
             arrival_rate_veh_s=900.0 / 3600.0, segments=three_lanes)))
+    mixed = (
+        SegmentConfig(length_m=700.0, grade=0.01),
+        SegmentConfig(length_m=1000.0, v_min=5 * KMH, v_max=40 * KMH,
+                      signal=SignalConfig(green_s=30.0, red_s=30.0, offset_s=12.0,
+                                          departure_rate=0.4)),
+        SegmentConfig(length_m=600.0, v_max=70 * KMH, grade=-0.01,
+                      signal=SignalConfig(green_s=20.0, red_s=40.0, all_red_gap_s=2.0,
+                                          offset_s=30.0)),
+    )
+    for technique in TECHNIQUES:
+        out.append((f"mixed-{technique}", SimConfig(
+            duration_s=300.0, seed=2, technique=technique, arrival_rate_veh_s=ARRIVAL_RATE,
+            segments=mixed)))
     return out
 
 
