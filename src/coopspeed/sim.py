@@ -96,8 +96,9 @@ class SegmentConfig:
             raise ValueError("the number of lanes must be an integer")
         if self.lanes < 2:
             raise ValueError("the corridor needs at least two lanes")
-        if not 0 <= self.v_min <= self.v_max:
-            raise ValueError("need 0 <= v_min <= v_max")
+        if not 0 <= self.v_min <= self.v_max or self.v_max <= 0:
+            # At v_max = 0 every vehicle enters at rest and never moves.
+            raise ValueError("need 0 <= v_min <= v_max and v_max > 0")
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,10 @@ class SimConfig:
         if not all(map(math.isfinite, (self.duration_s, self.dt_s, self.activation_distance_m,
                                        self.vehicle_length_m))):
             raise ValueError("duration, dt, activation distance and vehicle length must be finite")
+        if not isinstance(self.seed, int):
+            # A float seeds the streams with a float and a string or None
+            # fails in ``World``; the report would repeat the given value.
+            raise ValueError("seed must be an integer")
         if self.dt_s <= 0:
             raise ValueError("dt must be positive")
         if self.dt_s >= REACTION_TIME_S:
@@ -234,13 +239,28 @@ class Vehicle:
 
 
 class LightAgent:
-    """Per-intersection runtime: token table, queue length, and the time
-    of the last crossing, which the crossing gate's headway test reads.
+    """Runtime record of one segment and the light at its end: every phase
+    of ``World.step`` reads the segment's facts here.
 
-    The queue itself is the set of the segment's vehicles flagged
-    ``queued``; the light keeps only their count."""
+    Fixed for the run: ``idx``; the signal timing ``cfg``; the stop-line
+    position ``line_at``; the speed band ``v_min``, ``v_max``; ``cruise``,
+    the speed of a vehicle entering or cruising on the segment;
+    ``line_zone``, the distance to the line within which the line may bind;
+    the ``grade``; ``cruise_step_j``, the float ``step_energy`` gives for a
+    step at ``cruise`` throughout; and ``groups``, the segment's lane lists
+    of ``World._lanes`` themselves, not copies.
 
-    def __init__(self, idx: int, seg_cfg: SegmentConfig) -> None:
+    Changed during the run: ``state``, the light's ``SignalState``, set at
+    the start of each step; the token ``table``, cleared at each allocation
+    epoch; ``last_cross_t``, set at each crossing and read by the gate's
+    headway test; and ``queue_len``, the number of the segment's vehicles
+    flagged ``queued`` (the queue itself), set at the end of each step."""
+
+    __slots__ = ("idx", "cfg", "table", "queue_len", "last_cross_t", "line_at", "v_min",
+                 "v_max", "cruise", "line_zone", "grade", "cruise_step_j", "groups", "state")
+
+    def __init__(self, idx: int, seg_cfg: SegmentConfig, dt: float,
+                 groups: list[list[Vehicle]]) -> None:
         self.idx = idx
         self.cfg = seg_cfg.signal
         self.table = TokenTable(self.cfg.departure_rate,
@@ -248,6 +268,15 @@ class LightAgent:
                                 cycle_id=-(10**9))
         self.queue_len = 0
         self.last_cross_t = -math.inf
+        self.line_at = seg_cfg.length_m
+        self.v_min = seg_cfg.v_min
+        self.v_max = seg_cfg.v_max
+        self.cruise = cruise = min(ENTRY_SPEED, seg_cfg.v_max)
+        self.line_zone = TIME_GAP_S * seg_cfg.v_max + 5.0
+        self.grade = seg_cfg.grade
+        self.cruise_step_j = step_energy(cruise, cruise, dt, seg_cfg.grade * cruise * dt)
+        self.groups = groups
+        self.state: SignalState | None = None
 
     def epoch_of(self, t: float) -> int:
         """Allocation epoch: opens at a red start, ends with its green."""
@@ -306,7 +335,6 @@ class World:
     def __init__(self, cfg: SimConfig) -> None:
         self.cfg = cfg
         self.t = 0.0
-        self.lights = [LightAgent(i, s) for i, s in enumerate(cfg.segments)]
         self.vehicles: dict[int, Vehicle] = {}
         self.ledger = CreditLedger()
         self.spawned = 0  # also the last vin handed out
@@ -323,18 +351,6 @@ class World:
         self._sum_idle = [0.0] * n
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
-        # Per segment, fixed for the run: the speed of a vehicle entering or
-        # cruising on it, the stop-line position, the distance to the line
-        # within which the line may bind, and the grade.
-        self._cruise = [min(ENTRY_SPEED, seg.v_max) for seg in cfg.segments]
-        self._line_at = [seg.length_m for seg in cfg.segments]
-        self._line_zone = [TIME_GAP_S * seg.v_max + 5.0 for seg in cfg.segments]
-        self._grades = [seg.grade for seg in cfg.segments]
-        # The energy of a step that starts and ends at the cruise speed: the
-        # float a ``step_energy`` call for that step gives.
-        dt = cfg.dt_s
-        self._cruise_step_j = [step_energy(c, c, dt, grade * c * dt)
-                               for c, grade in zip(self._cruise, self._grades)]
         # The lane index: every (segment, lane) group, in ascending pos, kept
         # across steps.  Vehicles never overlap, so order within a lane only
         # changes where a vehicle enters or leaves it.
@@ -342,11 +358,9 @@ class World:
             (seg_idx, lane): [] for seg_idx, seg in enumerate(cfg.segments)
             for lane in range(seg.lanes)
         }
-        # What lane changes read per segment, fixed for the run: line position,
-        # keep-lane cap, speed band and the segment's groups of the index.
-        self._weave = [(seg.length_m, seg.v_max - 0.3, seg.v_min, seg.v_max,
-                        [self._lanes[(seg_idx, lane)] for lane in range(seg.lanes)])
-                       for seg_idx, seg in enumerate(cfg.segments)]
+        self.lights = [LightAgent(i, seg, cfg.dt_s,
+                                  [self._lanes[(i, lane)] for lane in range(seg.lanes)])
+                       for i, seg in enumerate(cfg.segments)]
         for iv in cfg.initial_vehicles:
             self._place(iv.seg, iv.lane, iv.pos, iv.speed, Mode.NORMAL)
 
@@ -372,13 +386,11 @@ class World:
 
     def _entry_lane(self) -> int | None:
         """Freest entry lane of segment 0, or None while all are blocked."""
-        cfg = self.cfg
-        lanes = self._lanes
+        length = self.cfg.vehicle_length_m
         best_lane = None
-        best_clear = cfg.vehicle_length_m + STANDSTILL_GAP_M - 1e-9
-        for lane in range(cfg.segments[0].lanes):
-            group = lanes[(0, lane)]
-            rear = group[0].pos - cfg.vehicle_length_m if group else math.inf
+        best_clear = length + STANDSTILL_GAP_M - 1e-9
+        for lane, group in enumerate(self.lights[0].groups):
+            rear = group[0].pos - length if group else math.inf
             if rear > best_clear:
                 best_lane, best_clear = lane, rear
         return best_lane
@@ -392,11 +404,11 @@ class World:
             if lane is None:
                 break
             self._pending_spawns -= 1
-            self._place(0, lane, 0.0, self._cruise[0], self._sample_mode())
+            self._place(0, lane, 0.0, self.lights[0].cruise, self._sample_mode())
 
     # -- token protocol ----------------------------------------------------
 
-    def _maintain_tokens(self, states: list[SignalState], fleet: list[Vehicle],
+    def _maintain_tokens(self, fleet: list[Vehicle],
                          caps: dict[int, float]) -> dict[int, tuple[float, float]]:
         """Run each light's allocation round over its approaching vehicles
         that hold or request a slot; returns ``vin -> arrival window`` for
@@ -405,60 +417,58 @@ class World:
         participant runs no round: it would return nothing."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
-        lengths = self._line_at
-        holds = [light.table.slot_of for light in self.lights]
-        per_light: list[list[Approacher]] = [[] for _ in self.lights]
+        lights = self.lights
+        per_light: list[list[Approacher]] = [[] for _ in lights]
         for v in fleet:
             if v.queued:
                 continue
-            seg_idx = v.seg
-            d = lengths[seg_idx] - v.pos
+            light = lights[v.seg]
+            d = light.line_at - v.pos
             if d > reach:
                 continue
             vin = v.vin
             cap = caps[vin]
-            tti = request_tti(d, v.speed, cap, states[seg_idx])
-            if tti is not None or holds[seg_idx](vin) is not None:
-                per_light[seg_idx].append(Approacher(vin, d, cap, v.mode, tti))
+            tti = request_tti(d, v.speed, cap, light.state)
+            if tti is not None or light.table.slot_of(vin) is not None:
+                per_light[v.seg].append(Approacher(vin, d, cap, v.mode, tti))
         cooperative = cfg.technique == "csof"
         windows: dict[int, tuple[float, float]] = {}
-        for light, state, entries in zip(self.lights, states, per_light):
+        for light, entries in zip(lights, per_light):
             if not entries:
                 continue
             if cooperative:
-                windows.update(allocation_round(light.table, state, cfg.segments[light.idx].v_min,
-                                                entries, self.ledger, self.rng_games, self.rng_tl))
+                windows.update(allocation_round(light.table, light.state, light.v_min, entries,
+                                                self.ledger, self.rng_games, self.rng_tl))
             else:
-                windows.update(arrival_windows(entries, state, light.table.mu, light.table.n_dep))
+                windows.update(arrival_windows(entries, light.state, light.table.mu,
+                                               light.table.n_dep))
         return windows
 
-    def _plan_cap(self, v: Vehicle, leader: Vehicle | None, seg: SegmentConfig) -> float:
+    def _plan_cap(self, v: Vehicle, leader: Vehicle | None, light: LightAgent) -> float:
         """Achievable speed ceiling for planning: the road limit, or what
         the leader ahead allows (its speed, or the gap-safe speed).
 
         Lane changes call this for a vehicle's own leader after a move;
         ``_caps`` and their trial-leader test write out the same arithmetic."""
         if leader is None:
-            return seg.v_max
+            return light.v_max
         gap = leader.pos - self.cfg.vehicle_length_m - v.pos
         safe = max(0.0, (gap - STANDSTILL_GAP_M) / TIME_GAP_S)
-        return max(seg.v_min, min(seg.v_max, max(leader.speed, safe)))
+        return max(light.v_min, min(light.v_max, max(leader.speed, safe)))
 
     # -- main loop ---------------------------------------------------------
 
-    def _signal_phase_bookkeeping(self) -> list[SignalState]:
+    def _signal_phase_bookkeeping(self) -> None:
         t = self.t
-        states: list[SignalState] = []
         for light in self.lights:
             state = state_at(light.cfg, t)
             state.queue_len = light.queue_len
             state.green_end_margin_s = light.cfg.all_red_gap_s + PLAN_MARGIN_S
-            states.append(state)
+            light.state = state
 
             epoch = light.epoch_of(t)
             if epoch != light.table.cycle_id:
                 light.table.clear(epoch)
-        return states
 
     def _by_lane(self) -> dict[tuple[int, int], list[Vehicle]]:
         """The lane index: (seg, lane) -> its vehicles in ascending pos."""
@@ -476,17 +486,16 @@ class World:
         """Planning ceiling of every vehicle, walking each non-empty sorted
         lane group from the front: the road limit for the front vehicle, and
         for each vehicle behind it the cap ``_plan_cap`` gives for its leader."""
-        cfg = self.cfg
-        segments = cfg.segments
-        length = cfg.vehicle_length_m
+        lights = self.lights
+        length = self.cfg.vehicle_length_m
         standstill = STANDSTILL_GAP_M
         time_gap = TIME_GAP_S
         caps: dict[int, float] = {}
         for (seg_idx, _), group in lanes.items():
             if not group:
                 continue
-            seg = segments[seg_idx]
-            v_min, v_max = seg.v_min, seg.v_max
+            light = lights[seg_idx]
+            v_min, v_max = light.v_min, light.v_max
             from_front = reversed(group)
             leader = next(from_front)
             caps[leader.vin] = v_max
@@ -500,25 +509,21 @@ class World:
                 leader = v
         return caps
 
-    def _plan_targets(self, fleet: list[Vehicle], states: list[SignalState],
-                      caps: dict[int, float],
+    def _plan_targets(self, fleet: list[Vehicle], caps: dict[int, float],
                       windows: dict[int, tuple[float, float]]) -> list[float]:
         """Planned speed of each vehicle of ``fleet``, in its order; a
         vehicle in ``windows`` aims at its arrival window there."""
         cfg = self.cfg
         reach = cfg.activation_distance_m
+        lights = self.lights
         # Queued vehicles wait for a crossable light; the rest cruise
         # until they are close enough to plan.
-        queued_target = [seg.v_max if state.crossable else 0.0
-                         for seg, state in zip(cfg.segments, states)]
-        cruise = self._cruise
+        queued_target = [light.v_max if light.state.crossable else 0.0 for light in lights]
         if cfg.technique == "fixed":
-            return [queued_target[v.seg] if v.queued else cruise[v.seg] for v in fleet]
-        per_seg = [
-            (seg.length_m, seg.v_min, state,
-             queue_clear_time(light.queue_len, light.cfg.departure_rate) + ARRIVAL_BIAS_S)
-            for seg, state, light in zip(cfg.segments, states, self.lights)
-        ]
+            return [queued_target[v.seg] if v.queued else lights[v.seg].cruise for v in fleet]
+        # The time the light's queue takes to clear, plus the arrival bias.
+        t_q = [queue_clear_time(light.queue_len, light.cfg.departure_rate) + ARRIVAL_BIAS_S
+               for light in lights]
         targets: list[float] = []
         for v in fleet:
             seg_idx = v.seg
@@ -526,13 +531,13 @@ class World:
                 # The stop-line gate and car-following govern discharge.
                 targets.append(queued_target[seg_idx])
                 continue
-            length, v_min, state, t_q = per_seg[seg_idx]
-            d = length - v.pos
+            light = lights[seg_idx]
+            d = light.line_at - v.pos
             if d > reach:
-                targets.append(cruise[seg_idx])
+                targets.append(light.cruise)
                 continue
-            targets.append(plan(v.speed, d, v_min, caps[v.vin], state, windows.get(v.vin),
-                                t_q).speed)
+            targets.append(plan(v.speed, d, light.v_min, caps[v.vin], light.state,
+                                windows.get(v.vin), t_q[seg_idx]).speed)
         return targets
 
     def _lane_changes(self, fleet: list[Vehicle], leaders: dict[int, Vehicle],
@@ -552,25 +557,27 @@ class World:
         standstill = STANDSTILL_GAP_M
         stop_speed = STOP_SPEED
         time_gap = TIME_GAP_S
-        weave = self._weave
+        lights = self.lights
         moved = False
         for v in fleet:
             if v.queued or v.speed < stop_speed:
                 continue
-            line_at, keep_at, v_min, v_max, seg_lanes = weave[v.seg]
+            light = lights[v.seg]
             pos = v.pos
-            if line_at - pos < 30.0:
+            if light.line_at - pos < 30.0:
                 continue  # no weaving on the final approach
+            seg_lanes = light.groups
             group = seg_lanes[v.lane]
             if moved:
                 i = bisect_right(group, pos, key=_pos)
                 lead = group[i] if i < len(group) else None
                 cap_here = (caps[v.vin] if lead is leaders.get(v.vin)
-                            else self._plan_cap(v, lead, self.cfg.segments[v.seg]))
+                            else self._plan_cap(v, lead, light))
             else:
                 cap_here = caps[v.vin]
-            if cap_here >= keep_at:
-                continue
+            v_min, v_max = light.v_min, light.v_max
+            if cap_here >= v_max - 0.3:
+                continue  # near the road limit already: keep the lane
             wanted = cap_here + 0.5
             for lane, other in enumerate(seg_lanes):
                 if lane == v.lane:
@@ -599,50 +606,47 @@ class World:
                 break
         return moved
 
-    def _gate_open(self, light: LightAgent, state: SignalState, lanes: dict,
-                   v: Vehicle) -> bool:
+    def _gate_open(self, light: LightAgent, v: Vehicle) -> bool:
         return (
-            state.crossable
+            light.state.crossable
             and self.t + self.cfg.dt_s - light.last_cross_t
             >= 1.0 / light.cfg.departure_rate - 1e-9
-            and self._next_entry_clear(lanes, v)
+            and self._next_entry_clear(v)
         )
 
-    def _next_entry_clear(self, lanes: dict, v: Vehicle) -> bool:
+    def _next_entry_clear(self, v: Vehicle) -> bool:
         """Room to land at the start of the next segment (spillback guard):
         the rearmost vehicle of the lane there decides."""
         nxt = v.seg + 1
-        if nxt >= len(self.cfg.segments):
+        if nxt >= len(self.lights):
             return True
-        group = lanes[(nxt, v.lane)]
+        group = self.lights[nxt].groups[v.lane]
         return not group or group[0].pos >= self.cfg.vehicle_length_m + STANDSTILL_GAP_M
 
     def step(self) -> None:
         cfg = self.cfg
         dt = cfg.dt_s
         t = self.t
-        segments = cfg.segments
         vehicles = self.vehicles
+        lights = self.lights
 
-        states = self._signal_phase_bookkeeping()
+        self._signal_phase_bookkeeping()
         lanes = self._by_lane()
         fleet = list(vehicles.values())  # vin order: vehicles are added by vin
         leaders = self._leaders(lanes)
         caps = self._caps(lanes)
 
-        windows = self._maintain_tokens(states, fleet, caps) if cfg.technique != "fixed" else {}
+        windows = self._maintain_tokens(fleet, caps) if cfg.technique != "fixed" else {}
 
         # Per-segment density speed cap (density saturates at the cap ratio).
-        counts = [0] * len(segments)
-        for (seg_idx, _), group in lanes.items():
-            counts[seg_idx] += len(group)
         density_cap = []
-        for seg, n in zip(segments, counts):
-            density = n / (seg.length_m / 1000.0) / seg.lanes
+        for light in lights:
+            groups = light.groups
+            density = sum(map(len, groups)) / (light.line_at / 1000.0) / len(groups)
             density = min(density, DENSITY_CAP_RATIO * JAM_DENSITY_VEH_KM_LANE)
-            density_cap.append(density_speed(density, JAM_DENSITY_VEH_KM_LANE, seg.v_max))
+            density_cap.append(density_speed(density, JAM_DENSITY_VEH_KM_LANE, light.v_max))
 
-        targets = self._plan_targets(fleet, states, caps, windows)
+        targets = self._plan_targets(fleet, caps, windows)
         if self._lane_changes(fleet, leaders, caps):
             leaders = self._leaders(lanes)
 
@@ -654,16 +658,12 @@ class World:
         standstill = STANDSTILL_GAP_M
         time_gap = TIME_GAP_S
         reaction = REACTION_TIME_S
-        # Per segment: stop-line position, the distance to it within which
-        # the line may bind, and the density cap.
-        zones = list(zip(self._line_at, self._line_zone, density_cap))
-        lights = self.lights
         gate_open = self._gate_open
         leader_of = leaders.get
         new_speeds: list[float] = []
         for v, target in zip(fleet, targets):
             speed = v.speed
-            line_at, zone, dcap = zones[v.seg]
+            dcap = density_cap[v.seg]
             slowest = speed - limit
             fastest = speed + limit
             sp = dcap if dcap < target else target
@@ -682,8 +682,9 @@ class World:
                         sp = slowest if slowest > safe else safe
 
             # Stop line behaves as an obstacle unless the gate is open.
-            d = line_at - v.pos
-            if d <= zone and not gate_open(lights[v.seg], states[v.seg], lanes, v):
+            light = lights[v.seg]
+            d = light.line_at - v.pos
+            if d <= light.line_zone and not gate_open(light, v):
                 line_safe = d / time_gap
                 line_safe = line_safe if line_safe > 0.0 else 0.0
                 if sp > line_safe:
@@ -705,7 +706,7 @@ class World:
         # below both times).
         stop_speed = STOP_SPEED
         moving_speed = MOVING_SPEED
-        last_seg = len(segments) - 1
+        last_seg = len(lights) - 1
         crossed_at = t + dt
         for v, sp in zip(fleet, new_speeds):
             seg_idx = v.seg
@@ -720,25 +721,25 @@ class World:
             elif sp > moving_speed:
                 v.stop_armed = True
 
-            line_at = zones[seg_idx][0]
+            light = lights[seg_idx]
+            line_at = light.line_at
             if v.pos >= line_at:
-                light = lights[seg_idx]
-                if not gate_open(light, states[seg_idx], lanes, v):
+                if not gate_open(light, v):
                     v.pos = line_at - 0.01
                     v.speed = 0.0
                     continue
                 light.last_cross_t = crossed_at
                 light.table.release(v.vin)
                 v.queued = False
-                lanes[(seg_idx, v.lane)].remove(v)
+                light.groups[v.lane].remove(v)
                 if seg_idx != last_seg:
                     v.pos -= line_at
                     v.seg = seg_idx + 1
-                    insort(lanes[(v.seg, v.lane)], v, key=_pos)
+                    insort(lights[v.seg].groups[v.lane], v, key=_pos)
                     continue
                 del vehicles[v.vin]
                 self.completed += 1
-                for i in range(len(segments)):
+                for i in range(len(lights)):
                     self._sum_idle[i] += v.idle[i]
                     self._sum_stops[i] += v.stops[i]
                     self._sum_energy[i] += v.energy_j[i]
@@ -755,16 +756,15 @@ class World:
         constant for it, the float ``step_energy`` gives for that step."""
         energy = step_energy
         dt = self.cfg.dt_s
-        grades = self._grades
-        cruise = self._cruise
-        cruise_step_j = self._cruise_step_j
+        lights = self.lights
         for v, sp in zip(fleet, new_speeds):
             if sp or v.speed:
                 seg_idx = v.seg
-                if sp == v.speed == cruise[seg_idx]:
-                    v.energy_j[seg_idx] += cruise_step_j[seg_idx]
+                light = lights[seg_idx]
+                if sp == v.speed == light.cruise:
+                    v.energy_j[seg_idx] += light.cruise_step_j
                 else:
-                    v.energy_j[seg_idx] += energy(v.speed, sp, dt, grades[seg_idx] * sp * dt)
+                    v.energy_j[seg_idx] += energy(v.speed, sp, dt, light.grade * sp * dt)
 
     def _update_queues(self) -> None:
         """Queue bookkeeping: join when stopped at the line or the lane's
@@ -775,34 +775,31 @@ class World:
         Each lane group is walked twice.  Rear to front, rolling vehicles
         leave and the first vehicle still queued gives the lane's tail.
         Front to back, each stopped vehicle that joins becomes the tail."""
-        cfg = self.cfg
-        length = cfg.vehicle_length_m
+        length = self.cfg.vehicle_length_m
         join_zone = length + 2.0 * STANDSTILL_GAP_M
         roll_speed = 0.5  # above this a queued vehicle is moving again
         stop_speed = STOP_SPEED
-        lights = self.lights
-        counts = [0] * len(lights)
-        for (seg_idx, _), group in self._lanes.items():
-            tail = math.inf  # rear of the lane's queue; none yet
-            for v in group:
-                if v.queued:
-                    if v.speed >= roll_speed:
-                        v.queued = False
+        for light in self.lights:
+            line_at = light.line_at
+            n = 0
+            for group in light.groups:
+                tail = math.inf  # rear of the lane's queue; none yet
+                for v in group:
+                    if v.queued:
+                        if v.speed >= roll_speed:
+                            v.queued = False
+                            continue
+                        n += 1
+                        if tail == math.inf:
+                            tail = v.pos - length
+                for v in reversed(group):
+                    if v.queued or v.speed >= stop_speed:
                         continue
-                    counts[seg_idx] += 1
-                    if tail == math.inf:
+                    if line_at - v.pos <= join_zone or tail - v.pos <= join_zone:
+                        v.queued = True
+                        light.table.release(v.vin)
+                        n += 1
                         tail = v.pos - length
-            light = lights[seg_idx]
-            line_at = cfg.segments[seg_idx].length_m
-            for v in reversed(group):
-                if v.queued or v.speed >= stop_speed:
-                    continue
-                if line_at - v.pos <= join_zone or tail - v.pos <= join_zone:
-                    v.queued = True
-                    light.table.release(v.vin)
-                    counts[seg_idx] += 1
-                    tail = v.pos - length
-        for light, n in zip(lights, counts):
             light.queue_len = n
 
     def run(self) -> MetricsReport:

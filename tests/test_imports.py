@@ -8,7 +8,9 @@ import coopspeed
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs in a fresh, isolated interpreter: which modules does importing the
-# package load on top of what the interpreter itself started with?
+# package load on top of what the interpreter itself started with?  ``-B``
+# keeps it from writing bytecode into the source tree, which ``-I`` would
+# otherwise do whatever PYTHONDONTWRITEBYTECODE says.
 PROBE = """\
 import json, sys
 before = set(sys.modules)
@@ -22,7 +24,7 @@ print(json.dumps(["coopspeed.sim" in new, sorted({name.partition(".")[0] for nam
 def test_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies, and the benchmark's set-up
     # time and peak memory budgets assume none gets pulled in.
-    done = subprocess.run([sys.executable, "-I", "-c", PROBE, str(SRC)],
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE, str(SRC)],
                           capture_output=True, text=True, check=True, timeout=60)
     engine_loaded, loaded = json.loads(done.stdout)
     # The package imports its API from the engine, so the whole engine,

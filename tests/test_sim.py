@@ -261,9 +261,14 @@ def test_a_vehicle_enters_no_faster_than_the_first_segment_allows():
 def _check_lanes_and_accounting(world):
     """Each lane group of the index is in ascending pos with a vehicle
     length between neighbours, the index holds every vehicle exactly once
-    in its own lane, every spawned vehicle is completed or in the network,
-    and credits are conserved."""
+    in its own lane, each light's record holds its segment's groups of the
+    index itself (not copies), every spawned vehicle is completed or in the
+    network, and credits are conserved."""
     length = world.cfg.vehicle_length_m
+    for light in world.lights:
+        for lane, group in enumerate(light.groups):
+            assert group is world._lanes[(light.idx, lane)], (world.t, light.idx, lane)
+        assert len(light.groups) == world.cfg.segments[light.idx].lanes, (world.t, light.idx)
     indexed = []
     for key, group in world._by_lane().items():
         assert all((v.seg, v.lane) == key for v in group), (world.t, key)
@@ -349,7 +354,7 @@ def test_caps_match_plan_cap_at_every_step():
         leaders = world._leaders(lanes)
         for (seg, _), group in lanes.items():
             for v in group:
-                expected = world._plan_cap(v, leaders.get(v.vin), world.cfg.segments[seg])
+                expected = world._plan_cap(v, leaders.get(v.vin), world.lights[seg])
                 assert repr(caps[v.vin]) == repr(expected), (world.t, v.vin)
         world.step()
     assert len(set(caps.values())) > 2  # leaders' speeds and gaps, not only the limits
@@ -572,6 +577,14 @@ def test_driving_parameters_must_be_in_range():
     SimConfig(dt_s=1.0)
 
 
+def test_a_segment_needs_a_positive_top_speed():
+    # With v_min = v_max = 0 every vehicle entered at 0 m/s and never moved:
+    # a 60 s run spawned 2, completed none and left 4 arrivals waiting.
+    with pytest.raises(ValueError, match="v_max > 0"):
+        SegmentConfig(v_min=0.0, v_max=0.0)
+    SegmentConfig(v_min=0.0, v_max=1.0)
+
+
 def test_segments_must_share_one_lane_count():
     # A vehicle crosses into its own lane of the next segment; a lane the
     # next segment lacks would take it off the lane index.
@@ -646,11 +659,17 @@ def test_config_numbers_must_be_finite(config, name, value):
     lambda: SimConfig(initial_vehicles=(InitialVehicle(seg=0.0),)),
     lambda: SegmentConfig(lanes=2.5),
     lambda: SegmentConfig(lanes=3.0),
-], ids=["lane-0.5", "lane-1.0", "seg-0.0", "lanes-2.5", "lanes-3.0"])
+    lambda: SimConfig(seed="1"),
+    lambda: SimConfig(seed=None),
+    lambda: SimConfig(seed=1.5),
+], ids=["lane-0.5", "lane-1.0", "seg-0.0", "lanes-2.5", "lanes-3.0",
+        "seed-str", "seed-None", "seed-1.5"])
 def test_config_indices_must_be_integers(make):
     # These used to fail later with an unrelated error (a KeyError in the
-    # lane index, a TypeError from an index or from ``range``), or, for a
-    # whole float, to be accepted until something indexed a list with it.
+    # lane index, a TypeError from an index, from ``range`` or from seeding
+    # the streams), or, for a whole float, to be accepted until something
+    # indexed a list with it.  A seed of 1.5 was accepted: it seeded the
+    # streams with 9.0 and the report gave seed 1.5.
     with pytest.raises(ValueError, match="integer"):
         make()
 
