@@ -9,9 +9,8 @@ seconds together, the benchmark's saturated ``fixed`` input
 about 2.5 s more, and one of its light-traffic ``ncso`` inputs
 (``bench-ncso_light-14``, where the non-cooperative round and cruising
 steps weigh most) about 1 s, so report drift on them shows in the tier-1
-tests.  The full set, with the
-other benchmark and longer runs, is ``python3 tools/report_digest.py
---check tools/report_digests.txt``.
+tests.  The full set, with the other benchmark and longer runs, is
+``python3 tools/report_digest.py --check tools/report_digests.txt``.
 """
 
 import sys
