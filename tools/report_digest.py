@@ -20,7 +20,11 @@ the file, or is missing from either side.  The configs:
 * 300 s at 600 veh/h on a mixed corridor, seed 2, for every technique:
   segments of 700, 1000 and 600 m with different speed bands, grades and
   signal timings, so a phase that reads one segment's facts for another
-  light changes a report.
+  light changes a report;
+* 300 s on a random corridor per technique, drawn from a fixed-seed
+  generator: 1-3 segments, 2-3 lanes, random lengths, grades, speed bands,
+  signal timings and offsets, activation distance and demand, so a change
+  to the order of a step's phases shows where the defaults hide it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -48,6 +53,25 @@ def _benchmark_module():
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _random_corridor(rng: random.Random, technique: str) -> SimConfig:
+    """A 300 s run of ``technique`` on a corridor drawn from ``rng``."""
+    lanes = rng.choice((2, 3))
+    segments = []
+    for _ in range(rng.randint(1, 3)):
+        green, red = rng.uniform(15.0, 45.0), rng.uniform(15.0, 45.0)
+        signal = SignalConfig(green_s=green, red_s=red,
+                              all_red_gap_s=rng.uniform(0.0, min(green, red, 3.0)),
+                              offset_s=rng.uniform(0.0, green + red),
+                              departure_rate=rng.uniform(0.25, 0.6))
+        segments.append(SegmentConfig(length_m=rng.uniform(300.0, 1200.0), lanes=lanes,
+                                      v_min=rng.uniform(0.0, 15.0) * KMH,
+                                      v_max=rng.uniform(30.0, 80.0) * KMH,
+                                      grade=rng.uniform(-0.02, 0.02), signal=signal))
+    return SimConfig(duration_s=300.0, seed=rng.randint(1, 10**6), technique=technique,
+                     activation_distance_m=rng.uniform(100.0, min(s.length_m for s in segments)),
+                     arrival_rate_veh_s=rng.uniform(0.15, 0.4), segments=tuple(segments))
 
 
 def configs() -> list[tuple[str, SimConfig]]:
@@ -92,6 +116,9 @@ def configs() -> list[tuple[str, SimConfig]]:
         out.append((f"mixed-{technique}", SimConfig(
             duration_s=300.0, seed=2, technique=technique, arrival_rate_veh_s=ARRIVAL_RATE,
             segments=mixed)))
+    rng = random.Random(5)
+    for technique in TECHNIQUES:
+        out.append((f"random-{technique}", _random_corridor(rng, technique)))
     return out
 
 
