@@ -1,11 +1,13 @@
 """Discrete-time corridor engine.
 
 A corridor is a chain of road segments, each ending at a fixed-cycle
-light.  Per step the engine advances signals, releases queued vehicles
-at the service rate, lets in-range cooperative vehicles maintain or
-claim time tokens (with conflicts settled by the precedence games),
-plans every vehicle's speed, and integrates kinematics under density,
-comfort, car-following, and stop-line constraints.
+light.  Per step the engine advances signals and sets each light's
+per-step facts, finds every vehicle's leader and planning ceiling, lets
+vehicles change lanes, lets in-range cooperative vehicles maintain or
+claim time tokens (with conflicts settled by the precedence games), and
+then takes each vehicle, in vin order, from its planned target to its new
+speed under the density, comfort, car-following and stop-line clamps.
+Energy, integration, queues and spawning follow.
 
 Three techniques share identical road physics:
 
@@ -16,14 +18,15 @@ Three techniques share identical road physics:
   table, no games, no exclusivity);
 * ``fixed`` -- no speed optimization; cruise and react.
 
-Each step, every light with a participant runs one round over the
-unqueued vehicles within activation distance that hold a claim or submit
-a request: ``tokens.allocation_round`` against its token table for
-``csof``, ``tokens.arrival_windows`` for ``ncso``.  The round returns
-the arrival window of the slot each vehicle is left holding, and the
-planner aims at that window.  Under ``csof`` a vehicle's token is its
-claim in the light's table, released when the vehicle crosses or joins
-the queue.
+Under ``csof``, each step every light with a participant runs
+``tokens.allocation_round`` over the unqueued vehicles within activation
+distance that hold a claim or submit a request.  The round returns the
+arrival window of the slot each vehicle is left holding, and the planner
+aims at that window.  A vehicle's token is its claim in the light's
+table, released when the vehicle crosses or joins the queue.  Under
+``ncso`` there is no round: a vehicle that submits a request aims at its
+arrival slot's window, which ``tokens.arrival_slot_window`` looks up in
+the light's window list for the step.
 Tables live in per-light allocation epochs: an epoch opens at a red
 start and closes when the following green ends, so slots granted during
 red carry into the green they target and everything expires with it.
@@ -52,7 +55,7 @@ from .tokens import (
     Approacher,
     TokenTable,
     allocation_round,
-    arrival_windows,
+    arrival_slot_window,
     request_tti,
 )
 
@@ -78,6 +81,10 @@ _pos = attrgetter("pos")
 _speed = attrgetter("speed")
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # True runs as 1, reports True
+
+
 @dataclass(frozen=True)
 class SegmentConfig:
     length_m: float = 1000.0
@@ -92,7 +99,7 @@ class SegmentConfig:
             raise ValueError("segment length, speed band and grade must be finite")
         if self.length_m <= 0:
             raise ValueError("segment length must be positive")
-        if not isinstance(self.lanes, int):
+        if not _is_int(self.lanes):
             raise ValueError("the number of lanes must be an integer")
         if self.lanes < 2:
             raise ValueError("the corridor needs at least two lanes")
@@ -133,7 +140,7 @@ class SimConfig:
         if not all(map(math.isfinite, (self.duration_s, self.dt_s, self.activation_distance_m,
                                        self.vehicle_length_m))):
             raise ValueError("duration, dt, activation distance and vehicle length must be finite")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             # A float seeds the streams with a float and a string or None
             # fails in ``World``; the report would repeat the given value.
             raise ValueError("seed must be an integer")
@@ -180,7 +187,7 @@ class SimConfig:
         least a vehicle length from the others in its lane."""
         lanes: dict[tuple[int, int], list[float]] = {}
         for iv in self.initial_vehicles:
-            if not (isinstance(iv.seg, int) and isinstance(iv.lane, int)):
+            if not (_is_int(iv.seg) and _is_int(iv.lane)):
                 # A float index would fail later, in the lane index or in a
                 # lookup, with an unrelated error.
                 raise ValueError("initial vehicle segment and lane must be integers")
@@ -250,14 +257,20 @@ class LightAgent:
     step at ``cruise`` throughout; and ``groups``, the segment's lane lists
     of ``World._lanes`` themselves, not copies.
 
-    Changed during the run: ``state``, the light's ``SignalState``, set at
-    the start of each step; the token ``table``, cleared at each allocation
+    Set at the start of each step: ``state``, the light's ``SignalState``;
+    ``density_cap``, the segment's density speed cap; ``queued_target``,
+    the target of a queued vehicle; ``t_q``, the time the queue takes to
+    clear plus the arrival bias; and ``slot_windows``, the windows of the
+    slots after the queue, empty until ``ncso`` lookups build them.
+
+    Changed during the run: the token ``table``, cleared at each allocation
     epoch; ``last_cross_t``, set at each crossing and read by the gate's
     headway test; and ``queue_len``, the number of the segment's vehicles
     flagged ``queued`` (the queue itself), set at the end of each step."""
 
     __slots__ = ("idx", "cfg", "table", "queue_len", "last_cross_t", "line_at", "v_min",
-                 "v_max", "cruise", "line_zone", "grade", "cruise_step_j", "groups", "state")
+                 "v_max", "cruise", "line_zone", "grade", "cruise_step_j", "groups", "state",
+                 "density_cap", "queued_target", "t_q", "slot_windows")
 
     def __init__(self, idx: int, seg_cfg: SegmentConfig, dt: float,
                  groups: list[list[Vehicle]]) -> None:
@@ -277,6 +290,8 @@ class LightAgent:
         self.cruise_step_j = step_energy(cruise, cruise, dt, seg_cfg.grade * cruise * dt)
         self.groups = groups
         self.state: SignalState | None = None
+        self.density_cap = self.queued_target = self.t_q = 0.0
+        self.slot_windows: list[tuple[float, float]] = []
 
     def epoch_of(self, t: float) -> int:
         """Allocation epoch: opens at a red start, ends with its green."""
@@ -410,13 +425,12 @@ class World:
 
     def _maintain_tokens(self, fleet: list[Vehicle],
                          caps: dict[int, float]) -> dict[int, tuple[float, float]]:
-        """Run each light's allocation round over its approaching vehicles
-        that hold or request a slot; returns ``vin -> arrival window`` for
-        every vehicle left holding a slot.  A vehicle that does neither
-        cannot change the round, so it is left out, and a light with no
-        participant runs no round: it would return nothing."""
-        cfg = self.cfg
-        reach = cfg.activation_distance_m
+        """Run each light's ``csof`` allocation round over its approaching
+        vehicles that hold or request a slot; returns ``vin -> arrival
+        window`` for every vehicle left holding a slot.  A vehicle that does
+        neither cannot change the round, so it is left out, and a light with
+        no participant runs no round: it would return nothing."""
+        reach = self.cfg.activation_distance_m
         lights = self.lights
         per_light: list[list[Approacher]] = [[] for _ in lights]
         for v in fleet:
@@ -431,17 +445,11 @@ class World:
             tti = request_tti(d, v.speed, cap, light.state)
             if tti is not None or light.table.slot_of(vin) is not None:
                 per_light[v.seg].append(Approacher(vin, d, cap, v.mode, tti))
-        cooperative = cfg.technique == "csof"
         windows: dict[int, tuple[float, float]] = {}
         for light, entries in zip(lights, per_light):
-            if not entries:
-                continue
-            if cooperative:
+            if entries:
                 windows.update(allocation_round(light.table, light.state, light.v_min, entries,
                                                 self.ledger, self.rng_games, self.rng_tl))
-            else:
-                windows.update(arrival_windows(entries, light.state, light.table.mu,
-                                               light.table.n_dep))
         return windows
 
     def _plan_cap(self, v: Vehicle, leader: Vehicle | None, light: LightAgent) -> float:
@@ -459,12 +467,24 @@ class World:
     # -- main loop ---------------------------------------------------------
 
     def _signal_phase_bookkeeping(self) -> None:
+        """Set each light's per-step facts (see ``LightAgent``) and clear
+        its table when a new allocation epoch opens."""
         t = self.t
+        jam = JAM_DENSITY_VEH_KM_LANE
         for light in self.lights:
             state = state_at(light.cfg, t)
             state.queue_len = light.queue_len
             state.green_end_margin_s = light.cfg.all_red_gap_s + PLAN_MARGIN_S
             light.state = state
+            groups = light.groups
+            # The density saturates at the cap ratio.
+            density = sum(map(len, groups)) / (light.line_at / 1000.0) / len(groups)
+            density = min(density, DENSITY_CAP_RATIO * jam)
+            light.density_cap = density_speed(density, jam, light.v_max)
+            # Queued vehicles wait for a crossable light.
+            light.queued_target = light.v_max if state.crossable else 0.0
+            light.t_q = queue_clear_time(light.queue_len, light.cfg.departure_rate) + ARRIVAL_BIAS_S
+            light.slot_windows = []
 
             epoch = light.epoch_of(t)
             if epoch != light.table.cycle_id:
@@ -508,37 +528,6 @@ class World:
                 caps[v.vin] = cap if cap > v_min else v_min
                 leader = v
         return caps
-
-    def _plan_targets(self, fleet: list[Vehicle], caps: dict[int, float],
-                      windows: dict[int, tuple[float, float]]) -> list[float]:
-        """Planned speed of each vehicle of ``fleet``, in its order; a
-        vehicle in ``windows`` aims at its arrival window there."""
-        cfg = self.cfg
-        reach = cfg.activation_distance_m
-        lights = self.lights
-        # Queued vehicles wait for a crossable light; the rest cruise
-        # until they are close enough to plan.
-        queued_target = [light.v_max if light.state.crossable else 0.0 for light in lights]
-        if cfg.technique == "fixed":
-            return [queued_target[v.seg] if v.queued else lights[v.seg].cruise for v in fleet]
-        # The time the light's queue takes to clear, plus the arrival bias.
-        t_q = [queue_clear_time(light.queue_len, light.cfg.departure_rate) + ARRIVAL_BIAS_S
-               for light in lights]
-        targets: list[float] = []
-        for v in fleet:
-            seg_idx = v.seg
-            if v.queued:
-                # The stop-line gate and car-following govern discharge.
-                targets.append(queued_target[seg_idx])
-                continue
-            light = lights[seg_idx]
-            d = light.line_at - v.pos
-            if d > reach:
-                targets.append(light.cruise)
-                continue
-            targets.append(plan(v.speed, d, light.v_min, caps[v.vin], light.state,
-                                windows.get(v.vin), t_q[seg_idx]).speed)
-        return targets
 
     def _lane_changes(self, fleet: list[Vehicle], leaders: dict[int, Vehicle],
                       caps: dict[int, float]) -> bool:
@@ -635,24 +624,22 @@ class World:
         fleet = list(vehicles.values())  # vin order: vehicles are added by vin
         leaders = self._leaders(lanes)
         caps = self._caps(lanes)
-
-        windows = self._maintain_tokens(fleet, caps) if cfg.technique != "fixed" else {}
-
-        # Per-segment density speed cap (density saturates at the cap ratio).
-        density_cap = []
-        for light in lights:
-            groups = light.groups
-            density = sum(map(len, groups)) / (light.line_at / 1000.0) / len(groups)
-            density = min(density, DENSITY_CAP_RATIO * JAM_DENSITY_VEH_KM_LANE)
-            density_cap.append(density_speed(density, JAM_DENSITY_VEH_KM_LANE, light.v_max))
-
-        targets = self._plan_targets(fleet, caps, windows)
+        # Lane changes read only caps, leaders, positions, speeds, ``queued``
+        # and the lane lists; the token round and the planner write none.
         if self._lane_changes(fleet, leaders, caps):
             leaders = self._leaders(lanes)
+        technique = cfg.technique
+        windows = self._maintain_tokens(fleet, caps) if technique == "csof" else {}
 
-        # Compose clamps: comfort-limited planning, hard safety overrides.
-        # Each min/max is written out with the builtin's tie-break, so a
-        # tie keeps the same operand (0.0 against -0.0 included).
+        # Each vehicle's target, then the clamps: comfort-limited planning,
+        # hard safety overrides.  A queued vehicle leaves discharge to the
+        # stop-line gate and car-following; the rest cruise until they are
+        # close enough to plan.  Each min/max is written out with the
+        # builtin's tie-break, so a tie keeps the same operand (0.0 against
+        # -0.0 included).
+        planning = technique != "fixed"
+        ncso = technique == "ncso"
+        reach = cfg.activation_distance_m
         limit = ACCEL_LIMIT * dt
         length = cfg.vehicle_length_m
         standstill = STANDSTILL_GAP_M
@@ -661,9 +648,26 @@ class World:
         gate_open = self._gate_open
         leader_of = leaders.get
         new_speeds: list[float] = []
-        for v, target in zip(fleet, targets):
+        for v in fleet:
+            light = lights[v.seg]
             speed = v.speed
-            dcap = density_cap[v.seg]
+            d = light.line_at - v.pos
+            if v.queued:
+                target = light.queued_target
+            elif planning and d <= reach:
+                cap = caps[v.vin]
+                state = light.state
+                if ncso:
+                    tti = request_tti(d, speed, cap, state)
+                    window = None if tti is None else arrival_slot_window(
+                        tti, light.slot_windows, state, light.table.mu, light.table.n_dep)
+                else:
+                    window = windows.get(v.vin)
+                target = plan(speed, d, light.v_min, cap, state, window, light.t_q).speed
+            else:
+                target = light.cruise
+
+            dcap = light.density_cap
             slowest = speed - limit
             fastest = speed + limit
             sp = dcap if dcap < target else target
@@ -682,8 +686,6 @@ class World:
                         sp = slowest if slowest > safe else safe
 
             # Stop line behaves as an obstacle unless the gate is open.
-            light = lights[v.seg]
-            d = light.line_at - v.pos
             if d <= light.line_zone and not gate_open(light, v):
                 line_safe = d / time_gap
                 line_safe = line_safe if line_safe > 0.0 else 0.0

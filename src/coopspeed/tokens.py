@@ -19,7 +19,10 @@ left holding, and the planner aims at that window.
 A round's participants are the light's approaching vehicles that hold a
 claim or submit a request (``request_tti`` is not None).  Any other
 vehicle leaves the table, the credits and the games' draws untouched,
-so the engine leaves it out.
+so the engine leaves it out.  The non-cooperative technique runs no
+round and reads no table: each vehicle that submits a request looks up
+its arrival slot's window with ``arrival_slot_window``, in the light's
+window list for the step, as it plans.
 """
 
 from __future__ import annotations
@@ -181,35 +184,28 @@ def _first_free_reachable(e: Approacher, windows: list[tuple[float, float] | Non
     return None
 
 
-def arrival_windows(vehicles: Sequence[Approacher], state: SignalState, mu: float,
-                    n_dep: int) -> dict[int, tuple[float, float]]:
-    """``vin -> arrival window`` of its arrival slot, for each vehicle
-    whose arrival falls in a slot's arrival window.
+def arrival_slot_window(tti: float, built: list[tuple[float, float]], state: SignalState,
+                        mu: float, n_dep: int) -> tuple[float, float] | None:
+    """Arrival window of the first slot whose window holds ``tti``, or None.
 
-    The non-cooperative round: every vehicle takes its own arrival slot
-    and assumes it free, with no table and no games.  It gives what
-    ``_arrival_slot`` over ``_slot_windows`` gives, but builds a window
-    only when a lookup reaches it.  A lookup stops at the first window
-    that opens after the arrival: window starts never decrease in slot
-    order, so no later window holds it.
+    The non-cooperative lookup: a vehicle takes its own arrival slot and
+    assumes it free, with no table and no games.  ``built`` holds the
+    windows of the slots after the queue that earlier lookups under the
+    same ``state`` built; a window is built only when a lookup reaches it.
+    A lookup stops at the first window that opens after the arrival:
+    window starts never decrease in slot order, so no later window holds
+    it.  It gives what ``_arrival_slot`` over ``_slot_windows`` gives.
     """
-    slots = range(state.queue_len + 1, n_dep + 1)
-    built: list[tuple[float, float]] = []  # windows of ``slots``, built so far
-    out: dict[int, tuple[float, float]] = {}
-    for e in vehicles:
-        tti = e.tti
-        if tti is None:
-            continue
-        for k, j in enumerate(slots):
-            if k == len(built):
-                built.append(arrival_window(j, mu, state))
-            window = built[k]
-            if window[0] > tti:
-                break
-            if tti <= window[1]:
-                out[e.vin] = window
-                break
-    return out
+    first = state.queue_len + 1
+    for k in range(n_dep + 1 - first):
+        if k == len(built):
+            built.append(arrival_window(first + k, mu, state))
+        window = built[k]
+        if window[0] > tti:
+            return None
+        if tti <= window[1]:
+            return window
+    return None
 
 
 def allocation_round(

@@ -1,4 +1,4 @@
-"""Eleven configs of ``tools/report_digest.py`` still give their recorded
+"""Twelve configs of ``tools/report_digest.py`` still give their recorded
 reports.
 
 The 300 s graded runs (+1 %, -1 % and flat segments), coarse-step runs
@@ -6,10 +6,12 @@ The 300 s graded runs (+1 %, -1 % and flat segments), coarse-step runs
 band, grade and signal timing) of every technique take about three
 seconds together, the benchmark's saturated ``fixed`` input
 (``bench-fixed_sat-1``, where lane changes and steps at rest dominate)
-about 2.5 s more, and one of its light-traffic ``ncso`` inputs
-(``bench-ncso_light-14``, where the non-cooperative round and cruising
-steps weigh most) about 1 s, so report drift on them shows in the tier-1
-tests.  The full set, with the other benchmark and longer runs, is
+about 2.5 s more, one of its light-traffic ``ncso`` inputs
+(``bench-ncso_light-14``, where the arrival-window lookup and cruising
+steps weigh most) about 1 s, and its ``csof`` input
+(``bench-csof_peak-1``, where the token round moves holders up and the
+games settle contested slots) about 1.5 s, so report drift on them shows
+in the tier-1 tests.  The full set, with the other benchmark and longer runs, is
 ``python3 tools/report_digest.py --check tools/report_digests.txt``.
 """
 
@@ -34,7 +36,8 @@ def _recorded_configs():
 
         configs = [(name, cfg) for name, cfg in report_digest.configs()
                    if name.startswith(("graded-", "dt0.2-", "mixed-"))
-                   or name in ("bench-fixed_sat-1", "bench-ncso_light-14")]
+                   or name in ("bench-fixed_sat-1", "bench-ncso_light-14",
+                               "bench-csof_peak-1")]
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path[:] = path
@@ -46,11 +49,11 @@ def _recorded_configs():
 DIGEST, CONFIGS = _recorded_configs()
 
 
-def test_the_eleven_tier1_configs_are_checked():
+def test_the_twelve_tier1_configs_are_checked():
     assert sorted(name for name, _, _ in CONFIGS) == sorted(
         [f"{kind}-{technique}" for kind in ("graded", "dt0.2", "mixed")
          for technique in ("csof", "ncso", "fixed")]
-        + ["bench-fixed_sat-1", "bench-ncso_light-14"])
+        + ["bench-fixed_sat-1", "bench-ncso_light-14", "bench-csof_peak-1"])
 
 
 @pytest.mark.parametrize("name, cfg, expected", CONFIGS, ids=[c[0] for c in CONFIGS])

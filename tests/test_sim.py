@@ -7,6 +7,7 @@ from operator import attrgetter
 
 import pytest
 
+import coopspeed.sim as sim
 from coopspeed.energy import step_energy
 from coopspeed.signals import SignalConfig
 from coopspeed.sim import (
@@ -24,6 +25,7 @@ from coopspeed.sim import (
     SimConfig,
     World,
 )
+from coopspeed.tokens import TokenTable
 
 
 def test_token_table_matches_tokens_at_every_step():
@@ -42,6 +44,32 @@ def test_token_table_matches_tokens_at_every_step():
             assert len(set(slots)) == len(slots), (world.t, light.idx, requests)
             on_segment = {vin for vin, v in world.vehicles.items() if v.seg == light.idx}
             assert set(vins) <= on_segment, (world.t, light.idx, requests)
+
+
+@pytest.mark.parametrize("technique", ["ncso", "csof"])
+def test_only_csof_reads_the_token_table(technique, monkeypatch):
+    # ncso never claims a slot, so asking its tables for a vehicle's slot
+    # would always give None; it makes no such call, while its vehicles
+    # plan inside the activation distance.  The csof world shows that the
+    # counter sees the calls a table lookup makes.
+    calls = Counter()
+    slot_of, plan = TokenTable.slot_of, sim.plan
+
+    def counted_slot_of(table, vin):
+        calls["slot_of"] += 1
+        return slot_of(table, vin)
+
+    def counted_plan(*args):
+        calls["plan"] += 1
+        return plan(*args)
+
+    monkeypatch.setattr(TokenTable, "slot_of", counted_slot_of)
+    monkeypatch.setattr(sim, "plan", counted_plan)
+    world = World(_two_short(technique))
+    while world.t < 120.0:
+        world.step()
+    assert calls["plan"] > 1000, calls
+    assert (calls["slot_of"] > 0) == (technique == "csof"), calls
 
 
 def test_report_counts_arrivals_waiting_to_enter():
@@ -662,14 +690,22 @@ def test_config_numbers_must_be_finite(config, name, value):
     lambda: SimConfig(seed="1"),
     lambda: SimConfig(seed=None),
     lambda: SimConfig(seed=1.5),
+    lambda: SimConfig(seed=True),
+    lambda: SimConfig(initial_vehicles=(InitialVehicle(seg=True, lane=False),)),
+    lambda: SimConfig(initial_vehicles=(InitialVehicle(lane=True),)),
+    lambda: SegmentConfig(lanes=True),
 ], ids=["lane-0.5", "lane-1.0", "seg-0.0", "lanes-2.5", "lanes-3.0",
-        "seed-str", "seed-None", "seed-1.5"])
+        "seed-str", "seed-None", "seed-1.5", "seed-True", "seg-True-lane-False",
+        "lane-True", "lanes-True"])
 def test_config_indices_must_be_integers(make):
     # These used to fail later with an unrelated error (a KeyError in the
     # lane index, a TypeError from an index, from ``range`` or from seeding
     # the streams), or, for a whole float, to be accepted until something
     # indexed a list with it.  A seed of 1.5 was accepted: it seeded the
-    # streams with 9.0 and the report gave seed 1.5.
+    # streams with 9.0 and the report gave seed 1.5.  A bool is an ``int``:
+    # ``seed=True`` ran as seed 1 but reported ``seed=True``, ``==`` to the
+    # seed-1 report and different by ``repr``, and ``InitialVehicle(seg=True,
+    # lane=False)`` placed a vehicle on segment 1, lane 0.
     with pytest.raises(ValueError, match="integer"):
         make()
 

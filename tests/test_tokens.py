@@ -13,8 +13,8 @@ from coopspeed.tokens import (
     _reachable,
     _slot_windows,
     allocation_round,
+    arrival_slot_window,
     arrival_window,
-    arrival_windows,
     request_tti,
 )
 
@@ -309,15 +309,19 @@ def test_non_cooperative_round_assumes_every_slot_free():
     vehicles = [approacher(1, 20.0, state), approacher(2, 19.5, state),
                 approacher(3, 50.0, state)]
     window = arrival_window(7, MU, state)
-    assert arrival_windows(vehicles, state, MU, 8) == {1: window, 2: window}
+    built = []  # the light's window list for the step, shared by the lookups
+    got = {e.vin: w for e in vehicles if e.tti is not None
+           and (w := arrival_slot_window(e.tti, built, state, MU, 8)) is not None}
+    assert got == {1: window, 2: window}
 
 
 def test_arrival_windows_match_the_full_window_list():
-    # The non-cooperative round builds windows only as far as a lookup
-    # needs and stops at the first window that opens after the arrival.
-    # It must name what the first holding window of the whole list names,
-    # in green and in red, behind queues longer than the green serves,
-    # and for arrivals placed exactly on window edges.
+    # The non-cooperative lookup builds windows only as far as it needs,
+    # into a list the step's later lookups share, and stops at the first
+    # window that opens after the arrival.  It must name what the first
+    # holding window of the whole list names, in green and in red, behind
+    # queues longer than the green serves, and for arrivals placed exactly
+    # on window edges.
     rng = random.Random(18)
     seen = Counter()
     for _ in range(3000):
@@ -340,14 +344,16 @@ def test_arrival_windows_match_the_full_window_list():
                 draws += [rng.choice(edges)] * 2
             tti = rng.choice(draws)
             vehicles.append(Approacher(vin, 100.0, V_MAX, Mode.NORMAL, tti))
-        expected = {}
+        built = []
         for e in vehicles:
             slot = None if e.tti is None else _arrival_slot(e.tti, windows)
             if slot is not None:
-                expected[e.vin] = windows[slot]
                 seen["on a window start" if e.tti == windows[slot][0] else "found"] += 1
             seen["no request" if e.tti is None else "edge" if e.tti in edges else "drawn"] += 1
-        assert arrival_windows(vehicles, state, mu, n_dep) == expected
+            if e.tti is not None:
+                got = arrival_slot_window(e.tti, built, state, mu, n_dep)
+                assert got == (None if slot is None else windows[slot])
+        assert built == [window for window in windows if window is not None][:len(built)]
         seen["green" if green else "red"] += 1
         seen["queue beyond the green" if state.queue_len >= n_dep else "slots offered"] += 1
     assert min(seen.values()) >= 100, seen
