@@ -37,7 +37,6 @@ _HOLD, _MAX_SPEED = Objective.HOLD, Objective.MAX_SPEED
 class PlanResult(NamedTuple):
     speed: float
     case: str
-    feasible: bool
     window: tuple[float, float] | None = None
 
 
@@ -122,45 +121,45 @@ def plan(
             if cur_tti <= r_g:
                 s = plan_to_window(speed, dist, v_min, v_max, slot_window, _HOLD)
                 if s is not None:
-                    return PlanResult(s, "green_c1", True, slot_window)
+                    return PlanResult(s, "green_c1", slot_window)
             else:
                 s = plan_to_window(speed, dist, v_min, v_max, slot_window, _MAX_SPEED)
                 if s is not None:
-                    return PlanResult(s, "green_c2_accel", True, slot_window)
+                    return PlanResult(s, "green_c2_accel", slot_window)
         elif cur_tti <= r_g:
             # In-green arrival but no token (queue lead-in or lost game):
             # aim beyond the queue, before green ends.
             window = (t_q, r_g - margin)
             s = plan_to_window(speed, dist, v_min, v_max, window, _HOLD)
             if s is not None:
-                return PlanResult(s, "green_c1", True, window)
+                return PlanResult(s, "green_c1", window)
         if cur_tti > r_g + t_r and slot_window is None:
             # Next-cycle green; no token yet, keep the current speed,
             # clamped to the band as in ``plan_to_window``.
             s = v_min if v_min > speed else speed
             s = v_max if v_max < s else s
-            return PlanResult(s, "green_c3", True, None)
+            return PlanResult(s, "green_c3", None)
         window = (r_g + t_r + t_q, r_g + t_r + t_g - margin)
         s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)
         if s is not None:
-            return PlanResult(s, "green_c2_defer", True, window)
-        return PlanResult(v_min, "queue_join", False, None)
+            return PlanResult(s, "green_c2_defer", window)
+        return PlanResult(v_min, "queue_join", None)
 
     r_r = state.remaining
     if slot_window is not None:
         s = plan_to_window(speed, dist, v_min, v_max, slot_window, _HOLD)
         if s is not None:
-            return PlanResult(s, "red_c2", True, slot_window)
+            return PlanResult(s, "red_c2", slot_window)
     if cur_tti <= r_r + t_g:
         # Early arrival (or denied token): meet the upcoming green once
         # the queue has cleared.
         window = (r_r + t_q, r_r + t_g - margin)
         s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)
         if s is not None:
-            return PlanResult(s, "red_c1", True, window)
-        return PlanResult(v_min, "queue_join", False, None)
+            return PlanResult(s, "red_c1", window)
+        return PlanResult(v_min, "queue_join", None)
     window = (r_r + t_g + t_r + t_q, r_r + t_r + 2.0 * t_g - margin)
     s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)
     if s is not None:
-        return PlanResult(s, "red_c3", True, window)
-    return PlanResult(v_min, "queue_join", False, None)
+        return PlanResult(s, "red_c3", window)
+    return PlanResult(v_min, "queue_join", None)

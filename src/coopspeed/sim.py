@@ -24,9 +24,9 @@ distance that hold a claim or submit a request.  The round returns the
 arrival window of the slot each vehicle is left holding, and the planner
 aims at that window.  A vehicle's token is its claim in the light's
 table, released when the vehicle crosses or joins the queue.  Under
-``ncso`` there is no round: a vehicle that submits a request aims at its
-arrival slot's window, which ``tokens.arrival_slot_window`` looks up in
-the light's window list for the step.
+``ncso`` there is no round: a vehicle that submits a request aims at the
+window of its arrival slot, which ``tokens.arrival_slot`` finds in the
+light's window list for the step.
 Tables live in per-light allocation epochs: an epoch opens at a red
 start and closes when the following green ends, so slots granted during
 red carry into the green they target and everything expires with it.
@@ -40,6 +40,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import ClassVar
 
 from .energy import step_energy
 from .games import CreditLedger, Mode
@@ -55,7 +56,7 @@ from .tokens import (
     Approacher,
     TokenTable,
     allocation_round,
-    arrival_slot_window,
+    arrival_slot,
     request_tti,
 )
 
@@ -65,6 +66,7 @@ KMH = 1 / 3.6
 
 # Driver and vehicle model, the same in every scenario.
 ENTRY_SPEED = 50.0 * KMH
+VEHICLE_LENGTH_M = 5.0
 MODE_PROBABILITIES = (0.2, 0.6, 0.2)  # relaxed, normal, rush
 ACCEL_LIMIT = 2.5  # comfort bound, m/s^2
 TIME_GAP_S = 2.0
@@ -131,15 +133,14 @@ class SimConfig:
     technique: str = "csof"
     activation_distance_m: float = 500.0
     arrival_rate_veh_s: float = 0.1
-    vehicle_length_m: float = 5.0
+    vehicle_length_m: ClassVar[float] = VEHICLE_LENGTH_M  # a model constant, not a field
     segments: tuple[SegmentConfig, ...] = field(default_factory=_default_segments)
     initial_vehicles: tuple[InitialVehicle, ...] = ()
     scripted_arrivals: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.duration_s, self.dt_s, self.activation_distance_m,
-                                       self.vehicle_length_m))):
-            raise ValueError("duration, dt, activation distance and vehicle length must be finite")
+        if not all(map(math.isfinite, (self.duration_s, self.dt_s, self.activation_distance_m))):
+            raise ValueError("duration, dt and activation distance must be finite")
         if not _is_int(self.seed):
             # A float seeds the streams with a float and a string or None
             # fails in ``World``; the report would repeat the given value.
@@ -169,9 +170,6 @@ class SimConfig:
             # An infinite rate never lets the spawner leave its loop; NaN
             # would spawn nothing.
             raise ValueError("arrival rate must be finite and non-negative")
-        if self.vehicle_length_m <= 0:
-            # Lane order rests on vehicles never overlapping.
-            raise ValueError("vehicle length must be positive")
         arrivals = self.scripted_arrivals
         if arrivals is not None:
             if not all(map(math.isfinite, arrivals)):
@@ -204,7 +202,7 @@ class SimConfig:
         for (seg_idx, lane), positions in lanes.items():
             positions.sort()
             for rear, front in zip(positions, positions[1:]):
-                if front - rear < self.vehicle_length_m:
+                if front - rear < VEHICLE_LENGTH_M:
                     raise ValueError(f"initial vehicles at {rear} m and {front} m overlap in "
                                      f"segment {seg_idx} lane {lane}")
 
@@ -253,27 +251,28 @@ class LightAgent:
     position ``line_at``; the speed band ``v_min``, ``v_max``; ``cruise``,
     the speed of a vehicle entering or cruising on the segment;
     ``line_zone``, the distance to the line within which the line may bind;
-    the ``grade``; ``cruise_step_j``, the float ``step_energy`` gives for a
-    step at ``cruise`` throughout; and ``groups``, the segment's lane lists
-    of ``World._lanes`` themselves, not copies.
+    the ``grade``; and ``cruise_step_j``, the float ``step_energy`` gives
+    for a step at ``cruise`` throughout.
 
     Set at the start of each step: ``state``, the light's ``SignalState``;
     ``density_cap``, the segment's density speed cap; ``queued_target``,
     the target of a queued vehicle; ``t_q``, the time the queue takes to
-    clear plus the arrival bias; and ``slot_windows``, the windows of the
-    slots after the queue, empty until ``ncso`` lookups build them.
+    clear plus the arrival bias; and ``slot_windows``, the arrival windows
+    indexed by slot for ``tokens.arrival_slot``, None up to the queue's
+    last slot and extended by ``ncso`` searches.
 
-    Changed during the run: the token ``table``, cleared at each allocation
-    epoch; ``last_cross_t``, set at each crossing and read by the gate's
-    headway test; and ``queue_len``, the number of the segment's vehicles
-    flagged ``queued`` (the queue itself), set at the end of each step."""
+    Changed during the run: ``groups``, the segment's lanes, each a list of
+    its vehicles in ascending pos, kept across steps (the lane index; there
+    is no other record of it); the token ``table``, cleared at each allocation epoch;
+    ``last_cross_t``, set at each crossing and read by the gate's headway
+    test; and ``queue_len``, the number of the segment's vehicles flagged
+    ``queued`` (the queue itself), set at the end of each step."""
 
     __slots__ = ("idx", "cfg", "table", "queue_len", "last_cross_t", "line_at", "v_min",
                  "v_max", "cruise", "line_zone", "grade", "cruise_step_j", "groups", "state",
                  "density_cap", "queued_target", "t_q", "slot_windows")
 
-    def __init__(self, idx: int, seg_cfg: SegmentConfig, dt: float,
-                 groups: list[list[Vehicle]]) -> None:
+    def __init__(self, idx: int, seg_cfg: SegmentConfig, dt: float) -> None:
         self.idx = idx
         self.cfg = seg_cfg.signal
         self.table = TokenTable(self.cfg.departure_rate,
@@ -288,10 +287,10 @@ class LightAgent:
         self.line_zone = TIME_GAP_S * seg_cfg.v_max + 5.0
         self.grade = seg_cfg.grade
         self.cruise_step_j = step_energy(cruise, cruise, dt, seg_cfg.grade * cruise * dt)
-        self.groups = groups
+        self.groups: list[list[Vehicle]] = [[] for _ in range(seg_cfg.lanes)]
         self.state: SignalState | None = None
         self.density_cap = self.queued_target = self.t_q = 0.0
-        self.slot_windows: list[tuple[float, float]] = []
+        self.slot_windows: list[tuple[float, float] | None] = []
 
     def epoch_of(self, t: float) -> int:
         """Allocation epoch: opens at a red start, ends with its green."""
@@ -366,16 +365,7 @@ class World:
         self._sum_idle = [0.0] * n
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
-        # The lane index: every (segment, lane) group, in ascending pos, kept
-        # across steps.  Vehicles never overlap, so order within a lane only
-        # changes where a vehicle enters or leaves it.
-        self._lanes: dict[tuple[int, int], list[Vehicle]] = {
-            (seg_idx, lane): [] for seg_idx, seg in enumerate(cfg.segments)
-            for lane in range(seg.lanes)
-        }
-        self.lights = [LightAgent(i, seg, cfg.dt_s,
-                                  [self._lanes[(i, lane)] for lane in range(seg.lanes)])
-                       for i, seg in enumerate(cfg.segments)]
+        self.lights = [LightAgent(i, seg, cfg.dt_s) for i, seg in enumerate(cfg.segments)]
         for iv in cfg.initial_vehicles:
             self._place(iv.seg, iv.lane, iv.pos, iv.speed, Mode.NORMAL)
 
@@ -397,11 +387,11 @@ class World:
             n_segments=len(self.cfg.segments), spawned_at=self.t,
         )
         self.vehicles[v.vin] = v
-        insort(self._lanes[(seg, lane)], v, key=_pos)
+        insort(self.lights[seg].groups[lane], v, key=_pos)
 
     def _entry_lane(self) -> int | None:
         """Freest entry lane of segment 0, or None while all are blocked."""
-        length = self.cfg.vehicle_length_m
+        length = VEHICLE_LENGTH_M
         best_lane = None
         best_clear = length + STANDSTILL_GAP_M - 1e-9
         for lane, group in enumerate(self.lights[0].groups):
@@ -460,7 +450,7 @@ class World:
         ``_caps`` and their trial-leader test write out the same arithmetic."""
         if leader is None:
             return light.v_max
-        gap = leader.pos - self.cfg.vehicle_length_m - v.pos
+        gap = leader.pos - VEHICLE_LENGTH_M - v.pos
         safe = max(0.0, (gap - STANDSTILL_GAP_M) / TIME_GAP_S)
         return max(light.v_min, min(light.v_max, max(leader.speed, safe)))
 
@@ -484,49 +474,51 @@ class World:
             # Queued vehicles wait for a crossable light.
             light.queued_target = light.v_max if state.crossable else 0.0
             light.t_q = queue_clear_time(light.queue_len, light.cfg.departure_rate) + ARRIVAL_BIAS_S
-            light.slot_windows = []
+            light.slot_windows = [None] * (light.queue_len + 1)
 
             epoch = light.epoch_of(t)
             if epoch != light.table.cycle_id:
                 light.table.clear(epoch)
 
-    def _by_lane(self) -> dict[tuple[int, int], list[Vehicle]]:
-        """The lane index: (seg, lane) -> its vehicles in ascending pos."""
-        return self._lanes
+    def _by_lane(self) -> list[LightAgent]:
+        """The lane index: the lights, whose ``groups`` hold each lane's
+        vehicles in ascending pos."""
+        return self.lights
 
     @staticmethod
-    def _leaders(lanes: dict[tuple[int, int], list[Vehicle]]) -> dict[int, Vehicle]:
+    def _leaders(lights: list[LightAgent]) -> dict[int, Vehicle]:
         out: dict[int, Vehicle] = {}
-        for group in lanes.values():
-            for follower, leader in zip(group, group[1:]):
-                out[follower.vin] = leader
+        for light in lights:
+            for group in light.groups:
+                for follower, leader in zip(group, group[1:]):
+                    out[follower.vin] = leader
         return out
 
-    def _caps(self, lanes: dict[tuple[int, int], list[Vehicle]]) -> dict[int, float]:
+    @staticmethod
+    def _caps(lights: list[LightAgent]) -> dict[int, float]:
         """Planning ceiling of every vehicle, walking each non-empty sorted
         lane group from the front: the road limit for the front vehicle, and
         for each vehicle behind it the cap ``_plan_cap`` gives for its leader."""
-        lights = self.lights
-        length = self.cfg.vehicle_length_m
+        length = VEHICLE_LENGTH_M
         standstill = STANDSTILL_GAP_M
         time_gap = TIME_GAP_S
         caps: dict[int, float] = {}
-        for (seg_idx, _), group in lanes.items():
-            if not group:
-                continue
-            light = lights[seg_idx]
+        for light in lights:
             v_min, v_max = light.v_min, light.v_max
-            from_front = reversed(group)
-            leader = next(from_front)
-            caps[leader.vin] = v_max
-            for v in from_front:
-                # _plan_cap's min/max chain, written out with its tie-breaks.
-                safe = (leader.pos - length - v.pos - standstill) / time_gap
-                safe = safe if safe > 0.0 else 0.0
-                cap = safe if safe > leader.speed else leader.speed
-                cap = cap if cap < v_max else v_max
-                caps[v.vin] = cap if cap > v_min else v_min
-                leader = v
+            for group in light.groups:
+                if not group:
+                    continue
+                from_front = reversed(group)
+                leader = next(from_front)
+                caps[leader.vin] = v_max
+                for v in from_front:
+                    # _plan_cap's min/max chain, written out with its tie-breaks.
+                    safe = (leader.pos - length - v.pos - standstill) / time_gap
+                    safe = safe if safe > 0.0 else 0.0
+                    cap = safe if safe > leader.speed else leader.speed
+                    cap = cap if cap < v_max else v_max
+                    caps[v.vin] = cap if cap > v_min else v_min
+                    leader = v
         return caps
 
     def _lane_changes(self, fleet: list[Vehicle], leaders: dict[int, Vehicle],
@@ -542,7 +534,7 @@ class World:
         own cap is the step's; after one, the own-lane leader is found by
         bisection and ``_plan_cap`` gives the cap if that leader changed.
         """
-        length = self.cfg.vehicle_length_m
+        length = VEHICLE_LENGTH_M
         standstill = STANDSTILL_GAP_M
         stop_speed = STOP_SPEED
         time_gap = TIME_GAP_S
@@ -610,7 +602,7 @@ class World:
         if nxt >= len(self.lights):
             return True
         group = self.lights[nxt].groups[v.lane]
-        return not group or group[0].pos >= self.cfg.vehicle_length_m + STANDSTILL_GAP_M
+        return not group or group[0].pos >= VEHICLE_LENGTH_M + STANDSTILL_GAP_M
 
     def step(self) -> None:
         cfg = self.cfg
@@ -641,7 +633,7 @@ class World:
         ncso = technique == "ncso"
         reach = cfg.activation_distance_m
         limit = ACCEL_LIMIT * dt
-        length = cfg.vehicle_length_m
+        length = VEHICLE_LENGTH_M
         standstill = STANDSTILL_GAP_M
         time_gap = TIME_GAP_S
         reaction = REACTION_TIME_S
@@ -659,8 +651,9 @@ class World:
                 state = light.state
                 if ncso:
                     tti = request_tti(d, speed, cap, state)
-                    window = None if tti is None else arrival_slot_window(
+                    slot = None if tti is None else arrival_slot(
                         tti, light.slot_windows, state, light.table.mu, light.table.n_dep)
+                    window = None if slot is None else light.slot_windows[slot]
                 else:
                     window = windows.get(v.vin)
                 target = plan(speed, d, light.v_min, cap, state, window, light.t_q).speed
@@ -777,7 +770,7 @@ class World:
         Each lane group is walked twice.  Rear to front, rolling vehicles
         leave and the first vehicle still queued gives the lane's tail.
         Front to back, each stopped vehicle that joins becomes the tail."""
-        length = self.cfg.vehicle_length_m
+        length = VEHICLE_LENGTH_M
         join_zone = length + 2.0 * STANDSTILL_GAP_M
         roll_speed = 0.5  # above this a queued vehicle is moving again
         stop_speed = STOP_SPEED
@@ -811,9 +804,19 @@ class World:
         return self.report()
 
     def report(self) -> MetricsReport:
+        """Means over the completed vehicles, per intersection and in total.
+
+        Each total adds the per-intersection sums left to right, in segment
+        order, in an explicit loop: ``sum()`` compensates float error since
+        Python 3.12, which would move a total by an ulp between versions."""
         n = self.completed
         per = []
+        idle = energy = 0.0
+        stops = 0
         for i in range(len(self.cfg.segments)):
+            idle += self._sum_idle[i]
+            stops += self._sum_stops[i]
+            energy += self._sum_energy[i]
             per.append(
                 IntersectionMetrics(
                     name=f"SI{i + 1}",
@@ -832,9 +835,9 @@ class World:
             in_network=len(self.vehicles),
             waiting=self._pending_spawns,
             per_intersection=per,
-            total_mean_idling_s=sum(self._sum_idle) / n if n else 0.0,
-            total_mean_stops=sum(self._sum_stops) / n if n else 0.0,
-            total_mean_energy_j=sum(self._sum_energy) / n if n else 0.0,
+            total_mean_idling_s=idle / n if n else 0.0,
+            total_mean_stops=stops / n if n else 0.0,
+            total_mean_energy_j=energy / n if n else 0.0,
         )
 
 

@@ -4,7 +4,8 @@ Each green phase is partitioned into service slots of duration ``1/mu``
 (one departure per slot).  Slots are anchored to the start of the green
 window; the first ``N_q`` slots are implicitly reserved for the standing
 queue and never offered to approaching vehicles.  A vehicle requests the
-first slot whose arrival window holds its projected arrival.
+first slot whose arrival window holds its projected arrival, the slot
+``arrival_slot`` finds for both techniques.
 
 The table is keyed by vehicle: each vehicle claims at most one slot, and
 a new claim moves its old one.  A claim is the vehicle's token; there is
@@ -20,9 +21,9 @@ A round's participants are the light's approaching vehicles that hold a
 claim or submit a request (``request_tti`` is not None).  Any other
 vehicle leaves the table, the credits and the games' draws untouched,
 so the engine leaves it out.  The non-cooperative technique runs no
-round and reads no table: each vehicle that submits a request looks up
-its arrival slot's window with ``arrival_slot_window``, in the light's
-window list for the step, as it plans.
+round and reads no table: as it plans, each vehicle that submits a
+request aims at the window of the slot ``arrival_slot`` finds in the
+light's window list for the step.
 """
 
 from __future__ import annotations
@@ -147,10 +148,24 @@ def _slot_windows(mu: float, n_dep: int,
     return [None] * first + [arrival_window(j, mu, state) for j in range(first, n_dep + 1)]
 
 
-def _arrival_slot(tti: float, windows: list[tuple[float, float] | None]) -> int | None:
-    """First slot whose arrival window holds ``tti``, or None."""
-    for j, window in enumerate(windows):
-        if window is not None and window[0] <= tti <= window[1]:
+def arrival_slot(tti: float, windows: list[tuple[float, float] | None], state: SignalState,
+                 mu: float, n_dep: int) -> int | None:
+    """First slot whose arrival window holds ``tti``, or None.
+
+    ``windows`` is indexed by slot and holds None for index 0 and for the
+    slots the standing queue discharges through, then the windows under
+    ``state`` as far as they were built: ``_slot_windows`` builds them all,
+    and a search appends a window only when it reaches a slot the list
+    lacks.  The search stops at the first window that opens after ``tti``:
+    window starts never decrease in slot order, so no later window holds it.
+    """
+    for j in range(state.queue_len + 1, n_dep + 1):
+        if j == len(windows):
+            windows.append(arrival_window(j, mu, state))
+        window = windows[j]
+        if window[0] > tti:
+            return None
+        if tti <= window[1]:
             return j
     return None
 
@@ -181,30 +196,6 @@ def _first_free_reachable(e: Approacher, windows: list[tuple[float, float] | Non
     for j in range(start, stop):
         if not occupied[j] and _reachable(j, e, windows, v_min):
             return j
-    return None
-
-
-def arrival_slot_window(tti: float, built: list[tuple[float, float]], state: SignalState,
-                        mu: float, n_dep: int) -> tuple[float, float] | None:
-    """Arrival window of the first slot whose window holds ``tti``, or None.
-
-    The non-cooperative lookup: a vehicle takes its own arrival slot and
-    assumes it free, with no table and no games.  ``built`` holds the
-    windows of the slots after the queue that earlier lookups under the
-    same ``state`` built; a window is built only when a lookup reaches it.
-    A lookup stops at the first window that opens after the arrival:
-    window starts never decrease in slot order, so no later window holds
-    it.  It gives what ``_arrival_slot`` over ``_slot_windows`` gives.
-    """
-    first = state.queue_len + 1
-    for k in range(n_dep + 1 - first):
-        if k == len(built):
-            built.append(arrival_window(first + k, mu, state))
-        window = built[k]
-        if window[0] > tti:
-            return None
-        if tti <= window[1]:
-            return window
     return None
 
 
@@ -272,7 +263,7 @@ def allocation_round(
             live[held] -= 1
         if e.tti is None:
             continue
-        slot = _arrival_slot(e.tti, windows)
+        slot = arrival_slot(e.tti, windows, state, table.mu, n_dep)
         if slot is None or before[slot] or not _reachable(slot, e, windows, v_min):
             slot = _first_free_reachable(e, windows, v_min, before, first, end)
         if slot is not None:

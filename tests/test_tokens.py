@@ -3,17 +3,16 @@ from collections import Counter
 
 import pytest
 
+from coopspeed import tokens
 from coopspeed.games import CreditLedger, Mode, resolve_conflict
 from coopspeed.planner import speed_band
 from coopspeed.signals import SignalState
 from coopspeed.tokens import (
     Approacher,
     TokenTable,
-    _arrival_slot,
     _reachable,
     _slot_windows,
     allocation_round,
-    arrival_slot_window,
     arrival_window,
     request_tti,
 )
@@ -117,7 +116,7 @@ def test_allocate_green_basic():
 def arrival_slot(tti: float, state: SignalState, n_dep: int = 8) -> int | None:
     """The slot a request for an arrival in ``tti`` seconds names: the
     first whose arrival window holds it."""
-    return _arrival_slot(tti, _slot_windows(MU, n_dep, state))
+    return tokens.arrival_slot(tti, _slot_windows(MU, n_dep, state), state, MU, n_dep)
 
 
 def test_allocate_green_beyond_remaining():
@@ -308,20 +307,21 @@ def test_non_cooperative_round_assumes_every_slot_free():
     state = green_state(24.0)
     vehicles = [approacher(1, 20.0, state), approacher(2, 19.5, state),
                 approacher(3, 50.0, state)]
-    window = arrival_window(7, MU, state)
-    built = []  # the light's window list for the step, shared by the lookups
-    got = {e.vin: w for e in vehicles if e.tti is not None
-           and (w := arrival_slot_window(e.tti, built, state, MU, 8)) is not None}
-    assert got == {1: window, 2: window}
+    windows = [None]  # the light's window list for the step, shared by the searches
+    got = {e.vin: slot for e in vehicles if e.tti is not None
+           and (slot := tokens.arrival_slot(e.tti, windows, state, MU, 8)) is not None}
+    assert got == {1: 7, 2: 7}
+    assert windows[7] == arrival_window(7, MU, state)
 
 
 def test_arrival_windows_match_the_full_window_list():
-    # The non-cooperative lookup builds windows only as far as it needs,
-    # into a list the step's later lookups share, and stops at the first
-    # window that opens after the arrival.  It must name what the first
-    # holding window of the whole list names, in green and in red, behind
-    # queues longer than the green serves, and for arrivals placed exactly
-    # on window edges.
+    # The non-cooperative search builds windows only as far as it needs,
+    # into a list the step's later searches share, and stops at the first
+    # window that opens after the arrival.  The list it builds must be a
+    # prefix of the full one, and the slot it names must be the first whose
+    # window holds the arrival, in green and in red, behind queues longer
+    # than the green serves, and for arrivals placed exactly on window
+    # edges.
     rng = random.Random(18)
     seen = Counter()
     for _ in range(3000):
@@ -344,16 +344,16 @@ def test_arrival_windows_match_the_full_window_list():
                 draws += [rng.choice(edges)] * 2
             tti = rng.choice(draws)
             vehicles.append(Approacher(vin, 100.0, V_MAX, Mode.NORMAL, tti))
-        built = []
+        built = [None] * (state.queue_len + 1)
         for e in vehicles:
-            slot = None if e.tti is None else _arrival_slot(e.tti, windows)
+            slot = None if e.tti is None else _ref_arrival_slot(e.tti, state, mu, n_dep)
             if slot is not None:
                 seen["on a window start" if e.tti == windows[slot][0] else "found"] += 1
             seen["no request" if e.tti is None else "edge" if e.tti in edges else "drawn"] += 1
             if e.tti is not None:
-                got = arrival_slot_window(e.tti, built, state, mu, n_dep)
-                assert got == (None if slot is None else windows[slot])
-        assert built == [window for window in windows if window is not None][:len(built)]
+                assert tokens.arrival_slot(e.tti, built, state, mu, n_dep) == slot
+                assert tokens.arrival_slot(e.tti, windows, state, mu, n_dep) == slot
+        assert built == windows[:len(built)]
         seen["green" if green else "red"] += 1
         seen["queue beyond the green" if state.queue_len >= n_dep else "slots offered"] += 1
     assert min(seen.values()) >= 100, seen
