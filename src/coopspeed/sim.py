@@ -2,12 +2,13 @@
 
 A corridor is a chain of road segments, each ending at a fixed-cycle
 light.  Per step the engine advances signals and sets each light's
-per-step facts, finds every vehicle's leader and planning ceiling, lets
-vehicles change lanes, lets in-range cooperative vehicles maintain or
-claim time tokens (with conflicts settled by the precedence games), and
-then takes each vehicle, in vin order, from its planned target to its new
-speed under the density, comfort, car-following and stop-line clamps.
-Energy, integration, queues and spawning follow.
+per-step facts, writes every vehicle's leader and planning ceiling on
+the vehicle (``Vehicle.lead``, ``Vehicle.cap``), lets vehicles change
+lanes, lets in-range cooperative vehicles maintain or claim time tokens
+(with conflicts settled by the precedence games), and then takes each
+vehicle, in vin order, from its planned target to its new speed under
+the density, comfort, car-following and stop-line clamps.  Energy,
+integration, queues and spawning follow.
 
 Three techniques share identical road physics:
 
@@ -222,10 +223,12 @@ def _arrival_times(cfg: SimConfig, rng: random.Random) -> Iterator[float]:
 
 
 class Vehicle:
-    __slots__ = (
-        "vin", "mode", "seg", "lane", "pos", "speed",
-        "queued", "idle", "stops", "energy_j", "stop_armed", "spawned_at",
-    )
+    """``lead`` (the next vehicle in its lane group, None at the front) and
+    ``cap`` (its planning ceiling) hold for one step only: ``World._caps`` writes
+    both before lane changes, and ``World._leaders`` refreshes ``lead`` after a move."""
+
+    __slots__ = ("vin", "mode", "seg", "lane", "pos", "speed", "lead", "cap", "queued", "idle",
+                 "stops", "energy_j", "stop_armed", "spawned_at")
 
     def __init__(self, vin: int, mode: Mode, seg: int, lane: int, pos: float,
                  speed: float, n_segments: int, spawned_at: float) -> None:
@@ -235,6 +238,8 @@ class Vehicle:
         self.lane = lane
         self.pos = pos
         self.speed = speed
+        self.lead: Vehicle | None = None
+        self.cap = 0.0
         self.queued = False
         self.idle = [0.0] * n_segments
         self.stops = [0] * n_segments
@@ -262,11 +267,11 @@ class LightAgent:
     last slot and extended by ``ncso`` searches.
 
     Changed during the run: ``groups``, the segment's lanes, each a list of
-    its vehicles in ascending pos, kept across steps (the lane index; there
-    is no other record of it); the token ``table``, cleared at each allocation epoch;
-    ``last_cross_t``, set at each crossing and read by the gate's headway
-    test; and ``queue_len``, the number of the segment's vehicles flagged
-    ``queued`` (the queue itself), set at the end of each step."""
+    its vehicles in ascending pos, kept across steps (the lane index, from
+    which each step derives ``Vehicle.lead``); the token ``table``, cleared
+    at each allocation epoch; ``last_cross_t``, set at each crossing and read
+    by the gate's headway test; and ``queue_len``, the number of the segment's
+    vehicles flagged ``queued`` (the queue itself), set at the end of each step."""
 
     __slots__ = ("idx", "cfg", "table", "queue_len", "last_cross_t", "line_at", "v_min",
                  "v_max", "cruise", "line_zone", "grade", "cruise_step_j", "groups", "state",
@@ -413,8 +418,7 @@ class World:
 
     # -- token protocol ----------------------------------------------------
 
-    def _maintain_tokens(self, fleet: list[Vehicle],
-                         caps: dict[int, float]) -> dict[int, tuple[float, float]]:
+    def _maintain_tokens(self, fleet: list[Vehicle]) -> dict[int, tuple[float, float]]:
         """Run each light's ``csof`` allocation round over its approaching
         vehicles that hold or request a slot; returns ``vin -> arrival
         window`` for every vehicle left holding a slot.  A vehicle that does
@@ -431,7 +435,7 @@ class World:
             if d > reach:
                 continue
             vin = v.vin
-            cap = caps[vin]
+            cap = v.cap
             tti = request_tti(d, v.speed, cap, light.state)
             if tti is not None or light.table.slot_of(vin) is not None:
                 per_light[v.seg].append(Approacher(vin, d, cap, v.mode, tti))
@@ -486,23 +490,22 @@ class World:
         return self.lights
 
     @staticmethod
-    def _leaders(lights: list[LightAgent]) -> dict[int, Vehicle]:
-        out: dict[int, Vehicle] = {}
+    def _leaders(lights: list[LightAgent]) -> None:
+        """Refresh every vehicle's ``lead`` after a lane change; ``cap`` is left as it was."""
         for light in lights:
             for group in light.groups:
-                for follower, leader in zip(group, group[1:]):
-                    out[follower.vin] = leader
-        return out
+                for v, leader in zip(group, [*group[1:], None]):
+                    v.lead = leader
 
     @staticmethod
-    def _caps(lights: list[LightAgent]) -> dict[int, float]:
-        """Planning ceiling of every vehicle, walking each non-empty sorted
-        lane group from the front: the road limit for the front vehicle, and
-        for each vehicle behind it the cap ``_plan_cap`` gives for its leader."""
+    def _caps(lights: list[LightAgent]) -> None:
+        """Write every vehicle's ``lead`` and ``cap`` for the step, walking
+        each non-empty sorted lane group from the front: the front vehicle
+        has no leader and the road limit, and each vehicle behind it the
+        next vehicle and the cap ``_plan_cap`` gives for that leader."""
         length = VEHICLE_LENGTH_M
         standstill = STANDSTILL_GAP_M
         time_gap = TIME_GAP_S
-        caps: dict[int, float] = {}
         for light in lights:
             v_min, v_max = light.v_min, light.v_max
             for group in light.groups:
@@ -510,19 +513,18 @@ class World:
                     continue
                 from_front = reversed(group)
                 leader = next(from_front)
-                caps[leader.vin] = v_max
+                leader.lead, leader.cap = None, v_max
                 for v in from_front:
                     # _plan_cap's min/max chain, written out with its tie-breaks.
                     safe = (leader.pos - length - v.pos - standstill) / time_gap
                     safe = safe if safe > 0.0 else 0.0
                     cap = safe if safe > leader.speed else leader.speed
                     cap = cap if cap < v_max else v_max
-                    caps[v.vin] = cap if cap > v_min else v_min
+                    v.cap = cap if cap > v_min else v_min
+                    v.lead = leader
                     leader = v
-        return caps
 
-    def _lane_changes(self, fleet: list[Vehicle], leaders: dict[int, Vehicle],
-                      caps: dict[int, float]) -> bool:
+    def _lane_changes(self, fleet: list[Vehicle]) -> bool:
         """Overtake when the adjacent lane allows a higher speed and has
         safe time gaps fore and aft.  Returns whether any vehicle moved.
 
@@ -531,8 +533,8 @@ class World:
         ``_caps``) must beat the vehicle's own by 0.5 m/s, the front gap
         must fit the vehicle's speed, and the rear gap to the nearest
         follower must fit the fastest follower.  Before the first move the
-        own cap is the step's; after one, the own-lane leader is found by
-        bisection and ``_plan_cap`` gives the cap if that leader changed.
+        own cap is ``v.cap``; after one, ``_plan_cap`` gives it unless the
+        own-lane leader, found by bisection, is ``v.lead`` from before any move.
         """
         length = VEHICLE_LENGTH_M
         standstill = STANDSTILL_GAP_M
@@ -552,10 +554,9 @@ class World:
             if moved:
                 i = bisect_right(group, pos, key=_pos)
                 lead = group[i] if i < len(group) else None
-                cap_here = (caps[v.vin] if lead is leaders.get(v.vin)
-                            else self._plan_cap(v, lead, light))
+                cap_here = v.cap if lead is v.lead else self._plan_cap(v, lead, light)
             else:
-                cap_here = caps[v.vin]
+                cap_here = v.cap
             v_min, v_max = light.v_min, light.v_max
             if cap_here >= v_max - 0.3:
                 continue  # near the road limit already: keep the lane
@@ -614,14 +615,14 @@ class World:
         self._signal_phase_bookkeeping()
         lanes = self._by_lane()
         fleet = list(vehicles.values())  # vin order: vehicles are added by vin
-        leaders = self._leaders(lanes)
-        caps = self._caps(lanes)
+        self._caps(lanes)
         # Lane changes read only caps, leaders, positions, speeds, ``queued``
-        # and the lane lists; the token round and the planner write none.
-        if self._lane_changes(fleet, leaders, caps):
-            leaders = self._leaders(lanes)
+        # and the lane lists; the token round and the planner write none.  A
+        # move refreshes ``lead`` only: every report rests on pre-move caps.
+        if self._lane_changes(fleet):
+            self._leaders(lanes)
         technique = cfg.technique
-        windows = self._maintain_tokens(fleet, caps) if technique == "csof" else {}
+        windows = self._maintain_tokens(fleet) if technique == "csof" else {}
 
         # Each vehicle's target, then the clamps: comfort-limited planning,
         # hard safety overrides.  A queued vehicle leaves discharge to the
@@ -638,7 +639,6 @@ class World:
         time_gap = TIME_GAP_S
         reaction = REACTION_TIME_S
         gate_open = self._gate_open
-        leader_of = leaders.get
         new_speeds: list[float] = []
         for v in fleet:
             light = lights[v.seg]
@@ -647,7 +647,7 @@ class World:
             if v.queued:
                 target = light.queued_target
             elif planning and d <= reach:
-                cap = caps[v.vin]
+                cap = v.cap
                 state = light.state
                 if ncso:
                     tti = request_tti(d, speed, cap, state)
@@ -667,7 +667,7 @@ class World:
             sp = slowest if slowest > sp else sp
             sp = fastest if fastest < sp else sp
 
-            lead = leader_of(v.vin)
+            lead = v.lead
             if lead is not None:
                 gap = lead.pos - length - v.pos
                 safe = (gap - standstill) / time_gap

@@ -1,0 +1,68 @@
+"""The verdict of ``tools/bench_pairs.py`` on fixed paired runs."""
+
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _summarize():
+    path = list(sys.path)
+    dont_write = sys.dont_write_bytecode
+    sys.path.insert(0, str(TOOLS))
+    sys.dont_write_bytecode = True
+    try:
+        import bench_pairs
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path[:] = path
+    return bench_pairs.summarize
+
+
+summarize = _summarize()
+
+# Parent runs with median 100 and quartiles 97.75 and 102.25.
+PARENT = [96.0, 97.0, 98.0, 99.0, 100.0, 100.0, 101.0, 102.0, 103.0, 104.0]
+
+
+def test_a_clear_gain_wins_nine_pairs_and_beats_the_spread():
+    change = [x + 5.0 for x in PARENT]
+    change[0] = 95.0  # loses one pair
+    s = summarize(PARENT, change, "higher", 0.2)
+    assert s["parent"] == (97.75, 100.0, 102.25)
+    assert s["wins"] == 9
+    assert s["change"][1] == 105.0
+    assert s["ratio"] == 1.05
+    assert s["verdict"] == "gain"
+
+
+def test_eight_wins_are_not_a_gain():
+    change = [x + 5.0 for x in PARENT]
+    change[0] = change[1] = 90.0
+    assert summarize(PARENT, change, "higher", 0.2)["verdict"] == "unresolved"
+
+
+def test_a_gap_within_the_spread_is_not_a_gain():
+    # Ten wins, but a median gap of 4 against an interquartile range of 4.5.
+    change = [x + 4.0 for x in PARENT]
+    s = summarize(PARENT, change, "higher", 0.2)
+    assert s["wins"] == 10
+    assert s["verdict"] == "unresolved"
+
+
+def test_ties_count_for_neither_side():
+    s = summarize(PARENT, list(PARENT), "higher", 0.2)
+    assert s["wins"] == 0
+    assert s["verdict"] == "unresolved"
+
+
+def test_worse_means_beyond_the_bound():
+    assert summarize(PARENT, [x * 0.79 for x in PARENT], "higher", 0.2)["verdict"] == "worse"
+    assert summarize(PARENT, [x * 0.81 for x in PARENT], "higher", 0.2)["verdict"] == "unresolved"
+
+
+def test_lower_is_better_turns_the_comparison_round():
+    assert summarize(PARENT, [x - 5.0 for x in PARENT], "lower", 0.05)["verdict"] == "gain"
+    assert summarize(PARENT, [x - 5.0 for x in PARENT], "lower", 0.05)["wins"] == 10
+    assert summarize(PARENT, [x + 6.0 for x in PARENT], "lower", 0.05)["verdict"] == "worse"
+    assert summarize(PARENT, [x + 4.0 for x in PARENT], "lower", 0.05)["verdict"] == "unresolved"

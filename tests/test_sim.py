@@ -390,16 +390,53 @@ def test_caps_match_plan_cap_at_every_step():
     # _caps writes out _plan_cap's arithmetic for a whole lane group; the
     # two must agree bit for bit, signed zeros included.
     world = World(_two_short("csof"))
+    caps = set()
     while world.t < 120.0:
-        lights = world._by_lane()
-        caps = world._caps(lights)
-        leaders = world._leaders(lights)
+        world._caps(world._by_lane())
         for (seg, _), group in _lane_groups(world).items():
             for v in group:
-                expected = world._plan_cap(v, leaders.get(v.vin), world.lights[seg])
-                assert repr(caps[v.vin]) == repr(expected), (world.t, v.vin)
+                expected = world._plan_cap(v, v.lead, world.lights[seg])
+                assert repr(v.cap) == repr(expected), (world.t, v.vin)
+                caps.add(v.cap)
         world.step()
-    assert len(set(caps.values())) > 2  # leaders' speeds and gaps, not only the limits
+    assert len(caps) > 2  # leaders' speeds and gaps, not only the limits
+
+
+def _check_leaders_after_planning(monkeypatch, world, until):
+    """Step ``world`` to ``until``, checking at each step's energy booking,
+    which follows lane changes and the one-pass loop, that every vehicle's
+    ``lead`` is the next vehicle of its lane group, or None at the front;
+    returns the number of steps in which a lane change moved a vehicle."""
+    accrue, relead = World._accrue_energy, World._leaders
+    moves = []
+
+    def checked_accrue(self, fleet, new_speeds):
+        for group in _lane_groups(self).values():
+            for v, ahead in zip(group, [*group[1:], None]):
+                assert v.lead is ahead, (self.t, v.vin)
+        return accrue(self, fleet, new_speeds)
+
+    def counted_leaders(lights):
+        moves.append(1)
+        return relead(lights)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(World, "_accrue_energy", checked_accrue)
+        patch.setattr(World, "_leaders", staticmethod(counted_leaders))
+        while world.t < until - 1e-9:
+            world.step()
+    return len(moves)
+
+
+def test_leaders_are_current_when_speeds_are_set(monkeypatch):
+    # A vehicle's leader is a fact of the step; lane changes move vehicles
+    # after it is first written, so a stale leader would show here.
+    rng = random.Random(22)
+    moves = 0
+    for _ in range(6):
+        cfg = _random_corridor(rng)
+        moves += _check_leaders_after_planning(monkeypatch, World(cfg), cfg.duration_s)
+    assert moves >= 5
 
 
 # -- lane changes -------------------------------------------------------------
@@ -435,15 +472,15 @@ def test_lane_groups_stay_sorted_when_both_lanes_change():
                         (0, 1, 300.0, 10.0), (0, 1, 315.0, 2.0))
     lights = world._by_lane()
     fleet = list(world.vehicles.values())
-    leaders = world._leaders(lights)
-    caps = world._caps(lights)
-    assert world._lane_changes(fleet, leaders, caps)
+    world._caps(lights)
+    assert world._lane_changes(fleet)
     groups = world.lights[0].groups
     assert [[v.vin for v in group] for group in groups] == [[2, 3], [1, 4]]
     for group in groups:
         assert [v.pos for v in group] == sorted(v.pos for v in group)
         assert all(v.lane == group[0].lane for v in group)
-    assert {f: lead.vin for f, lead in world._leaders(lights).items()} == {2: 3, 1: 4}
+    world._leaders(lights)
+    assert {v.vin: v.lead.vin for v in fleet if v.lead} == {2: 3, 1: 4}
 
 
 def test_a_move_gives_the_vehicle_behind_a_new_leader_in_the_same_step():
@@ -455,11 +492,18 @@ def test_a_move_gives_the_vehicle_behind_a_new_leader_in_the_same_step():
     assert [v.lane for v in world.vehicles.values()] == [1, 0, 0]
 
 
+def test_a_move_refreshes_the_leaders_of_the_step(monkeypatch):
+    # The move above: at the start of the step 1 follows 2 and 3 leads its
+    # lane; after it 3 follows 2 and 1 leads lane 1.
+    world = _lane_world((0, 0, 100.0, 10.0), (0, 0, 120.0, 3.0), (0, 1, 70.0, 10.0))
+    assert _check_leaders_after_planning(monkeypatch, world, world.cfg.dt_s) == 1
+    assert [v.lane for v in world.vehicles.values()] == [1, 0, 0]
+
+
 def test_no_move_reports_nothing_moved():
     world = _lane_world((0, 0, 100.0, 10.0), (0, 1, 300.0, 10.0))
-    lights = world._by_lane()
-    assert not world._lane_changes(list(world.vehicles.values()), world._leaders(lights),
-                                   world._caps(lights))
+    world._caps(world._by_lane())
+    assert not world._lane_changes(list(world.vehicles.values()))
 
 
 # -- lane changes against a reference copy ------------------------------------
@@ -570,15 +614,18 @@ def _random_lane_state(rng):
 
 def _lane_change_outcome(cfg, queued, lane_changes):
     """Run ``lane_changes(world, fleet, lanes, leaders, caps)`` on a fresh
-    world of ``cfg`` at the start of its first step; returns the result,
-    every vehicle's lane and every lane group's vins in order."""
+    world of ``cfg`` at the start of its first step, with the step's
+    leaders and caps as dicts by vin read from the vehicles; returns the
+    result, every vehicle's lane and every lane group's vins in order."""
     world = World(cfg)
     for vin in queued:
         world.vehicles[vin].queued = True
     lanes = _lane_groups(world)
-    lights = world._by_lane()
+    world._caps(world._by_lane())
     fleet = list(world.vehicles.values())
-    moved = lane_changes(world, fleet, lanes, world._leaders(lights), world._caps(lights))
+    leaders = {v.vin: v.lead for v in fleet if v.lead is not None}
+    caps = {v.vin: v.cap for v in fleet}
+    moved = lane_changes(world, fleet, lanes, leaders, caps)
     return (moved, [v.lane for v in fleet],
             {key: [v.vin for v in group] for key, group in lanes.items()})
 
@@ -591,7 +638,7 @@ def test_lane_changes_decide_as_the_reference_copy():
         expected = _lane_change_outcome(
             cfg, queued, lambda world, *args: reference_lane_changes(world, *args, seen))
         got = _lane_change_outcome(
-            cfg, queued, lambda world, fleet, lanes, *args: world._lane_changes(fleet, *args))
+            cfg, queued, lambda world, fleet, *args: world._lane_changes(fleet))
         assert got == expected, cfg
     # Moves, moves after which a later vehicle has a new own-lane leader,
     # and rejections by each test, ties of the cap test among them.
