@@ -483,18 +483,11 @@ def test_lane_groups_stay_sorted_when_both_lanes_change():
     assert {v.vin: v.lead.vin for v in fleet if v.lead} == {2: 3, 1: 4}
 
 
-def test_a_move_gives_the_vehicle_behind_a_new_leader_in_the_same_step():
+def test_a_move_gives_the_vehicle_behind_a_new_leader_in_the_same_step(monkeypatch):
     # 1 overtakes the slow 2 into lane 1 and becomes the leader of 3 there;
     # 3, free at the start of the step, is now held back by 1 and moves
-    # into the gap 1 left in lane 0.
-    world = _lane_world((0, 0, 100.0, 10.0), (0, 0, 120.0, 3.0), (0, 1, 70.0, 10.0))
-    world.step()
-    assert [v.lane for v in world.vehicles.values()] == [1, 0, 0]
-
-
-def test_a_move_refreshes_the_leaders_of_the_step(monkeypatch):
-    # The move above: at the start of the step 1 follows 2 and 3 leads its
-    # lane; after it 3 follows 2 and 1 leads lane 1.
+    # into the gap 1 left in lane 0.  The step's leaders are refreshed: 3
+    # now follows 2, and 1 leads lane 1.
     world = _lane_world((0, 0, 100.0, 10.0), (0, 0, 120.0, 3.0), (0, 1, 70.0, 10.0))
     assert _check_leaders_after_planning(monkeypatch, world, world.cfg.dt_s) == 1
     assert [v.lane for v in world.vehicles.values()] == [1, 0, 0]
