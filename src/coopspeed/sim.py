@@ -21,13 +21,13 @@ Three techniques share identical road physics:
 
 Under ``csof``, each step every light with a participant runs
 ``tokens.allocation_round`` over the unqueued vehicles within activation
-distance that hold a claim or submit a request.  The round returns the
-arrival window of the slot each vehicle is left holding, and the planner
-aims at that window.  A vehicle's token is its claim in the light's
-table, released when the vehicle crosses or joins the queue.  Under
-``ncso`` there is no round: a vehicle that submits a request aims at the
-window of its arrival slot, which ``tokens.arrival_slot`` finds in the
-light's window list for the step.
+distance that hold a claim or submit a request.  A vehicle's token is its
+claim in the light's table, released when the vehicle crosses or joins
+the queue; the round changes only the table and fills the light's window
+list for the step (``LightAgent.slot_windows``).  Under ``ncso`` there is
+no round: a vehicle that submits a request takes its arrival slot, which
+``tokens.arrival_slot`` finds in that list.  Either way the planner aims
+at the window of the vehicle's slot in the list.
 Tables live in per-light allocation epochs: an epoch opens at a red
 start and closes when the following green ends, so slots granted during
 red carry into the green they target and everything expires with it.
@@ -263,8 +263,9 @@ class LightAgent:
     ``density_cap``, the segment's density speed cap; ``queued_target``,
     the target of a queued vehicle; ``t_q``, the time the queue takes to
     clear plus the arrival bias; and ``slot_windows``, the arrival windows
-    indexed by slot for ``tokens.arrival_slot``, None up to the queue's
-    last slot and extended by ``ncso`` searches.
+    indexed by slot, None up to the queue's last slot, then filled by the
+    ``csof`` round or extended by ``ncso`` searches; both techniques read a
+    vehicle's window there in the one-pass loop.
 
     Changed during the run: ``groups``, the segment's lanes, each a list of
     its vehicles in ascending pos, kept across steps (the lane index, from
@@ -418,12 +419,12 @@ class World:
 
     # -- token protocol ----------------------------------------------------
 
-    def _maintain_tokens(self, fleet: list[Vehicle]) -> dict[int, tuple[float, float]]:
+    def _maintain_tokens(self, fleet: list[Vehicle]) -> None:
         """Run each light's ``csof`` allocation round over its approaching
-        vehicles that hold or request a slot; returns ``vin -> arrival
-        window`` for every vehicle left holding a slot.  A vehicle that does
-        neither cannot change the round, so it is left out, and a light with
-        no participant runs no round: it would return nothing."""
+        vehicles that hold or request a slot; a round writes only the light's
+        table and fills its ``slot_windows``.  A vehicle that does neither
+        cannot change the round, so it is left out, and a light with no
+        participant runs no round: it has no holder."""
         reach = self.cfg.activation_distance_m
         lights = self.lights
         per_light: list[list[Approacher]] = [[] for _ in lights]
@@ -439,12 +440,10 @@ class World:
             tti = request_tti(d, v.speed, cap, light.state)
             if tti is not None or light.table.slot_of(vin) is not None:
                 per_light[v.seg].append(Approacher(vin, d, cap, v.mode, tti))
-        windows: dict[int, tuple[float, float]] = {}
         for light, entries in zip(lights, per_light):
             if entries:
-                windows.update(allocation_round(light.table, light.state, light.v_min, entries,
-                                                self.ledger, self.rng_games, self.rng_tl))
-        return windows
+                allocation_round(light.table, light.state, light.slot_windows, light.v_min,
+                                 entries, self.ledger, self.rng_games, self.rng_tl)
 
     def _plan_cap(self, v: Vehicle, leader: Vehicle | None, light: LightAgent) -> float:
         """Achievable speed ceiling for planning: the road limit, or what
@@ -622,7 +621,8 @@ class World:
         if self._lane_changes(fleet):
             self._leaders(lanes)
         technique = cfg.technique
-        windows = self._maintain_tokens(fleet) if technique == "csof" else {}
+        if technique == "csof":
+            self._maintain_tokens(fleet)
 
         # Each vehicle's target, then the clamps: comfort-limited planning,
         # hard safety overrides.  A queued vehicle leaves discharge to the
@@ -653,9 +653,9 @@ class World:
                     tti = request_tti(d, speed, cap, state)
                     slot = None if tti is None else arrival_slot(
                         tti, light.slot_windows, state, light.table.mu, light.table.n_dep)
-                    window = None if slot is None else light.slot_windows[slot]
                 else:
-                    window = windows.get(v.vin)
+                    slot = light.table.slot_of(v.vin)
+                window = None if slot is None else light.slot_windows[slot]
                 target = plan(speed, d, light.v_min, cap, state, window, light.t_q).speed
             else:
                 target = light.cruise

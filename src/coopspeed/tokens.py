@@ -14,16 +14,16 @@ requests land on it in the same round.  The round finds those conflicts
 in its count of claimants per slot, and the precedence games settle
 them.  After ``allocation_round`` every slot has at most one claimant.
 ``arrival_window`` is the one mapping from a slot to the arrival times
-that meet it.  A round returns the window of the slot each vehicle is
-left holding, and the planner aims at that window.
+that meet it.  The table is a round's only output; the planner aims at
+the window of a holder's slot in the window list the round fills.
 
 A round's participants are the light's approaching vehicles that hold a
 claim or submit a request (``request_tti`` is not None).  Any other
 vehicle leaves the table, the credits and the games' draws untouched,
 so the engine leaves it out.  The non-cooperative technique runs no
 round and reads no table: as it plans, each vehicle that submits a
-request aims at the window of the slot ``arrival_slot`` finds in the
-light's window list for the step.
+request aims at the window of the slot ``arrival_slot`` finds, which the
+search reads from the same list, extending it as far as it needs.
 """
 
 from __future__ import annotations
@@ -140,22 +140,14 @@ def request_tti(dist: float, speed: float, cap: float, state: SignalState) -> fl
     return None
 
 
-def _slot_windows(mu: float, n_dep: int,
-                  state: SignalState) -> list[tuple[float, float] | None]:
-    """Arrival window of each of slots 1 to ``n_dep``, indexed by slot; None
-    for index 0 and for the slots the standing queue discharges through."""
-    first = state.queue_len + 1
-    return [None] * first + [arrival_window(j, mu, state) for j in range(first, n_dep + 1)]
-
-
 def arrival_slot(tti: float, windows: list[tuple[float, float] | None], state: SignalState,
                  mu: float, n_dep: int) -> int | None:
     """First slot whose arrival window holds ``tti``, or None.
 
     ``windows`` is indexed by slot and holds None for index 0 and for the
     slots the standing queue discharges through, then the windows under
-    ``state`` as far as they were built: ``_slot_windows`` builds them all,
-    and a search appends a window only when it reaches a slot the list
+    ``state`` as far as they were built: ``allocation_round`` fills them
+    all, and a search appends a window only when it reaches a slot the list
     lacks.  The search stops at the first window that opens after ``tti``:
     window starts never decrease in slot order, so no later window holds it.
     """
@@ -202,15 +194,17 @@ def _first_free_reachable(e: Approacher, windows: list[tuple[float, float] | Non
 def allocation_round(
     table: TokenTable,
     state: SignalState,
+    windows: list[tuple[float, float] | None],
     v_min: float,
     vehicles: Sequence[Approacher],
     ledger: CreditLedger,
     rng,
     tl_rng,
-) -> dict[int, tuple[float, float]]:
-    """One cooperative allocation round for one light; returns ``vin ->
-    arrival window`` for each vehicle of ``vehicles`` left holding a slot,
-    the window of that slot.
+) -> None:
+    """One cooperative allocation round for one light; the table is its
+    only output.  The round fills ``windows``, the light's window list for
+    the step as ``arrival_slot`` takes it, in place up to slot
+    ``table.n_dep``, so a holder reads its window at the slot it holds.
 
     ``vehicles`` are the light's approaching, unqueued vehicles in
     ascending VIN order.  Only a vehicle that holds a claim in ``table``
@@ -241,11 +235,11 @@ def allocation_round(
     a contested slot still to be settled.
     """
     if not vehicles:
-        return {}
-    n_dep = table.n_dep
+        return
+    mu, n_dep = table.mu, table.n_dep
     first = state.queue_len + 1  # the first slot the queue leaves free
     end = n_dep + 1
-    windows = _slot_windows(table.mu, n_dep, state)
+    windows.extend(arrival_window(j, mu, state) for j in range(len(windows), end))
     live = table.occupancy()
     before = live.copy()  # occupancy at the start of the round
     for e in vehicles:
@@ -263,7 +257,7 @@ def allocation_round(
             live[held] -= 1
         if e.tti is None:
             continue
-        slot = arrival_slot(e.tti, windows, state, table.mu, n_dep)
+        slot = arrival_slot(e.tti, windows, state, mu, n_dep)
         if slot is None or before[slot] or not _reachable(slot, e, windows, v_min):
             slot = _first_free_reachable(e, windows, v_min, before, first, end)
         if slot is not None:
@@ -285,4 +279,3 @@ def allocation_round(
                 if alt is not None:
                     table.claim(alt, vin)
                     live[alt] += 1
-    return {e.vin: windows[slot] for e in vehicles if (slot := slot_of(e.vin)) is not None}

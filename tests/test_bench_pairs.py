@@ -1,12 +1,15 @@
-"""The verdict of ``tools/bench_pairs.py`` on fixed paired runs."""
+"""The verdict of ``tools/bench_pairs.py`` on fixed paired runs, and the
+command it runs."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _summarize():
+def _bench_pairs():
     path = list(sys.path)
     dont_write = sys.dont_write_bytecode
     sys.path.insert(0, str(TOOLS))
@@ -16,10 +19,28 @@ def _summarize():
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path[:] = path
-    return bench_pairs.summarize
+    return bench_pairs
 
 
-summarize = _summarize()
+bench_pairs = _bench_pairs()
+summarize = bench_pairs.summarize
+
+
+def test_each_run_lasts_the_benchmarks_own_run_length(monkeypatch):
+    # BENCHMARK.json runs each workload for 20 s; a pair must time the same
+    # run, not the single round of ``--seconds 0``.  The fake starts no
+    # process.
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout='{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    spec = json.loads(bench_pairs.SPEC.read_text())
+    assert bench_pairs.run_once(spec, Path("."), "csof_peak", 3) == {"correct": True}
+    assert commands == [[*spec["command"], "--workload", "csof_peak", "--seed", "3",
+                         "--seconds", "20"]]
 
 # Parent runs with median 100 and quartiles 97.75 and 102.25.
 PARENT = [96.0, 97.0, 98.0, 99.0, 100.0, 100.0, 101.0, 102.0, 103.0, 104.0]

@@ -12,8 +12,8 @@ from coopspeed.planner import (
     speed_band,
 )
 from coopspeed.signals import SignalState
-from coopspeed.tokens import Approacher, _reachable, _slot_windows, arrival_window
-from tests.test_tokens import green_state, red_state
+from coopspeed.tokens import Approacher, _reachable, arrival_window
+from tests.test_tokens import full_windows, green_state, red_state
 
 MU = 0.333
 V_MIN = 2.78
@@ -246,7 +246,7 @@ def test_round_and_planner_agree_on_reachable_slots():
         slot = rng.randint(queue + 1, 8)
         res = plan(speed, dist, V_MIN, cap, state, arrival_window(slot, MU, state),
                    t_q=rng.uniform(0.0, 15.0))
-        ok = _reachable(slot, e, _slot_windows(MU, 8, state), V_MIN)
+        ok = _reachable(slot, e, full_windows(MU, 8, state), V_MIN)
         assert ok == (res.case in token_cases), (state, e, slot, res)
         reachable += ok
     assert 5000 < reachable < 45000

@@ -25,15 +25,20 @@ from coopspeed.sim import (
     SimConfig,
     World,
 )
-from coopspeed.tokens import TokenTable
+from coopspeed.tokens import TokenTable, arrival_window
 
 
 def test_token_table_matches_tokens_at_every_step():
     # csof at 600 veh/h, seed 2: the first 120 s include losers of games
     # whose earlier claims used to linger beside their new ones.  A claim
     # is the vehicle's token, so the table must hold one per vehicle and
-    # one per slot.
-    world = World(SimConfig(seed=2, technique="csof", arrival_rate_veh_s=600 / 3600))
+    # one per slot.  The step reads a holder's window at its slot in the
+    # light's window list, so every holder must be a vehicle the light's
+    # round took part in, unqueued and within activation distance, and the
+    # list must hold the window of every held slot.
+    cfg = SimConfig(seed=2, technique="csof", arrival_rate_veh_s=600 / 3600)
+    world = World(cfg)
+    held = 0
     while world.t < 120.0:
         world.step()
         for light in world.lights:
@@ -42,8 +47,15 @@ def test_token_table_matches_tokens_at_every_step():
             slots = [slot for _, slot in requests]
             assert len(set(vins)) == len(vins), (world.t, light.idx, requests)
             assert len(set(slots)) == len(slots), (world.t, light.idx, requests)
-            on_segment = {vin for vin, v in world.vehicles.items() if v.seg == light.idx}
-            assert set(vins) <= on_segment, (world.t, light.idx, requests)
+            in_round = {vin for vin, v in world.vehicles.items() if v.seg == light.idx
+                        and not v.queued
+                        and light.line_at - v.pos <= cfg.activation_distance_m}
+            assert set(vins) <= in_round, (world.t, light.idx, requests)
+            for slot in slots:
+                assert light.slot_windows[slot] == arrival_window(
+                    slot, light.table.mu, light.state), (world.t, light.idx, slot)
+            held += len(slots)
+    assert held > 1000, held
 
 
 @pytest.mark.parametrize("technique", ["ncso", "csof"])

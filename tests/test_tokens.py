@@ -11,7 +11,6 @@ from coopspeed.tokens import (
     Approacher,
     TokenTable,
     _reachable,
-    _slot_windows,
     allocation_round,
     arrival_window,
     request_tti,
@@ -50,14 +49,25 @@ def approacher(vin: int, tti: float, state: SignalState, mode: Mode = Mode.NORMA
                       tti=request_tti(dist, speed, V_MAX, state))
 
 
+def full_windows(mu, n_dep, state):
+    """The window list of a light for one step, built in full: indexed by
+    slot, None for index 0 and the queue's slots, then slot ``j``'s
+    ``arrival_window`` up to ``n_dep``."""
+    first = state.queue_len + 1
+    return [None] * first + [arrival_window(j, mu, state) for j in range(first, n_dep + 1)]
+
+
 def run_round(table, state, vehicles, ledger=None, seed=0):
     """``vin -> slot`` for each vehicle of ``vehicles`` left holding a slot,
-    after checking that the round returns the arrival window of that slot."""
+    after checking that the window list the round fills holds the arrival
+    window of that slot."""
     ledger = CreditLedger() if ledger is None else ledger
-    windows = allocation_round(table, state, V_MIN, vehicles, ledger, random.Random(seed),
-                               random.Random(seed + 1))
+    windows = [None] * (state.queue_len + 1)
+    assert allocation_round(table, state, windows, V_MIN, vehicles, ledger,
+                            random.Random(seed), random.Random(seed + 1)) is None
     slots = {e.vin: table.slot_of(e.vin) for e in vehicles if table.slot_of(e.vin) is not None}
-    assert windows == {vin: arrival_window(slot, table.mu, state) for vin, slot in slots.items()}
+    for slot in slots.values():
+        assert windows[slot] == arrival_window(slot, table.mu, state)
     return slots
 
 
@@ -116,7 +126,7 @@ def test_allocate_green_basic():
 def arrival_slot(tti: float, state: SignalState, n_dep: int = 8) -> int | None:
     """The slot a request for an arrival in ``tti`` seconds names: the
     first whose arrival window holds it."""
-    return tokens.arrival_slot(tti, _slot_windows(MU, n_dep, state), state, MU, n_dep)
+    return tokens.arrival_slot(tti, full_windows(MU, n_dep, state), state, MU, n_dep)
 
 
 def test_allocate_green_beyond_remaining():
@@ -318,10 +328,10 @@ def test_arrival_windows_match_the_full_window_list():
     # The non-cooperative search builds windows only as far as it needs,
     # into a list the step's later searches share, and stops at the first
     # window that opens after the arrival.  The list it builds must be a
-    # prefix of the full one, and the slot it names must be the first whose
-    # window holds the arrival, in green and in red, behind queues longer
-    # than the green serves, and for arrivals placed exactly on window
-    # edges.
+    # prefix of the one a round fills, and the slot it names must be the
+    # first whose window holds the arrival, in green and in red, behind
+    # queues longer than the green serves, and for arrivals placed exactly
+    # on window edges.
     rng = random.Random(18)
     seen = Counter()
     for _ in range(3000):
@@ -335,7 +345,13 @@ def test_arrival_windows_match_the_full_window_list():
             green_s=green_s, red_s=red_s, queue_len=rng.randint(0, n_dep + 2),
             green_end_margin_s=rng.choice([0.0, rng.uniform(0.0, 3.0)]),
         )
-        windows = _slot_windows(mu, n_dep, state)
+        # The list a round fills for this state; a vehicle that neither holds
+        # nor requests lets it run without changing anything.
+        windows = [None] * (state.queue_len + 1)
+        allocation_round(TokenTable(mu, n_dep), state, windows, V_MIN,
+                         [Approacher(0, 100.0, V_MAX, Mode.NORMAL, None)], CreditLedger(),
+                         random.Random(0), random.Random(1))
+        assert windows == full_windows(mu, n_dep, state)
         edges = [edge for window in windows if window is not None for edge in window]
         vehicles = []
         for vin in range(rng.randint(0, 8)):
@@ -409,9 +425,9 @@ def test_request_needs_a_positive_speed(speed):
 # window for the round, stopped upgrade scans at the held slot and played
 # games only on a contested table.  It takes every approaching vehicle as
 # (vin, dist, speed, cap, mode), rebuilds the claimed set for each check
-# and scans every slot.  It returns what the round returns: the arrival
-# window of each listed vehicle's slot.  ``seen`` counts the branches the
-# round took.
+# and scans every slot.  It returns the arrival window of each listed
+# vehicle's slot, which the real round leaves in its table and in the
+# window list it fills.  ``seen`` counts the branches the round took.
 
 POOL = tuple(range(1, 13))  # vins of approachers and of other claimants
 
@@ -572,13 +588,23 @@ def _approachers(vehicles, state):
             for vin, dist, speed, cap, mode in vehicles]
 
 
+def _round_windows(table, state, v_min, entries, *rest):
+    """Run the round over ``entries`` (``Approacher``s); returns ``vin ->
+    window`` for each of them left holding a slot, read from the table and
+    from the window list the round filled."""
+    windows = [None] * (state.queue_len + 1)
+    allocation_round(table, state, windows, v_min, entries, *rest)
+    listed = {e.vin for e in entries}
+    return {vin: windows[slot] for vin, slot in table.requests() if vin in listed}
+
+
 def test_round_decides_as_the_reference_round():
     rng = random.Random(12)
     seen = Counter()
     for _ in range(3000):
         spec = _random_round(rng)
         expected = _play(spec, lambda *args: reference_round(*args, seen))
-        got = _play(spec, lambda table, state, v_min, vehicles, *rest: allocation_round(
+        got = _play(spec, lambda table, state, v_min, vehicles, *rest: _round_windows(
             table, state, v_min, _approachers(vehicles, state), *rest))
         assert got == expected, spec
     # The random rounds take every branch of the round many times, and
@@ -597,14 +623,14 @@ def test_a_vehicle_that_neither_holds_nor_requests_changes_nothing():
         active = [e for e in entries if e.tti is not None or e.vin in claims]
         idle_seen += len(entries) - len(active)
         everyone = _play(spec, lambda t, s, v_min, _, *rest:
-                         allocation_round(t, s, v_min, entries, *rest))
+                         _round_windows(t, s, v_min, entries, *rest))
         without_idle = _play(spec, lambda t, s, v_min, _, *rest:
-                             allocation_round(t, s, v_min, active, *rest))
+                             _round_windows(t, s, v_min, active, *rest))
         assert everyone == without_idle, spec
         # A round over idle vehicles alone hands out no window and leaves
         # table, ledger and RNGs as they were.
         untouched = _play(spec, lambda *args: {})
-        idle_only = _play(spec, lambda t, s, v_min, _, *rest: allocation_round(
+        idle_only = _play(spec, lambda t, s, v_min, _, *rest: _round_windows(
             t, s, v_min, [e for e in entries if e not in active], *rest))
         assert idle_only == untouched, spec
     assert idle_seen > 1000
@@ -619,8 +645,8 @@ def test_a_round_leaves_no_listed_vehicle_on_a_slot_it_cannot_reach():
     def unreachable_holders(table, state, v_min, vehicles, *rest):
         nonlocal held
         entries = _approachers(vehicles, state)
-        allocation_round(table, state, v_min, entries, *rest)
-        windows = _slot_windows(table.mu, table.n_dep, state)
+        windows = [None] * (state.queue_len + 1)
+        allocation_round(table, state, windows, v_min, entries, *rest)
         holders = [(e, slot) for e in entries if (slot := table.slot_of(e.vin)) is not None]
         held += len(holders)
         return [e.vin for e, slot in holders if not _reachable(slot, e, windows, v_min)]

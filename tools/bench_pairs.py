@@ -5,8 +5,9 @@ Run from the repository root:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--pairs 10] [--seed 1]
 
 Each pair runs the benchmark command of BENCHMARK.json with ``--workload
-W --seed S --seconds 0`` once in each checkout, one process at a time;
-the side that runs first alternates from pair to pair, and
+W --seed S --seconds R`` once in each checkout, one process at a time,
+where R is the file's ``run_seconds``, the run length of the benchmark
+itself.  The side that runs first alternates from pair to pair, and
 ``PYTHONDONTWRITEBYTECODE=1`` keeps both sides without a bytecode cache,
 which would move ``setup_s`` and ``peak_rss_mb``.  The script exits 1 as
 soon as a run is not ``correct`` or the two runs of a pair differ in
@@ -55,7 +56,8 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
 
 
 def run_once(spec: dict, checkout: Path, workload: str, seed: int) -> dict:
-    cmd = [*spec["command"], "--workload", workload, "--seed", str(seed), "--seconds", "0"]
+    cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(spec["run_seconds"])]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=600)
