@@ -1,7 +1,5 @@
 """Cooperative speed optimization and time-token allocation for signalized corridors."""
 
-from .sim import (TECHNIQUES, InitialVehicle, MetricsReport, SegmentConfig, SignalConfig,
-                  SimConfig, run)
+from .sim import TECHNIQUES, MetricsReport, SegmentConfig, SignalConfig, SimConfig, run
 
-__all__ = ["SimConfig", "SegmentConfig", "SignalConfig", "InitialVehicle", "MetricsReport",
-           "TECHNIQUES", "run"]
+__all__ = ["SimConfig", "SegmentConfig", "SignalConfig", "MetricsReport", "TECHNIQUES", "run"]

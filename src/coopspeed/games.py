@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 
 class Mode(IntEnum):
@@ -91,19 +91,19 @@ class ConflictResult:
 
 
 def resolve_conflict(
-    group: Sequence[int],
     modes: Mapping[int, Mode],
     ledger: CreditLedger,
     rng,
     tl_rng,
 ) -> ConflictResult:
-    """Single-elimination ladder over the conflict group.
+    """Single-elimination ladder over the conflict group, the vins of
+    ``modes`` (each claimant's urgency mode).
 
     Pairing order is ascending VIN.  Credits move after every sub-game,
     so a mid-ladder win can decide a later credit tier.  A group of k
     vehicles settles in exactly k - 1 sub-games.
     """
-    vins = sorted(group)
+    vins = sorted(modes)
     if len(vins) < 2:
         raise ValueError("a conflict needs at least two vehicles")
     rounds: list[PairOutcome] = []

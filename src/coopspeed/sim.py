@@ -111,17 +111,6 @@ class SegmentConfig:
             raise ValueError("need 0 <= v_min <= v_max and v_max > 0")
 
 
-@dataclass(frozen=True)
-class InitialVehicle:
-    """Deterministically pre-placed vehicle for scripted scenarios; it
-    drives in ``Mode.NORMAL``."""
-
-    seg: int = 0
-    lane: int = 0
-    pos: float = 0.0
-    speed: float = 0.0
-
-
 def _default_segments() -> tuple[SegmentConfig, ...]:
     return (SegmentConfig(), SegmentConfig(), SegmentConfig())
 
@@ -136,7 +125,6 @@ class SimConfig:
     arrival_rate_veh_s: float = 0.1
     vehicle_length_m: ClassVar[float] = VEHICLE_LENGTH_M  # a model constant, not a field
     segments: tuple[SegmentConfig, ...] = field(default_factory=_default_segments)
-    initial_vehicles: tuple[InitialVehicle, ...] = ()
     scripted_arrivals: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -155,6 +143,11 @@ class SimConfig:
             raise ValueError(f"dt must be below the reaction time, {REACTION_TIME_S} s")
         if self.duration_s < 0:
             raise ValueError("duration must be non-negative")
+        steps = round(self.duration_s / self.dt_s)
+        if abs(steps * self.dt_s - self.duration_s) > 1e-9 * max(1.0, self.duration_s):
+            # ``World.run`` takes that many steps; the report would give a
+            # duration the run did not simulate.
+            raise ValueError("duration must be a whole number of steps")
         if self.technique not in TECHNIQUES:
             raise ValueError(f"technique must be one of {TECHNIQUES}")
         if not self.segments:
@@ -179,33 +172,6 @@ class SimConfig:
             if any(a > b for a, b in zip(arrivals, arrivals[1:])):
                 # Spawning stops at the first arrival still in the future.
                 raise ValueError("scripted arrivals must be non-decreasing")
-        self._check_initial_vehicles()
-
-    def _check_initial_vehicles(self) -> None:
-        """Each pre-placed vehicle must sit on a lane of the corridor, at
-        least a vehicle length from the others in its lane."""
-        lanes: dict[tuple[int, int], list[float]] = {}
-        for iv in self.initial_vehicles:
-            if not (_is_int(iv.seg) and _is_int(iv.lane)):
-                # A float index would fail later, in the lane index or in a
-                # lookup, with an unrelated error.
-                raise ValueError("initial vehicle segment and lane must be integers")
-            if not 0 <= iv.seg < len(self.segments):
-                raise ValueError(f"initial vehicle on segment {iv.seg}, which does not exist")
-            seg = self.segments[iv.seg]
-            if not 0 <= iv.lane < seg.lanes:
-                raise ValueError(f"initial vehicle in lane {iv.lane} of a {seg.lanes}-lane segment")
-            if not 0 <= iv.pos < seg.length_m:
-                raise ValueError(f"initial vehicle position {iv.pos} outside [0, {seg.length_m})")
-            if not 0 <= iv.speed < math.inf:
-                raise ValueError("initial vehicle speed must be finite and non-negative")
-            lanes.setdefault((iv.seg, iv.lane), []).append(iv.pos)
-        for (seg_idx, lane), positions in lanes.items():
-            positions.sort()
-            for rear, front in zip(positions, positions[1:]):
-                if front - rear < VEHICLE_LENGTH_M:
-                    raise ValueError(f"initial vehicles at {rear} m and {front} m overlap in "
-                                     f"segment {seg_idx} lane {lane}")
 
 
 def _arrival_times(cfg: SimConfig, rng: random.Random) -> Iterator[float]:
@@ -372,8 +338,6 @@ class World:
         self._sum_stops = [0] * n
         self._sum_energy = [0.0] * n
         self.lights = [LightAgent(i, seg, cfg.dt_s) for i, seg in enumerate(cfg.segments)]
-        for iv in cfg.initial_vehicles:
-            self._place(iv.seg, iv.lane, iv.pos, iv.speed, Mode.NORMAL)
 
     # -- spawning ----------------------------------------------------------
 

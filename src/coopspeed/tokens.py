@@ -271,7 +271,7 @@ def allocation_round(
             if live[tau] < 2:
                 continue
             modes = {e.vin: e.mode for e in vehicles if slot_of(e.vin) == tau}
-            result = resolve_conflict(list(modes), modes, ledger, rng, tl_rng)
+            result = resolve_conflict(modes, ledger, rng, tl_rng)
             for vin in result.losers:
                 table.release(vin)
                 live[tau] -= 1

@@ -42,6 +42,30 @@ def test_each_run_lasts_the_benchmarks_own_run_length(monkeypatch):
     assert commands == [[*spec["command"], "--workload", "csof_peak", "--seed", "3",
                          "--seconds", "20"]]
 
+
+def test_all_runs_every_workload_in_the_files_order(monkeypatch, capsys):
+    # ``--workload all`` gives each workload of BENCHMARK.json its pairs and
+    # its summary in turn.  The fake starts no process; its result line
+    # carries every end-to-end metric.
+    spec = json.loads(bench_pairs.SPEC.read_text())
+    line = json.dumps({"correct": True, "failed": 0, "metrics": {
+        m["name"]: {"value": 1.0} for m in spec["end_to_end"]}})
+    workloads = []
+
+    def fake_run(cmd, **kwargs):
+        workloads.append(cmd[cmd.index("--workload") + 1])
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"warm-up\n{line}\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", ".", ".", "--workload", "all",
+                                      "--pairs", "2"])
+    assert bench_pairs.main() == 0
+    names = [w["name"] for w in spec["workloads"]]
+    assert workloads == [name for name in names for _ in range(4)]
+    summaries = [line for line in capsys.readouterr().out.splitlines() if "pairs" in line]
+    assert [line.split(",")[0] for line in summaries] == names
+
+
 # Parent runs with median 100 and quartiles 97.75 and 102.25.
 PARENT = [96.0, 97.0, 98.0, 99.0, 100.0, 100.0, 101.0, 102.0, 103.0, 104.0]
 

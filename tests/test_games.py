@@ -63,7 +63,7 @@ def test_ladder_size_and_credit_conservation():
         for v in vins:
             ledger.set(v, rng.randint(-3, 3))
         before = ledger.total()
-        result = resolve_conflict(vins, modes, ledger, rng, tl_rng)
+        result = resolve_conflict(modes, ledger, rng, tl_rng)
         assert len(result.rounds) == k - 1
         assert ledger.total() == before
         assert result.winner not in result.losers
@@ -79,7 +79,7 @@ def test_unique_top_mode_always_wins():
         rusher = rng.choice(vins)
         modes = {v: (Mode.RUSH if v == rusher else Mode(rng.randint(0, 1))) for v in vins}
         ledger = CreditLedger()
-        result = resolve_conflict(vins, modes, ledger, rng, tl_rng)
+        result = resolve_conflict(modes, ledger, rng, tl_rng)
         assert result.winner == rusher
 
 
@@ -91,7 +91,7 @@ def test_tournament_is_deterministic_under_fixed_seeds():
         modes = {v: Mode.NORMAL for v in range(1, 6)}
         outs = []
         for _ in range(20):
-            outs.append(resolve_conflict([1, 2, 3, 4, 5], modes, ledger, rng, tl_rng).winner)
+            outs.append(resolve_conflict(modes, ledger, rng, tl_rng).winner)
         return outs
 
     assert run() == run()
@@ -101,7 +101,7 @@ def test_winner_pays_loser_exactly_one_credit():
     ledger = CreditLedger()
     ledger.set(1, 2)
     ledger.set(2, 0)
-    result = resolve_conflict([1, 2], {1: Mode.RUSH, 2: Mode.NORMAL}, ledger,
+    result = resolve_conflict({1: Mode.RUSH, 2: Mode.NORMAL}, ledger,
                               random.Random(0), random.Random(1))
     assert result.winner == 1
     assert ledger.get(1) == 1 and ledger.get(2) == 1

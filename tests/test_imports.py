@@ -39,7 +39,7 @@ def test_package_imports_only_the_standard_library():
 def test_package_exports_the_documented_api():
     # README.md documents these names; the submodules are not exports.
     # Each is the engine's own object.
-    assert coopspeed.__all__ == ["SimConfig", "SegmentConfig", "SignalConfig", "InitialVehicle",
-                                 "MetricsReport", "TECHNIQUES", "run"]
+    assert coopspeed.__all__ == ["SimConfig", "SegmentConfig", "SignalConfig", "MetricsReport",
+                                 "TECHNIQUES", "run"]
     for name in coopspeed.__all__:
         assert getattr(coopspeed, name) is getattr(coopspeed.sim, name), name

@@ -9,6 +9,7 @@ import pytest
 
 import coopspeed.sim as sim
 from coopspeed.energy import step_energy
+from coopspeed.games import Mode
 from coopspeed.signals import SignalConfig
 from coopspeed.sim import (
     ENTRY_SPEED,
@@ -18,7 +19,6 @@ from coopspeed.sim import (
     STOP_SPEED,
     TECHNIQUES,
     TIME_GAP_S,
-    InitialVehicle,
     IntersectionMetrics,
     MetricsReport,
     SegmentConfig,
@@ -202,13 +202,21 @@ def test_same_seed_same_report():
 
 # -- analytic oracles ---------------------------------------------------------
 
+def _placed(cfg, *vehicles):
+    """A world of ``cfg`` with each ``(seg, lane, pos, speed)`` put on the
+    road in the order given, in ``Mode.NORMAL``: vins count from 1."""
+    world = World(cfg)
+    for seg, lane, pos, speed in vehicles:
+        world._place(seg, lane, pos, speed, Mode.NORMAL)
+    return world
+
+
 def test_trip_energy_converges_in_dt():
     # One cruising vehicle over the default corridor, stopped once by a red.
     trips = []
     for dt in (0.05, 0.1, 0.2):
-        cfg = SimConfig(duration_s=300.0, dt_s=dt, technique="fixed", arrival_rate_veh_s=0.0,
-                        initial_vehicles=(InitialVehicle(speed=13.89),))
-        report = World(cfg).run()
+        cfg = SimConfig(duration_s=300.0, dt_s=dt, technique="fixed", arrival_rate_veh_s=0.0)
+        report = _placed(cfg, (0, 0, 0.0, 13.89)).run()
         assert report.completed == 1
         assert report.total_mean_idling_s > 0.0
         assert all(m.mean_energy_j >= 0.0 for m in report.per_intersection), (dt, report)
@@ -285,10 +293,8 @@ def test_a_vehicle_that_moved_on_does_not_hold_its_follower_at_the_line(techniqu
     # first.  Once it has left segment 1 the lane there is empty, so the
     # one behind must cross too instead of being held as if the first were
     # still at the start of segment 1.
-    cfg = SimConfig(duration_s=1.0, technique=technique, arrival_rate_veh_s=0.0,
-                    initial_vehicles=(InitialVehicle(seg=1, lane=0, pos=999.5, speed=10.0),
-                                      InitialVehicle(seg=0, lane=0, pos=999.5, speed=10.0)))
-    world = World(cfg)
+    cfg = SimConfig(duration_s=1.0, technique=technique, arrival_rate_veh_s=0.0)
+    world = _placed(cfg, (1, 0, 999.5, 10.0), (0, 0, 999.5, 10.0))
     world.step()
     assert (world.vehicles[1].seg, world.vehicles[2].seg) == (2, 1)
     assert world.vehicles[2].stops == [0, 0, 0]
@@ -454,9 +460,8 @@ def test_leaders_are_current_when_speeds_are_set(monkeypatch):
 # -- lane changes -------------------------------------------------------------
 
 def _lane_world(*vehicles, **overrides):
-    cfg = SimConfig(duration_s=10.0, technique="fixed", arrival_rate_veh_s=0.0,
-                    initial_vehicles=tuple(InitialVehicle(*v) for v in vehicles), **overrides)
-    return World(cfg)
+    cfg = SimConfig(duration_s=10.0, technique="fixed", arrival_rate_veh_s=0.0, **overrides)
+    return _placed(cfg, *vehicles)
 
 
 def test_slow_leader_and_free_lane_make_the_follower_change_lanes():
@@ -582,10 +587,10 @@ def reference_lane_changes(world, fleet, lanes, leaders, caps, seen):
 
 
 def _random_lane_state(rng):
-    """A config with densely placed vehicles on a 2- or 3-lane corridor of
-    one or two short segments, and the vins to flag as queued.  Half the
-    states put positions, speeds and limits on a coarse grid, so that the
-    tests' comparisons meet ties."""
+    """A config of a 2- or 3-lane corridor of one or two short segments,
+    the ``(seg, lane, pos, speed)`` of its densely placed vehicles, and
+    the vins to flag as queued.  Half the states put positions, speeds and
+    limits on a coarse grid, so that the tests' comparisons meet ties."""
     grid = rng.random() < 0.5
 
     def draw(lo, hi, step):
@@ -607,22 +612,23 @@ def _random_lane_state(rng):
                 speed = rng.choice((0.0, draw(0.0, 2.0 * STOP_SPEED, 0.05),
                                     draw(0.0, seg.v_max, 0.25), draw(0.0, seg.v_max, 0.25),
                                     draw(0.5 * seg.v_max, 1.2 * seg.v_max, 0.25)))
-                placed.append(InitialVehicle(seg_idx, lane, pos, speed))
+                placed.append((seg_idx, lane, pos, speed))
                 pos += 5.0 + rng.choice((draw(0.0, 4.0, 0.5), draw(0.0, 20.0, 0.5),
                                          draw(0.0, 80.0, 0.5)))
     cfg = SimConfig(duration_s=0.0, technique="fixed", arrival_rate_veh_s=0.0,
                     activation_distance_m=min(s.length_m for s in segments),
-                    segments=tuple(segments), initial_vehicles=tuple(placed))
+                    segments=tuple(segments))
     queued = {k + 1 for k in range(len(placed)) if rng.random() < 0.1}
-    return cfg, queued
+    return cfg, placed, queued
 
 
-def _lane_change_outcome(cfg, queued, lane_changes):
+def _lane_change_outcome(cfg, placed, queued, lane_changes):
     """Run ``lane_changes(world, fleet, lanes, leaders, caps)`` on a fresh
-    world of ``cfg`` at the start of its first step, with the step's
-    leaders and caps as dicts by vin read from the vehicles; returns the
-    result, every vehicle's lane and every lane group's vins in order."""
-    world = World(cfg)
+    world of ``cfg`` with the ``placed`` vehicles, at the start of its first
+    step, with the step's leaders and caps as dicts by vin read from the
+    vehicles; returns the result, every vehicle's lane and every lane
+    group's vins in order."""
+    world = _placed(cfg, *placed)
     for vin in queued:
         world.vehicles[vin].queued = True
     lanes = _lane_groups(world)
@@ -639,12 +645,12 @@ def test_lane_changes_decide_as_the_reference_copy():
     rng = random.Random(21)
     seen = Counter()
     for _ in range(2000):
-        cfg, queued = _random_lane_state(rng)
+        cfg, placed, queued = _random_lane_state(rng)
         expected = _lane_change_outcome(
-            cfg, queued, lambda world, *args: reference_lane_changes(world, *args, seen))
+            cfg, placed, queued, lambda world, *args: reference_lane_changes(world, *args, seen))
         got = _lane_change_outcome(
-            cfg, queued, lambda world, fleet, *args: world._lane_changes(fleet))
-        assert got == expected, cfg
+            cfg, placed, queued, lambda world, fleet, *args: world._lane_changes(fleet))
+        assert got == expected, (cfg, placed)
     # Moves, moves after which a later vehicle has a new own-lane leader,
     # and rejections by each test, ties of the cap test among them.
     assert min(seen[k] for k in ("moved", "new_leader", "cap", "front_gap", "rear_gap",
@@ -669,6 +675,16 @@ def test_driving_parameters_must_be_in_range():
             SimConfig(**{name: bad})
     SimConfig(activation_distance_m=0.0)
     SimConfig(dt_s=1.0)
+
+
+def test_duration_must_be_a_whole_number_of_steps():
+    # ``World.run`` takes round(duration / dt) steps: 0.25 s at 0.1 s ran
+    # two steps and 0.15 s one, while the report gave 0.25 and 0.15.
+    for duration, dt in [(0.25, 0.1), (0.15, 0.1)]:
+        with pytest.raises(ValueError, match="whole number of steps"):
+            SimConfig(duration_s=duration, dt_s=dt)
+    for duration, dt in [(600.0, 0.1), (300.0, 0.2), (300.0, 0.05), (0.0, 0.1)]:
+        SimConfig(duration_s=duration, dt_s=dt)
 
 
 def test_vehicle_length_is_a_model_constant():
@@ -696,28 +712,9 @@ def test_segments_must_share_one_lane_count():
     segments = (SegmentConfig(length_m=200.0, lanes=3), SegmentConfig(length_m=200.0, lanes=2))
     with pytest.raises(ValueError, match="number of lanes"):
         SimConfig(duration_s=60.0, technique="fixed", arrival_rate_veh_s=0.0,
-                  activation_distance_m=100.0, segments=segments,
-                  initial_vehicles=(InitialVehicle(seg=0, lane=2, pos=150.0, speed=10.0),))
+                  activation_distance_m=100.0, segments=segments)
     SimConfig(activation_distance_m=100.0,
               segments=(SegmentConfig(length_m=200.0, lanes=3),) * 2)
-
-
-@pytest.mark.parametrize("placed, message", [
-    (((7, 0, 100.0, 10.0),), "segment 7"),
-    (((0, 5, 100.0, 10.0),), "lane 5"),
-    (((0, 0, 1000.0, 10.0),), "outside"),
-    (((0, 0, -1.0, 10.0),), "outside"),
-    (((0, 0, 100.0, -1.0),), "speed"),
-    (((0, 1, 100.0, 10.0), (0, 1, 102.0, 10.0)), "overlap"),
-], ids=["segment", "lane", "pos-end", "pos-negative", "speed", "spacing"])
-def test_initial_vehicles_must_fit_the_corridor(placed, message):
-    with pytest.raises(ValueError, match=message):
-        SimConfig(initial_vehicles=tuple(InitialVehicle(*v) for v in placed))
-
-
-def test_initial_vehicles_a_length_apart_or_in_other_lanes_are_accepted():
-    SimConfig(initial_vehicles=(InitialVehicle(0, 0, 100.0), InitialVehicle(0, 0, 105.0),
-                                InitialVehicle(0, 1, 101.0), InitialVehicle(1, 0, 101.0)))
 
 
 def test_arrival_rate_must_be_non_negative():
@@ -746,43 +743,31 @@ def test_arrival_inputs_must_be_finite():
     (SignalConfig, "green_s", math.inf), (SignalConfig, "red_s", math.nan),
     (SignalConfig, "all_red_gap_s", math.nan), (SignalConfig, "offset_s", math.nan),
     (SignalConfig, "departure_rate", math.nan),
-    (InitialVehicle, "speed", math.inf), (InitialVehicle, "speed", math.nan),
 ], ids=lambda x: getattr(x, "__name__", str(x)))
 def test_config_numbers_must_be_finite(config, name, value):
     # Most of these used to be accepted: a NaN activation distance let
     # every vehicle plan from anywhere on its segment, and a NaN grade
     # made every energy figure NaN.
     with pytest.raises(ValueError, match="finite"):
-        made = config(**{name: value})
-        if config is InitialVehicle:
-            SimConfig(initial_vehicles=(made,))
+        config(**{name: value})
 
 
 @pytest.mark.parametrize("make", [
-    lambda: SimConfig(initial_vehicles=(InitialVehicle(lane=0.5),)),
-    lambda: SimConfig(initial_vehicles=(InitialVehicle(lane=1.0),)),
-    lambda: SimConfig(initial_vehicles=(InitialVehicle(seg=0.0),)),
     lambda: SegmentConfig(lanes=2.5),
     lambda: SegmentConfig(lanes=3.0),
     lambda: SimConfig(seed="1"),
     lambda: SimConfig(seed=None),
     lambda: SimConfig(seed=1.5),
     lambda: SimConfig(seed=True),
-    lambda: SimConfig(initial_vehicles=(InitialVehicle(seg=True, lane=False),)),
-    lambda: SimConfig(initial_vehicles=(InitialVehicle(lane=True),)),
     lambda: SegmentConfig(lanes=True),
-], ids=["lane-0.5", "lane-1.0", "seg-0.0", "lanes-2.5", "lanes-3.0",
-        "seed-str", "seed-None", "seed-1.5", "seed-True", "seg-True-lane-False",
-        "lane-True", "lanes-True"])
+], ids=["lanes-2.5", "lanes-3.0", "seed-str", "seed-None", "seed-1.5", "seed-True",
+        "lanes-True"])
 def test_config_indices_must_be_integers(make):
-    # These used to fail later with an unrelated error (a KeyError in the
-    # lane index, a TypeError from an index, from ``range`` or from seeding
-    # the streams), or, for a whole float, to be accepted until something
-    # indexed a list with it.  A seed of 1.5 was accepted: it seeded the
-    # streams with 9.0 and the report gave seed 1.5.  A bool is an ``int``:
-    # ``seed=True`` ran as seed 1 but reported ``seed=True``, ``==`` to the
-    # seed-1 report and different by ``repr``, and ``InitialVehicle(seg=True,
-    # lane=False)`` placed a vehicle on segment 1, lane 0.
+    # These used to fail later with an unrelated error (a TypeError from
+    # ``range`` or from seeding the streams).  A seed of 1.5 was accepted:
+    # it seeded the streams with 9.0 and the report gave seed 1.5.  A bool
+    # is an ``int``: ``seed=True`` ran as seed 1 but reported ``seed=True``,
+    # ``==`` to the seed-1 report and different by ``repr``.
     with pytest.raises(ValueError, match="integer"):
         make()
 
@@ -797,8 +782,7 @@ def test_a_cruising_step_books_what_step_energy_gives(grade, dt):
     # after every step.
     segment = SegmentConfig(grade=grade)
     cruise = min(ENTRY_SPEED, segment.v_max)
-    world = World(SimConfig(dt_s=dt, segments=(segment,),
-                            initial_vehicles=(InitialVehicle(speed=cruise),)))
+    world = _placed(SimConfig(dt_s=dt, segments=(segment,)), (0, 0, 0.0, cruise))
     v = world.vehicles[1]
     expected = 0.0
     steps = 0
@@ -838,15 +822,30 @@ def test_poisson_arrivals_continue_past_the_duration():
     assert world.spawned > spawned
 
 
+def test_an_arrival_enters_the_freest_clear_lane():
+    # A lane is clear when its rearmost vehicle's front is at 12 m or more,
+    # a vehicle length and the standstill gap in; of the clear lanes, the
+    # one whose rearmost vehicle is furthest in takes the arrival, an empty
+    # lane before any other and lane 0 on a tie.
+    cfg = SimConfig(duration_s=0.0, technique="fixed", arrival_rate_veh_s=0.0)
+    for placed, lane in [
+        (((0, 0, 20.0, 0.0), (0, 1, 40.0, 0.0)), 1),
+        (((0, 0, 11.99, 0.0), (0, 1, 11.99, 0.0)), None),
+        (((0, 0, 12.0, 0.0), (0, 1, 11.0, 0.0)), 0),
+        (((0, 0, 500.0, 0.0),), 1),
+        ((), 0),
+    ]:
+        assert _placed(cfg, *placed)._entry_lane() == lane, placed
+
+
 def test_stop_detector_arms_at_the_configured_moving_speed():
     # Rolling just above or just below the moving speed, 0.8 m short of a
     # red light: the vehicle slows below the moving speed at once, so only
     # the detector's initial arming decides whether its stop counts.
     for speed, stops in [(MOVING_SPEED + 0.05, 1), (MOVING_SPEED - 0.05, 0)]:
         cfg = SimConfig(duration_s=5.0, technique="fixed", arrival_rate_veh_s=0.0,
-                        segments=(SegmentConfig(signal=SignalConfig(offset_s=30.0)),),
-                        initial_vehicles=(InitialVehicle(pos=999.2, speed=speed),))
-        world = World(cfg)
+                        segments=(SegmentConfig(signal=SignalConfig(offset_s=30.0)),))
+        world = _placed(cfg, (0, 0, 999.2, speed))
         world.run()
         v = world.vehicles[1]
         assert v.idle[0] > 0.0, speed

@@ -512,7 +512,7 @@ def reference_round(table, state, v_min, vehicles, ledger, rng, tl_rng, seen):
     seen["several_contested"] += len(conflicts) > 1
     for tau, group in conflicts.items():
         modes = {vin: by_vin[vin][4] for vin in group}
-        result = resolve_conflict(group, modes, ledger, rng, tl_rng)
+        result = resolve_conflict(modes, ledger, rng, tl_rng)
         seen["games"] += 1
         live = _ref_claimed(table)
         for vin in result.losers:

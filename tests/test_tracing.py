@@ -9,7 +9,8 @@ import sys
 from pathlib import Path
 
 import coopspeed.sim as sim
-from coopspeed.sim import InitialVehicle, SimConfig, World
+from coopspeed.games import Mode
+from coopspeed.sim import SimConfig, World
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -30,9 +31,9 @@ def _tracing_module():
 def test_tracer_times_the_planner_on_an_ncso_world():
     # A vehicle starts inside the activation distance, so the planner runs
     # from the first step.
-    cfg = SimConfig(duration_s=60.0, technique="ncso", arrival_rate_veh_s=0.25, seed=1,
-                    initial_vehicles=(InitialVehicle(pos=600.0, speed=13.89),))
+    cfg = SimConfig(duration_s=60.0, technique="ncso", arrival_rate_veh_s=0.25, seed=1)
     world = World(cfg)
+    world._place(0, 0, 600.0, 13.89, Mode.NORMAL)
     plan = sim.plan
     tracer = _tracing_module().Tracer(sim)
     tracer.install()
@@ -55,9 +56,9 @@ ENGINE_LAYERS = ("sim.queues", "sim.spawn", "sim.energy", "sim.token_round", "si
 
 
 def test_tracer_keeps_every_engine_layer_on_a_csof_world():
-    cfg = SimConfig(duration_s=60.0, technique="csof", arrival_rate_veh_s=0.25, seed=1,
-                    initial_vehicles=(InitialVehicle(pos=600.0, speed=13.89),))
+    cfg = SimConfig(duration_s=60.0, technique="csof", arrival_rate_veh_s=0.25, seed=1)
     world = World(cfg)
+    world._place(0, 0, 600.0, 13.89, Mode.NORMAL)
     tracer = _tracing_module().Tracer(sim)
     tracer.install()
     try:

@@ -4,8 +4,10 @@ Run from the repository root:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--pairs 10] [--seed 1]
 
-Each pair runs the benchmark command of BENCHMARK.json with ``--workload
-W --seed S --seconds R`` once in each checkout, one process at a time,
+W is a workload of BENCHMARK.json, or ``all``: then every workload of the
+file gets its pairs and its summary in turn, in the file's order.  Each
+pair runs the benchmark command of BENCHMARK.json with ``--workload W
+--seed S --seconds R`` once in each checkout, one process at a time,
 where R is the file's ``run_seconds``, the run length of the benchmark
 itself.  The side that runs first alternates from pair to pair, and
 ``PYTHONDONTWRITEBYTECODE=1`` keeps both sides without a bytecode cache,
@@ -69,23 +71,15 @@ def run_once(spec: dict, checkout: Path, workload: str, seed: int) -> dict:
     return result
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-    spec = json.loads(SPEC.read_text())
+def run_pairs(spec: dict, args: argparse.Namespace, workload: str) -> None:
+    """Run the alternating pairs of one workload; print each pair and the
+    summary of every end-to-end metric."""
     metrics = spec["end_to_end"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(spec, getattr(args, side), args.workload, args.seed))
+            runs[side].append(run_once(spec, getattr(args, side), workload, args.seed))
         parent, change = runs["parent"][-1], runs["change"][-1]
         if parent["failed"] != change["failed"]:
             sys.exit(f"pair {k + 1}: failed {parent['failed']} (parent) against "
@@ -93,7 +87,7 @@ def main() -> int:
         print(f"pair {k + 1} ({order[0]} first): " + "  ".join(
             f"{m['name']} {parent['metrics'][m['name']]['value']:.5g}/"
             f"{change['metrics'][m['name']]['value']:.5g}" for m in metrics), flush=True)
-    print(f"{args.workload}, {args.pairs} pairs, parent/change; "
+    print(f"{workload}, {args.pairs} pairs, parent/change; "
           "median [quartiles] parent -> change:")
     for m in metrics:
         name = m["name"]
@@ -103,6 +97,26 @@ def main() -> int:
         (p1, p2, p3), (c1, c2, c3) = s["parent"], s["change"]
         print(f"  {name:16s} {p2:.5g} [{p1:.5g}, {p3:.5g}] -> {c2:.5g} [{c1:.5g}, {c3:.5g}]  "
               f"ratio {s['ratio']:.3f}  change wins {s['wins']}/{args.pairs}  {s['verdict']}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or all of them in turn")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    spec = json.loads(SPEC.read_text())
+    if args.workload == "all":
+        workloads = [w["name"] for w in spec["workloads"]]
+    else:
+        workloads = [args.workload]
+    for workload in workloads:
+        run_pairs(spec, args, workload)
     return 0
 
 
