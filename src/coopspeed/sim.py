@@ -91,7 +91,6 @@ def _is_int(x: object) -> bool:
 @dataclass(frozen=True)
 class SegmentConfig:
     length_m: float = 1000.0
-    lanes: int = 2
     v_min: float = 10.0 * KMH
     v_max: float = 60.0 * KMH
     grade: float = 0.0  # elevation gain per meter traveled
@@ -102,10 +101,6 @@ class SegmentConfig:
             raise ValueError("segment length, speed band and grade must be finite")
         if self.length_m <= 0:
             raise ValueError("segment length must be positive")
-        if not _is_int(self.lanes):
-            raise ValueError("the number of lanes must be an integer")
-        if self.lanes < 2:
-            raise ValueError("the corridor needs at least two lanes")
         if not 0 <= self.v_min <= self.v_max or self.v_max <= 0:
             # At v_max = 0 every vehicle enters at rest and never moves.
             raise ValueError("need 0 <= v_min <= v_max and v_max > 0")
@@ -123,6 +118,7 @@ class SimConfig:
     technique: str = "csof"
     activation_distance_m: float = 500.0
     arrival_rate_veh_s: float = 0.1
+    lanes: int = 2  # on every segment: a vehicle crosses into its own lane
     vehicle_length_m: ClassVar[float] = VEHICLE_LENGTH_M  # a model constant, not a field
     segments: tuple[SegmentConfig, ...] = field(default_factory=_default_segments)
     scripted_arrivals: tuple[float, ...] | None = None
@@ -156,10 +152,10 @@ class SimConfig:
             raise ValueError("activation distance must be non-negative")
         if self.activation_distance_m > min(s.length_m for s in self.segments):
             raise ValueError("activation distance cannot exceed segment length")
-        if len({seg.lanes for seg in self.segments}) > 1:
-            # A vehicle crosses into the same lane of the next segment; the
-            # engine has no lane-drop model.
-            raise ValueError("every segment must have the same number of lanes")
+        if not _is_int(self.lanes):
+            raise ValueError("the number of lanes must be an integer")
+        if self.lanes < 2:
+            raise ValueError("the corridor needs at least two lanes")
         if not 0 <= self.arrival_rate_veh_s < math.inf:
             # An infinite rate never lets the spawner leave its loop; NaN
             # would spawn nothing.
@@ -233,18 +229,19 @@ class LightAgent:
     ``csof`` round or extended by ``ncso`` searches; both techniques read a
     vehicle's window there in the one-pass loop.
 
-    Changed during the run: ``groups``, the segment's lanes, each a list of
-    its vehicles in ascending pos, kept across steps (the lane index, from
-    which each step derives ``Vehicle.lead``); the token ``table``, cleared
-    at each allocation epoch; ``last_cross_t``, set at each crossing and read
-    by the gate's headway test; and ``queue_len``, the number of the segment's
-    vehicles flagged ``queued`` (the queue itself), set at the end of each step."""
+    Changed during the run: ``groups``, the segment's ``SimConfig.lanes`` lanes,
+    each a list of its vehicles in ascending pos, kept across steps (the lane
+    index, from which each step derives ``Vehicle.lead``); the token ``table``,
+    cleared at each allocation epoch; ``last_cross_t``, set at each crossing and
+    read by the gate's headway test; ``queue_len``, the number of the segment's
+    vehicles flagged ``queued`` (the queue itself), set at the end of each step;
+    and ``sum_idle``, ``sum_stops``, ``sum_energy``, the completed vehicles' totals."""
 
-    __slots__ = ("idx", "cfg", "table", "queue_len", "last_cross_t", "line_at", "v_min",
-                 "v_max", "cruise", "line_zone", "grade", "cruise_step_j", "groups", "state",
-                 "density_cap", "queued_target", "t_q", "slot_windows")
+    __slots__ = ("idx", "cfg", "table", "queue_len", "last_cross_t", "line_at", "v_min", "v_max",
+                 "cruise", "line_zone", "grade", "cruise_step_j", "groups", "state", "density_cap",
+                 "queued_target", "t_q", "slot_windows", "sum_idle", "sum_stops", "sum_energy")
 
-    def __init__(self, idx: int, seg_cfg: SegmentConfig, dt: float) -> None:
+    def __init__(self, idx: int, seg_cfg: SegmentConfig, lanes: int, dt: float) -> None:
         self.idx = idx
         self.cfg = seg_cfg.signal
         self.table = TokenTable(self.cfg.departure_rate,
@@ -259,10 +256,11 @@ class LightAgent:
         self.line_zone = TIME_GAP_S * seg_cfg.v_max + 5.0
         self.grade = seg_cfg.grade
         self.cruise_step_j = step_energy(cruise, cruise, dt, seg_cfg.grade * cruise * dt)
-        self.groups: list[list[Vehicle]] = [[] for _ in range(seg_cfg.lanes)]
+        self.groups: list[list[Vehicle]] = [[] for _ in range(lanes)]
         self.state: SignalState | None = None
         self.density_cap = self.queued_target = self.t_q = 0.0
         self.slot_windows: list[tuple[float, float] | None] = []
+        self.sum_idle, self.sum_stops, self.sum_energy = 0.0, 0, 0.0
 
     def epoch_of(self, t: float) -> int:
         """Allocation epoch: opens at a red start, ends with its green."""
@@ -333,11 +331,7 @@ class World:
         self._pending_spawns = 0
         self._arrivals = _arrival_times(cfg, self.rng_arrivals)
         self._next_arrival = next(self._arrivals, None)
-        n = len(cfg.segments)
-        self._sum_idle = [0.0] * n
-        self._sum_stops = [0] * n
-        self._sum_energy = [0.0] * n
-        self.lights = [LightAgent(i, seg, cfg.dt_s) for i, seg in enumerate(cfg.segments)]
+        self.lights = [LightAgent(i, s, cfg.lanes, cfg.dt_s) for i, s in enumerate(cfg.segments)]
 
     # -- spawning ----------------------------------------------------------
 
@@ -698,10 +692,10 @@ class World:
                     continue
                 del vehicles[v.vin]
                 self.completed += 1
-                for i in range(len(lights)):
-                    self._sum_idle[i] += v.idle[i]
-                    self._sum_stops[i] += v.stops[i]
-                    self._sum_energy[i] += v.energy_j[i]
+                for light, idle, stops, energy_j in zip(lights, v.idle, v.stops, v.energy_j):
+                    light.sum_idle += idle
+                    light.sum_stops += stops
+                    light.sum_energy += energy_j
 
         self._update_queues()
         self._spawn_due()
@@ -777,17 +771,17 @@ class World:
         per = []
         idle = energy = 0.0
         stops = 0
-        for i in range(len(self.cfg.segments)):
-            idle += self._sum_idle[i]
-            stops += self._sum_stops[i]
-            energy += self._sum_energy[i]
+        for light in self.lights:
+            idle += light.sum_idle
+            stops += light.sum_stops
+            energy += light.sum_energy
             per.append(
                 IntersectionMetrics(
-                    name=f"SI{i + 1}",
+                    name=f"SI{light.idx + 1}",
                     vehicles=n,
-                    mean_idling_s=self._sum_idle[i] / n if n else 0.0,
-                    mean_stops=self._sum_stops[i] / n if n else 0.0,
-                    mean_energy_j=self._sum_energy[i] / n if n else 0.0,
+                    mean_idling_s=light.sum_idle / n if n else 0.0,
+                    mean_stops=light.sum_stops / n if n else 0.0,
+                    mean_energy_j=light.sum_energy / n if n else 0.0,
                 )
             )
         return MetricsReport(

@@ -234,8 +234,6 @@ def allocation_round(
     order.  A loser moves only to a slot nobody claims, so it never joins
     a contested slot still to be settled.
     """
-    if not vehicles:
-        return
     mu, n_dep = table.mu, table.n_dep
     first = state.queue_len + 1  # the first slot the queue leaves free
     end = n_dep + 1

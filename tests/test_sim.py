@@ -103,7 +103,8 @@ def test_report_totals_add_left_to_right():
     # per-intersection sums in segment order, so 1.0 is lost to 1e16.
     world = World(SimConfig(duration_s=0.0))
     world.completed = 1
-    world._sum_energy = [1e16, 1.0, -1e16]
+    for light, energy in zip(world.lights, (1e16, 1.0, -1e16)):
+        light.sum_energy = energy
     assert world.report().total_mean_energy_j == 0.0
 
 
@@ -322,13 +323,13 @@ def _lane_groups(world):
 
 def _check_lanes_and_accounting(world):
     """Each lane group of the index is in ascending pos with a vehicle
-    length between neighbours, each light holds one group per lane of its
-    segment, the index holds every vehicle exactly once in its own lane,
+    length between neighbours, each light holds one group per lane of the
+    corridor, the index holds every vehicle exactly once in its own lane,
     every spawned vehicle is completed or in the network, and credits are
     conserved."""
     length = world.cfg.vehicle_length_m
     for light in world.lights:
-        assert len(light.groups) == world.cfg.segments[light.idx].lanes, (world.t, light.idx)
+        assert len(light.groups) == world.cfg.lanes, (world.t, light.idx)
     indexed = []
     for key, group in _lane_groups(world).items():
         assert all((v.seg, v.lane) == key for v in group), (world.t, key)
@@ -372,7 +373,7 @@ def test_invariants_hold_at_every_step(technique):
 
 
 def _random_corridor(rng):
-    """1-3 segments sharing a lane count, with random lengths, speed bands
+    """1-3 segments and 2-3 lanes, with random lengths, speed bands
     and signal timings, a random technique and a random demand."""
     lanes = rng.choice((2, 3))
     segments = []
@@ -382,13 +383,14 @@ def _random_corridor(rng):
                               all_red_gap_s=rng.uniform(0.0, min(green, red, 5.0)),
                               offset_s=rng.uniform(0.0, green + red),
                               departure_rate=rng.uniform(0.2, 0.8))
-        segments.append(SegmentConfig(length_m=rng.uniform(150.0, 1200.0), lanes=lanes,
+        segments.append(SegmentConfig(length_m=rng.uniform(150.0, 1200.0),
                                       v_min=rng.uniform(0.0, 20.0) * KMH,
                                       v_max=rng.uniform(20.0, 80.0) * KMH, signal=signal))
     return SimConfig(duration_s=120.0, seed=rng.randint(1, 10**6),
                      technique=rng.choice(TECHNIQUES),
                      activation_distance_m=rng.uniform(0.0, min(s.length_m for s in segments)),
-                     arrival_rate_veh_s=rng.uniform(0.05, 0.5), segments=tuple(segments))
+                     arrival_rate_veh_s=rng.uniform(0.05, 0.5), lanes=lanes,
+                     segments=tuple(segments))
 
 
 def test_invariants_hold_on_random_corridors():
@@ -556,7 +558,7 @@ def reference_lane_changes(world, fleet, lanes, leaders, caps, seen):
             cap_here = caps[v.vin]
         if cap_here >= seg.v_max - 0.3:
             continue
-        for other_lane in range(seg.lanes):
+        for other_lane in range(cfg.lanes):
             if other_lane == v.lane:
                 continue
             other = lanes[(v.seg, other_lane)]
@@ -601,7 +603,7 @@ def _random_lane_state(rng):
     segments = []
     for _ in range(rng.randint(1, 2)):
         v_max = draw(20.0 * KMH, 80.0 * KMH, 0.5)
-        segments.append(SegmentConfig(length_m=draw(100.0, 300.0, 10.0), lanes=lanes,
+        segments.append(SegmentConfig(length_m=draw(100.0, 300.0, 10.0),
                                       v_min=min(v_max, draw(0.0, 20.0 * KMH, 0.5)),
                                       v_max=v_max))
     placed = []
@@ -616,7 +618,7 @@ def _random_lane_state(rng):
                 pos += 5.0 + rng.choice((draw(0.0, 4.0, 0.5), draw(0.0, 20.0, 0.5),
                                          draw(0.0, 80.0, 0.5)))
     cfg = SimConfig(duration_s=0.0, technique="fixed", arrival_rate_veh_s=0.0,
-                    activation_distance_m=min(s.length_m for s in segments),
+                    activation_distance_m=min(s.length_m for s in segments), lanes=lanes,
                     segments=tuple(segments))
     queued = {k + 1 for k in range(len(placed)) if rng.random() < 0.1}
     return cfg, placed, queued
@@ -670,6 +672,7 @@ def test_driving_parameters_must_be_in_range():
     for name, bad, message in [
         ("activation_distance_m", -1.0, "activation distance"),
         ("dt_s", 1.1, "reaction time"), ("dt_s", 2.0, "reaction time"),
+        ("lanes", 1, "at least two lanes"), ("lanes", 0, "at least two lanes"),
     ]:
         with pytest.raises(ValueError, match=message):
             SimConfig(**{name: bad})
@@ -706,15 +709,11 @@ def test_a_segment_needs_a_positive_top_speed():
     SegmentConfig(v_min=0.0, v_max=1.0)
 
 
-def test_segments_must_share_one_lane_count():
-    # A vehicle crosses into its own lane of the next segment; a lane the
-    # next segment lacks would take it off the lane index.
-    segments = (SegmentConfig(length_m=200.0, lanes=3), SegmentConfig(length_m=200.0, lanes=2))
-    with pytest.raises(ValueError, match="number of lanes"):
-        SimConfig(duration_s=60.0, technique="fixed", arrival_rate_veh_s=0.0,
-                  activation_distance_m=100.0, segments=segments)
-    SimConfig(activation_distance_m=100.0,
-              segments=(SegmentConfig(length_m=200.0, lanes=3),) * 2)
+def test_the_lane_count_is_the_corridors():
+    # A vehicle crosses into its own lane of the next segment, so no
+    # segment has a lane count of its own.
+    with pytest.raises(TypeError):
+        SegmentConfig(lanes=3)
 
 
 def test_arrival_rate_must_be_non_negative():
@@ -753,13 +752,13 @@ def test_config_numbers_must_be_finite(config, name, value):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: SegmentConfig(lanes=2.5),
-    lambda: SegmentConfig(lanes=3.0),
+    lambda: SimConfig(lanes=2.5),
+    lambda: SimConfig(lanes=3.0),
     lambda: SimConfig(seed="1"),
     lambda: SimConfig(seed=None),
     lambda: SimConfig(seed=1.5),
     lambda: SimConfig(seed=True),
-    lambda: SegmentConfig(lanes=True),
+    lambda: SimConfig(lanes=True),
 ], ids=["lanes-2.5", "lanes-3.0", "seed-str", "seed-None", "seed-1.5", "seed-True",
         "lanes-True"])
 def test_config_indices_must_be_integers(make):

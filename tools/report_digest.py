@@ -15,16 +15,16 @@ the file, or is missing from either side.  The configs:
 * 300 s on graded segments (+1 %, -1 %, flat), seed 2, for every technique;
 * 300 s at dt 0.2 s, seed 2, for every technique;
 * the ``csof_peak`` input at seeds 2 and 3, and 600 s at 900 veh/h on a
-  three-lane corridor, seed 2, for ``csof`` and ``ncso``: runs that play
-  games, move holders up and reassign losers;
+  three-lane corridor (``SimConfig(lanes=3)``), seed 2, for ``csof`` and
+  ``ncso``: runs that play games, move holders up and reassign losers;
 * 300 s at 600 veh/h on a mixed corridor, seed 2, for every technique:
   segments of 700, 1000 and 600 m with different speed bands, grades and
   signal timings, so a phase that reads one segment's facts for another
   light changes a report;
 * 300 s on a random corridor per technique, drawn from a fixed-seed
-  generator: 1-3 segments, 2-3 lanes, random lengths, grades, speed bands,
-  signal timings and offsets, activation distance and demand, so a change
-  to the order of a step's phases shows where the defaults hide it.
+  generator: 2-3 lanes, 1-3 segments, random lengths, grades, speed
+  bands, signal timings and offsets, activation distance and demand, so a
+  change to the order of a step's phases shows where the defaults hide it.
 """
 
 from __future__ import annotations
@@ -65,13 +65,14 @@ def _random_corridor(rng: random.Random, technique: str) -> SimConfig:
                               all_red_gap_s=rng.uniform(0.0, min(green, red, 3.0)),
                               offset_s=rng.uniform(0.0, green + red),
                               departure_rate=rng.uniform(0.25, 0.6))
-        segments.append(SegmentConfig(length_m=rng.uniform(300.0, 1200.0), lanes=lanes,
+        segments.append(SegmentConfig(length_m=rng.uniform(300.0, 1200.0),
                                       v_min=rng.uniform(0.0, 15.0) * KMH,
                                       v_max=rng.uniform(30.0, 80.0) * KMH,
                                       grade=rng.uniform(-0.02, 0.02), signal=signal))
     return SimConfig(duration_s=300.0, seed=rng.randint(1, 10**6), technique=technique,
                      activation_distance_m=rng.uniform(100.0, min(s.length_m for s in segments)),
-                     arrival_rate_veh_s=rng.uniform(0.15, 0.4), segments=tuple(segments))
+                     arrival_rate_veh_s=rng.uniform(0.15, 0.4), lanes=lanes,
+                     segments=tuple(segments))
 
 
 def configs() -> list[tuple[str, SimConfig]]:
@@ -98,11 +99,10 @@ def configs() -> list[tuple[str, SimConfig]]:
         out.append((f"bench-csof_peak-{seed}", SimConfig(
             duration_s=bench.DURATION_S, dt_s=bench.DT_S, seed=seed,
             technique=peak.technique, scripted_arrivals=bench.arrivals_for(seed, peak.veh_per_h))))
-    three_lanes = tuple(SegmentConfig(lanes=3) for _ in range(3))
     for technique in ("csof", "ncso"):
         out.append((f"3lane-{technique}", SimConfig(
             duration_s=600.0, seed=2, technique=technique,
-            arrival_rate_veh_s=900.0 / 3600.0, segments=three_lanes)))
+            arrival_rate_veh_s=900.0 / 3600.0, lanes=3)))
     mixed = (
         SegmentConfig(length_m=700.0, grade=0.01),
         SegmentConfig(length_m=1000.0, v_min=5 * KMH, v_max=40 * KMH,
