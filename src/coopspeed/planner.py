@@ -19,19 +19,9 @@ leaves the rest of the green for vehicles behind.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 from .signals import SignalState
-
-
-class Objective(Enum):
-    MAX_SPEED = "max_speed"
-    HOLD = "hold"
-
-
-# Module aliases: an enum member lookup through the class costs more than a global.
-_HOLD, _MAX_SPEED = Objective.HOLD, Objective.MAX_SPEED
 
 
 class PlanResult(NamedTuple):
@@ -73,14 +63,16 @@ def speed_band(
 
 def plan_to_window(
     speed: float, dist: float, v_min: float, v_max: float,
-    window: tuple[float, float], objective: Objective,
+    window: tuple[float, float], max_speed: bool,
 ) -> float | None:
-    """Speed command meeting ``window`` under ``objective``, or None."""
+    """Speed command meeting ``window``, or None when no speed meets it:
+    the highest speed that does when ``max_speed``, else the one nearest
+    ``speed``."""
     band = speed_band(dist, window, v_min, v_max)
     if band is None:
         return None
     lo, hi = band
-    if objective is _MAX_SPEED:
+    if max_speed:
         return hi
     # min(max(speed, lo), hi), written out with the builtins' tie-breaks.
     s = lo if lo > speed else speed
@@ -119,18 +111,18 @@ def plan(
         r_g = state.remaining
         if slot_window is not None:
             if cur_tti <= r_g:
-                s = plan_to_window(speed, dist, v_min, v_max, slot_window, _HOLD)
+                s = plan_to_window(speed, dist, v_min, v_max, slot_window, max_speed=False)
                 if s is not None:
                     return PlanResult(s, "green_c1", slot_window)
             else:
-                s = plan_to_window(speed, dist, v_min, v_max, slot_window, _MAX_SPEED)
+                s = plan_to_window(speed, dist, v_min, v_max, slot_window, max_speed=True)
                 if s is not None:
                     return PlanResult(s, "green_c2_accel", slot_window)
         elif cur_tti <= r_g:
             # In-green arrival but no token (queue lead-in or lost game):
             # aim beyond the queue, before green ends.
             window = (t_q, r_g - margin)
-            s = plan_to_window(speed, dist, v_min, v_max, window, _HOLD)
+            s = plan_to_window(speed, dist, v_min, v_max, window, max_speed=False)
             if s is not None:
                 return PlanResult(s, "green_c1", window)
         if cur_tti > r_g + t_r and slot_window is None:
@@ -140,26 +132,26 @@ def plan(
             s = v_max if v_max < s else s
             return PlanResult(s, "green_c3", None)
         window = (r_g + t_r + t_q, r_g + t_r + t_g - margin)
-        s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)
+        s = plan_to_window(speed, dist, v_min, v_max, window, max_speed=True)
         if s is not None:
             return PlanResult(s, "green_c2_defer", window)
         return PlanResult(v_min, "queue_join", None)
 
     r_r = state.remaining
     if slot_window is not None:
-        s = plan_to_window(speed, dist, v_min, v_max, slot_window, _HOLD)
+        s = plan_to_window(speed, dist, v_min, v_max, slot_window, max_speed=False)
         if s is not None:
             return PlanResult(s, "red_c2", slot_window)
     if cur_tti <= r_r + t_g:
         # Early arrival (or denied token): meet the upcoming green once
         # the queue has cleared.
         window = (r_r + t_q, r_r + t_g - margin)
-        s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)
+        s = plan_to_window(speed, dist, v_min, v_max, window, max_speed=True)
         if s is not None:
             return PlanResult(s, "red_c1", window)
         return PlanResult(v_min, "queue_join", None)
     window = (r_r + t_g + t_r + t_q, r_r + t_r + 2.0 * t_g - margin)
-    s = plan_to_window(speed, dist, v_min, v_max, window, _MAX_SPEED)
+    s = plan_to_window(speed, dist, v_min, v_max, window, max_speed=True)
     if s is not None:
         return PlanResult(s, "red_c3", window)
     return PlanResult(v_min, "queue_join", None)

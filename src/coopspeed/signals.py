@@ -44,7 +44,9 @@ class SignalState:
 
     ``remaining`` is the time left in the current green or red.  It is
     nominal: it ignores the all-red gap, which only clears ``crossable``,
-    so the headline cycle arithmetic stays exact.
+    so the headline cycle arithmetic stays exact.  ``state_at`` writes the
+    phase fields; the timing fields and the margin are the light's for
+    the run.
     """
 
     approach_green: bool
@@ -59,18 +61,17 @@ class SignalState:
     green_end_margin_s: float = 0.0
 
 
-def state_at(cfg: SignalConfig, t: float) -> SignalState:
-    """Signal state at time ``t`` (total function for t >= 0)."""
-    cycle = cfg.cycle_s
+def state_at(cfg: SignalConfig, t: float, state: SignalState) -> None:
+    """Write the phase of ``cfg``'s light at time ``t`` (any t >= 0) into
+    ``state``: ``approach_green``, ``crossable`` and ``remaining``.  The
+    caller keeps one state per light and passes it on every call; no other
+    field changes."""
+    green = cfg.green_s
+    cycle = green + cfg.red_s  # ``cfg.cycle_s``
     u = (t - cfg.offset_s) % cycle
-    is_green = u < cfg.green_s
-    return SignalState(
-        approach_green=is_green,
-        crossable=u < cfg.green_s - cfg.all_red_gap_s,
-        remaining=cfg.green_s - u if is_green else cycle - u,
-        green_s=cfg.green_s,
-        red_s=cfg.red_s,
-    )
+    state.approach_green = is_green = u < green
+    state.crossable = u < green - cfg.all_red_gap_s
+    state.remaining = green - u if is_green else cycle - u
 
 
 def queue_clear_time(n: int, mu: float) -> float:

@@ -214,20 +214,28 @@ class LightAgent:
     """Runtime record of one segment and the light at its end: every phase
     of ``World.step`` reads the segment's facts here.
 
-    Fixed for the run: ``idx``; the signal timing ``cfg``; the stop-line
-    position ``line_at``; the speed band ``v_min``, ``v_max``; ``cruise``,
-    the speed of a vehicle entering or cruising on the segment;
+    Fixed for the run: ``idx``; the signal timing ``cfg`` and its
+    ``cycle``; ``gate_headway``, the gate's least time between crossings
+    (1/mu less a 1e-9 s tolerance); the stop-line position ``line_at`` and
+    ``line_km``, the same in km; the speed band ``v_min``, ``v_max``;
+    ``cruise``, the speed of a vehicle entering or cruising on the segment;
     ``line_zone``, the distance to the line within which the line may bind;
     the ``grade``; and ``cruise_step_j``, the float ``step_energy`` gives
     for a step at ``cruise`` throughout.
 
-    Set at the start of each step: ``state``, the light's ``SignalState``;
-    ``density_cap``, the segment's density speed cap; ``queued_target``,
-    the target of a queued vehicle; ``t_q``, the time the queue takes to
-    clear plus the arrival bias; and ``slot_windows``, the arrival windows
-    indexed by slot, None up to the queue's last slot, then filled by the
-    ``csof`` round or extended by ``ncso`` searches; both techniques read a
-    vehicle's window there in the one-pass loop.
+    ``state``, the light's one ``SignalState``, is built with the light: its
+    timing and its green-end margin (the all-red gap plus
+    ``PLAN_MARGIN_S``) hold for the run, and the start of each step writes
+    its phase and queue length in place.  The token ``table`` holds the
+    slots' arrival offsets from the green start, fixed for the run.
+
+    Set at the start of each step: ``density_cap``, the segment's density
+    speed cap; ``queued_target``, the target of a queued vehicle; ``t_q``,
+    the time the queue takes to clear plus the arrival bias; and
+    ``slot_windows``, the arrival windows indexed by slot, None up to the
+    queue's last slot, then filled by the ``csof`` round or extended by
+    ``ncso`` searches; both techniques read a vehicle's window there in the
+    one-pass loop.
 
     Changed during the run: ``groups``, the segment's ``SimConfig.lanes`` lanes,
     each a list of its vehicles in ascending pos, kept across steps (the lane
@@ -237,19 +245,26 @@ class LightAgent:
     vehicles flagged ``queued`` (the queue itself), set at the end of each step;
     and ``sum_idle``, ``sum_stops``, ``sum_energy``, the completed vehicles' totals."""
 
-    __slots__ = ("idx", "cfg", "table", "queue_len", "last_cross_t", "line_at", "v_min", "v_max",
-                 "cruise", "line_zone", "grade", "cruise_step_j", "groups", "state", "density_cap",
-                 "queued_target", "t_q", "slot_windows", "sum_idle", "sum_stops", "sum_energy")
+    __slots__ = ("idx", "cfg", "cycle", "gate_headway", "table", "queue_len", "last_cross_t",
+                 "line_at", "line_km", "v_min", "v_max", "cruise", "line_zone", "grade",
+                 "cruise_step_j", "groups", "state", "density_cap", "queued_target", "t_q",
+                 "slot_windows", "sum_idle", "sum_stops", "sum_energy")
 
     def __init__(self, idx: int, seg_cfg: SegmentConfig, lanes: int, dt: float) -> None:
         self.idx = idx
-        self.cfg = seg_cfg.signal
-        self.table = TokenTable(self.cfg.departure_rate,
-                                departures_per_green(self.cfg.departure_rate, self.cfg.green_s),
-                                cycle_id=-(10**9))
+        self.cfg = sig = seg_cfg.signal
+        self.cycle = sig.cycle_s
+        mu = sig.departure_rate
+        self.gate_headway = 1.0 / mu - 1e-9
+        self.state = state = SignalState(
+            approach_green=False, crossable=False, remaining=0.0, green_s=sig.green_s,
+            red_s=sig.red_s, green_end_margin_s=sig.all_red_gap_s + PLAN_MARGIN_S)
+        self.table = TokenTable(mu, departures_per_green(mu, sig.green_s),
+                                sig.green_s - state.green_end_margin_s, cycle_id=-(10**9))
         self.queue_len = 0
         self.last_cross_t = -math.inf
         self.line_at = seg_cfg.length_m
+        self.line_km = seg_cfg.length_m / 1000.0
         self.v_min = seg_cfg.v_min
         self.v_max = seg_cfg.v_max
         self.cruise = cruise = min(ENTRY_SPEED, seg_cfg.v_max)
@@ -257,14 +272,9 @@ class LightAgent:
         self.grade = seg_cfg.grade
         self.cruise_step_j = step_energy(cruise, cruise, dt, seg_cfg.grade * cruise * dt)
         self.groups: list[list[Vehicle]] = [[] for _ in range(lanes)]
-        self.state: SignalState | None = None
         self.density_cap = self.queued_target = self.t_q = 0.0
         self.slot_windows: list[tuple[float, float] | None] = []
         self.sum_idle, self.sum_stops, self.sum_energy = 0.0, 0, 0.0
-
-    def epoch_of(self, t: float) -> int:
-        """Allocation epoch: opens at a red start, ends with its green."""
-        return math.floor((t - self.cfg.offset_s - self.cfg.green_s) / self.cfg.cycle_s)
 
 
 @dataclass
@@ -419,25 +429,27 @@ class World:
 
     def _signal_phase_bookkeeping(self) -> None:
         """Set each light's per-step facts (see ``LightAgent``) and clear
-        its table when a new allocation epoch opens."""
+        its table when a new allocation epoch opens: an epoch opens at a
+        red start and ends with its green."""
         t = self.t
         jam = JAM_DENSITY_VEH_KM_LANE
+        saturated = DENSITY_CAP_RATIO * jam  # the density saturates at the cap ratio
+        lanes = self.cfg.lanes
         for light in self.lights:
-            state = state_at(light.cfg, t)
-            state.queue_len = light.queue_len
-            state.green_end_margin_s = light.cfg.all_red_gap_s + PLAN_MARGIN_S
-            light.state = state
-            groups = light.groups
-            # The density saturates at the cap ratio.
-            density = sum(map(len, groups)) / (light.line_at / 1000.0) / len(groups)
-            density = min(density, DENSITY_CAP_RATIO * jam)
+            cfg = light.cfg
+            state = light.state
+            state_at(cfg, t, state)
+            n = light.queue_len
+            state.queue_len = n
+            density = sum(map(len, light.groups)) / light.line_km / lanes
+            density = saturated if saturated < density else density  # min, keeping density
             light.density_cap = density_speed(density, jam, light.v_max)
             # Queued vehicles wait for a crossable light.
             light.queued_target = light.v_max if state.crossable else 0.0
-            light.t_q = queue_clear_time(light.queue_len, light.cfg.departure_rate) + ARRIVAL_BIAS_S
-            light.slot_windows = [None] * (light.queue_len + 1)
+            light.t_q = queue_clear_time(n, cfg.departure_rate) + ARRIVAL_BIAS_S
+            light.slot_windows = [None] * (n + 1)
 
-            epoch = light.epoch_of(t)
+            epoch = math.floor((t - cfg.offset_s - cfg.green_s) / light.cycle)
             if epoch != light.table.cycle_id:
                 light.table.clear(epoch)
 
@@ -548,8 +560,7 @@ class World:
     def _gate_open(self, light: LightAgent, v: Vehicle) -> bool:
         return (
             light.state.crossable
-            and self.t + self.cfg.dt_s - light.last_cross_t
-            >= 1.0 / light.cfg.departure_rate - 1e-9
+            and self.t + self.cfg.dt_s - light.last_cross_t >= light.gate_headway
             and self._next_entry_clear(v)
         )
 
@@ -610,7 +621,7 @@ class World:
                 if ncso:
                     tti = request_tti(d, speed, cap, state)
                     slot = None if tti is None else arrival_slot(
-                        tti, light.slot_windows, state, light.table.mu, light.table.n_dep)
+                        tti, light.slot_windows, state, light.table.offsets)
                 else:
                     slot = light.table.slot_of(v.vin)
                 window = None if slot is None else light.slot_windows[slot]

@@ -13,9 +13,12 @@ no other record of it.  Two vehicles can still claim one slot when their
 requests land on it in the same round.  The round finds those conflicts
 in its count of claimants per slot, and the precedence games settle
 them.  After ``allocation_round`` every slot has at most one claimant.
-``arrival_window`` is the one mapping from a slot to the arrival times
-that meet it.  The table is a round's only output; the planner aims at
-the window of a holder's slot in the window list the round fills.
+Each table holds its slots' arrival offsets from the green start,
+computed once when it is built (``TokenTable.offsets``), and
+``arrival_window`` shifts one slot's offsets by the signal phase: it is
+the one mapping from a slot to the arrival times that meet it.  The
+table is a round's only output; the planner aims at the window of a
+holder's slot in the window list the round fills.
 
 A round's participants are the light's approaching vehicles that hold a
 claim or submit a request (``request_tti`` is not None).  Any other
@@ -37,12 +40,22 @@ from .signals import SignalState
 
 
 class TokenTable:
-    """Per-approach, per-cycle claims on green-window slots, keyed by vehicle."""
+    """Per-approach, per-cycle claims on green-window slots, keyed by vehicle.
 
-    def __init__(self, mu: float, n_dep: int, cycle_id: int = 0) -> None:
+    ``offsets[tau]``, fixed for the run, is the span of arrival times after
+    the green start that meets slot ``tau`` of ``n_dep``: ((tau-1)/mu,
+    tau/mu), its end pulled in to ``green_end`` so that arrivals dodge the
+    all-red gap.  Index 0 holds None.
+    """
+
+    def __init__(self, mu: float, n_dep: int, green_end: float, cycle_id: int = 0) -> None:
         if mu <= 0:
             raise ValueError("departure rate mu must be positive")
-        self.mu = mu
+        tsd = 1.0 / mu
+        self.offsets: list[tuple[float, float] | None] = [None]
+        for tau in range(1, n_dep + 1):
+            b = tau * tsd
+            self.offsets.append(((tau - 1) * tsd, green_end if green_end < b else b))
         self.n_dep = n_dep
         self.cycle_id = cycle_id
         self._slot_of: dict[int, int] = {}
@@ -75,23 +88,15 @@ class TokenTable:
         self._slot_of.clear()
 
 
-def arrival_window(tau: int, mu: float, state: SignalState) -> tuple[float, float]:
-    """Arrival times, in seconds from now, that meet slot ``tau``.
+def arrival_window(offset: tuple[float, float], state: SignalState) -> tuple[float, float]:
+    """Arrival times, in seconds from now, that meet the slot whose arrival
+    times after the green start are ``offset`` (its ``TokenTable.offsets``).
 
-    Slot ``tau`` spans ((tau-1)/mu, tau/mu) after the green start.  Its
-    end is pulled in by ``state.green_end_margin_s`` so that arrivals
-    dodge the all-red gap.  In green the window is shifted by the green
-    already elapsed and opens no earlier than now; in red it is offset by
-    the red remaining.
+    In green the offsets are shifted back by the green already elapsed and
+    the window opens no earlier than now; in red they are shifted on by the
+    red remaining.
     """
-    if tau < 1:
-        raise ValueError("token index must be >= 1")
-    if mu <= 0:
-        raise ValueError("departure rate mu must be positive")
-    tsd = 1.0 / mu
-    a, b = (tau - 1) * tsd, tau * tsd
-    end = state.green_s - state.green_end_margin_s
-    b = end if end < b else b  # min(b, end), keeping b on a tie
+    a, b = offset
     if state.approach_green:
         elapsed = state.green_s - state.remaining
         a -= elapsed
@@ -141,19 +146,20 @@ def request_tti(dist: float, speed: float, cap: float, state: SignalState) -> fl
 
 
 def arrival_slot(tti: float, windows: list[tuple[float, float] | None], state: SignalState,
-                 mu: float, n_dep: int) -> int | None:
+                 offsets: list[tuple[float, float] | None]) -> int | None:
     """First slot whose arrival window holds ``tti``, or None.
 
     ``windows`` is indexed by slot and holds None for index 0 and for the
     slots the standing queue discharges through, then the windows under
     ``state`` as far as they were built: ``allocation_round`` fills them
     all, and a search appends a window only when it reaches a slot the list
-    lacks.  The search stops at the first window that opens after ``tti``:
-    window starts never decrease in slot order, so no later window holds it.
+    lacks.  ``offsets`` are the light's ``TokenTable.offsets``.  The search
+    stops at the first window that opens after ``tti``: window starts never
+    decrease in slot order, so no later window holds it.
     """
-    for j in range(state.queue_len + 1, n_dep + 1):
+    for j in range(state.queue_len + 1, len(offsets)):
         if j == len(windows):
-            windows.append(arrival_window(j, mu, state))
+            windows.append(arrival_window(offsets[j], state))
         window = windows[j]
         if window[0] > tti:
             return None
@@ -234,10 +240,10 @@ def allocation_round(
     order.  A loser moves only to a slot nobody claims, so it never joins
     a contested slot still to be settled.
     """
-    mu, n_dep = table.mu, table.n_dep
+    offsets = table.offsets
     first = state.queue_len + 1  # the first slot the queue leaves free
-    end = n_dep + 1
-    windows.extend(arrival_window(j, mu, state) for j in range(len(windows), end))
+    end = table.n_dep + 1
+    windows.extend(arrival_window(offsets[j], state) for j in range(len(windows), end))
     live = table.occupancy()
     before = live.copy()  # occupancy at the start of the round
     for e in vehicles:
@@ -255,7 +261,7 @@ def allocation_round(
             live[held] -= 1
         if e.tti is None:
             continue
-        slot = arrival_slot(e.tti, windows, state, mu, n_dep)
+        slot = arrival_slot(e.tti, windows, state, offsets)
         if slot is None or before[slot] or not _reachable(slot, e, windows, v_min):
             slot = _first_free_reachable(e, windows, v_min, before, first, end)
         if slot is not None:

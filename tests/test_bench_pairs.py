@@ -84,7 +84,7 @@ def test_a_clear_gain_wins_nine_pairs_and_beats_the_spread():
 def test_eight_wins_are_not_a_gain():
     change = [x + 5.0 for x in PARENT]
     change[0] = change[1] = 90.0
-    assert summarize(PARENT, change, "higher", 0.2)["verdict"] == "unresolved"
+    assert summarize(PARENT, change, "higher", 0.2)["verdict"] == "unchanged"
 
 
 def test_a_gap_within_the_spread_is_not_a_gain():
@@ -92,22 +92,47 @@ def test_a_gap_within_the_spread_is_not_a_gain():
     change = [x + 4.0 for x in PARENT]
     s = summarize(PARENT, change, "higher", 0.2)
     assert s["wins"] == 10
-    assert s["verdict"] == "unresolved"
+    assert s["verdict"] == "unchanged"
 
 
 def test_ties_count_for_neither_side():
     s = summarize(PARENT, list(PARENT), "higher", 0.2)
     assert s["wins"] == 0
-    assert s["verdict"] == "unresolved"
+    assert s["verdict"] == "unchanged"
 
 
 def test_worse_means_beyond_the_bound():
     assert summarize(PARENT, [x * 0.79 for x in PARENT], "higher", 0.2)["verdict"] == "worse"
-    assert summarize(PARENT, [x * 0.81 for x in PARENT], "higher", 0.2)["verdict"] == "unresolved"
+    assert summarize(PARENT, [x * 0.81 for x in PARENT], "higher", 0.2)["verdict"] == "unchanged"
 
 
 def test_lower_is_better_turns_the_comparison_round():
     assert summarize(PARENT, [x - 5.0 for x in PARENT], "lower", 0.05)["verdict"] == "gain"
     assert summarize(PARENT, [x - 5.0 for x in PARENT], "lower", 0.05)["wins"] == 10
     assert summarize(PARENT, [x + 6.0 for x in PARENT], "lower", 0.05)["verdict"] == "worse"
-    assert summarize(PARENT, [x + 4.0 for x in PARENT], "lower", 0.05)["verdict"] == "unresolved"
+    assert summarize(PARENT, [x + 4.0 for x in PARENT], "lower", 0.05)["verdict"] == "unchanged"
+
+
+# Parent runs with median 97 and quartiles 91.75 and 102.25: an
+# interquartile range of 10.5, wider than a 5 % bound of 4.85.
+WIDE = [90.0, 91.0, 92.0, 93.0, 94.0, 100.0, 101.0, 102.0, 103.0, 104.0]
+
+
+def test_a_spread_wider_than_the_bound_leaves_no_worse_unresolved():
+    s = summarize(WIDE, [x - 2.0 for x in WIDE], "higher", 0.05)
+    assert s["parent"] == (91.75, 97.0, 102.25)
+    assert s["verdict"] == "unresolved"
+    # Even a change that reads the same in every pair.
+    assert summarize(WIDE, list(WIDE), "higher", 0.05)["verdict"] == "unresolved"
+    # Beyond the bound it is still worse.
+    assert summarize(WIDE, [x - 5.0 for x in WIDE], "higher", 0.05)["verdict"] == "worse"
+
+
+def test_every_change_run_beating_every_parent_run_is_unchanged_under_a_wide_spread():
+    # A median gap of 7.5 is within the parent's spread, so not a gain.
+    s = summarize(WIDE, [104.5] * 10, "higher", 0.05)
+    assert s["wins"] == 10
+    assert s["verdict"] == "unchanged"
+    assert summarize(WIDE, [89.5] * 10, "lower", 0.05)["verdict"] == "unchanged"
+    # One change run level with the parent's best is not enough.
+    assert summarize(WIDE, [104.0] + [104.5] * 9, "higher", 0.05)["verdict"] == "unresolved"

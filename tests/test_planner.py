@@ -5,7 +5,6 @@ import pytest
 
 from coopspeed.games import Mode
 from coopspeed.planner import (
-    Objective,
     density_speed,
     plan,
     plan_to_window,
@@ -13,7 +12,7 @@ from coopspeed.planner import (
 )
 from coopspeed.signals import SignalState
 from coopspeed.tokens import Approacher, _reachable, arrival_window
-from tests.test_tokens import full_windows, green_state, red_state
+from tests.test_tokens import full_windows, green_state, red_state, table_for
 
 MU = 0.333
 V_MIN = 2.78
@@ -27,7 +26,7 @@ def ks(speed: float, dist: float, v_min: float = V_MIN, v_max: float = V_MAX):
 
 def token(tau: int, state) -> tuple[float, float]:
     """Arrival window of a token for slot ``tau``."""
-    return arrival_window(tau, MU, state)
+    return arrival_window(table_for(state).offsets[tau], state)
 
 
 def test_density_speed_endpoints_and_midpoint():
@@ -54,7 +53,7 @@ def test_density_speed_errors():
 
 
 def test_plan_to_window_hold_keeps_feasible_speed():
-    s = plan_to_window(*ks(5.0, 100.0), (18.02, 21.02), Objective.HOLD)
+    s = plan_to_window(*ks(5.0, 100.0), (18.02, 21.02), max_speed=False)
     assert s == pytest.approx(5.0)
     band = speed_band(100.0, (18.02, 21.02), V_MIN, V_MAX)
     assert band == pytest.approx((4.757, 5.549), abs=0.001)
@@ -62,19 +61,19 @@ def test_plan_to_window_hold_keeps_feasible_speed():
 
 def test_plan_to_window_physical_bound():
     # 100 m in at most 3 s needs 33 m/s; beyond the road limit.
-    assert plan_to_window(*ks(10.0, 100.0), (0.0, 3.003), Objective.MAX_SPEED) is None
+    assert plan_to_window(*ks(10.0, 100.0), (0.0, 3.003), max_speed=True) is None
 
 
 def test_plan_to_window_zero_open_window_has_no_cap():
-    s = plan_to_window(*ks(10.0, 10.0), (0.0, 30.0), Objective.MAX_SPEED)
+    s = plan_to_window(*ks(10.0, 10.0), (0.0, 30.0), max_speed=True)
     assert s == pytest.approx(V_MAX)
 
 
 def test_plan_to_window_rejects_bad_window():
     # An empty window has no feasible speed; one opening before now is an error.
-    assert plan_to_window(*ks(10.0, 100.0), (5.0, 5.0), Objective.HOLD) is None
+    assert plan_to_window(*ks(10.0, 100.0), (5.0, 5.0), max_speed=False) is None
     with pytest.raises(ValueError):
-        plan_to_window(*ks(10.0, 100.0), (-1.0, 5.0), Objective.HOLD)
+        plan_to_window(*ks(10.0, 100.0), (-1.0, 5.0), max_speed=False)
 
 
 def test_plan_rejects_bad_kinematics():
@@ -211,8 +210,8 @@ def test_window_soundness_against_interval_oracle():
         v_min = rng.uniform(0.5, 5.0)
         v_max = v_min + rng.uniform(1.0, 25.0)
         k = (rng.uniform(0, v_max), d, v_min, v_max)
-        obj = rng.choice(list(Objective))
-        got = plan_to_window(*k, (t_lo, t_hi), obj)
+        max_speed = rng.choice([False, True])
+        got = plan_to_window(*k, (t_lo, t_hi), max_speed)
         lo = max(d / t_hi, v_min)
         hi = min(d / t_lo if t_lo > 0 else math.inf, v_max)
         if lo > hi:
@@ -226,7 +225,8 @@ def test_window_soundness_against_interval_oracle():
 
 def test_round_and_planner_agree_on_reachable_slots():
     # The round keeps a slot the vehicle can reach; the planner meets the
-    # same window with a token case.  Both read it from arrival_window.
+    # same window with a token case.  The planner reads it from the table's
+    # offsets, the round's test from the window the reference formula gives.
     rng = random.Random(8)
     token_cases = {"green_c1", "green_c2_accel", "red_c2"}
     reachable = 0
@@ -244,7 +244,7 @@ def test_round_and_planner_agree_on_reachable_slots():
         speed = rng.uniform(0.0, cap)
         e = Approacher(vin=1, dist=dist, cap=cap, mode=Mode.NORMAL, tti=None)
         slot = rng.randint(queue + 1, 8)
-        res = plan(speed, dist, V_MIN, cap, state, arrival_window(slot, MU, state),
+        res = plan(speed, dist, V_MIN, cap, state, token(slot, state),
                    t_q=rng.uniform(0.0, 15.0))
         ok = _reachable(slot, e, full_windows(MU, 8, state), V_MIN)
         assert ok == (res.case in token_cases), (state, e, slot, res)

@@ -1,10 +1,12 @@
-"""Twelve configs of ``tools/report_digest.py`` still give their recorded
+"""Fifteen configs of ``tools/report_digest.py`` still give their recorded
 reports.
 
 The 300 s graded runs (+1 %, -1 % and flat segments), coarse-step runs
 (dt 0.2 s) and mixed-corridor runs (segments that differ in length, speed
 band, grade and signal timing) of every technique take about three
-seconds together, the benchmark's saturated ``fixed`` input
+seconds together, the 300 s random-corridor runs (random lane counts,
+offsets, all-red gaps and departure rates, the per-light constants each
+light computes once) about 1.3 s, the benchmark's saturated ``fixed`` input
 (``bench-fixed_sat-1``, where lane changes and steps at rest dominate)
 about 2.5 s more, one of its light-traffic ``ncso`` inputs
 (``bench-ncso_light-14``, where the arrival-window lookup and cruising
@@ -46,7 +48,7 @@ def _tool_configs():
 
 DIGEST, ALL_CONFIGS, RECORDED = _tool_configs()
 CONFIGS = [(name, cfg, RECORDED[name]) for name, cfg in ALL_CONFIGS
-           if name.startswith(("graded-", "dt0.2-", "mixed-"))
+           if name.startswith(("graded-", "dt0.2-", "mixed-", "random-"))
            or name in ("bench-fixed_sat-1", "bench-ncso_light-14", "bench-csof_peak-1")]
 
 
@@ -57,9 +59,9 @@ def test_the_tool_builds_every_recorded_config_once():
     assert len(names) == 35 and names == sorted(RECORDED)
 
 
-def test_the_twelve_tier1_configs_are_checked():
+def test_the_fifteen_tier1_configs_are_checked():
     assert sorted(name for name, _, _ in CONFIGS) == sorted(
-        [f"{kind}-{technique}" for kind in ("graded", "dt0.2", "mixed")
+        [f"{kind}-{technique}" for kind in ("graded", "dt0.2", "mixed", "random")
          for technique in ("csof", "ncso", "fixed")]
         + ["bench-fixed_sat-1", "bench-ncso_light-14", "bench-csof_peak-1"])
 

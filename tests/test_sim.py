@@ -25,7 +25,8 @@ from coopspeed.sim import (
     SimConfig,
     World,
 )
-from coopspeed.tokens import TokenTable, arrival_window
+from coopspeed.tokens import TokenTable
+from tests.test_tokens import ref_window
 
 
 def test_token_table_matches_tokens_at_every_step():
@@ -52,10 +53,52 @@ def test_token_table_matches_tokens_at_every_step():
                         and light.line_at - v.pos <= cfg.activation_distance_m}
             assert set(vins) <= in_round, (world.t, light.idx, requests)
             for slot in slots:
-                assert light.slot_windows[slot] == arrival_window(
-                    slot, light.table.mu, light.state), (world.t, light.idx, slot)
+                assert light.slot_windows[slot] == ref_window(
+                    slot, light.cfg.departure_rate, light.state), (world.t, light.idx, slot)
             held += len(slots)
     assert held > 1000, held
+
+
+def test_each_light_writes_its_one_signal_state_in_place():
+    # The mixed corridor: offsets 0, 12 and 30 s, all-red gaps 1, 1 and 2 s,
+    # departure rates 0.333, 0.4 and 0.333.  Each light keeps the state it
+    # was built with for the whole run, and every step writes into it the
+    # phase of that light's own timing at the step's start, and the queue
+    # length the previous step left.
+    mixed = (
+        SegmentConfig(length_m=700.0, grade=0.01),
+        SegmentConfig(length_m=1000.0, v_min=5 * KMH, v_max=40 * KMH,
+                      signal=SignalConfig(green_s=30.0, red_s=30.0, offset_s=12.0,
+                                          departure_rate=0.4)),
+        SegmentConfig(length_m=600.0, v_max=70 * KMH, grade=-0.01,
+                      signal=SignalConfig(green_s=20.0, red_s=40.0, all_red_gap_s=2.0,
+                                          offset_s=30.0)),
+    )
+    cfg = SimConfig(duration_s=300.0, seed=2, technique="csof", arrival_rate_veh_s=600 / 3600,
+                    segments=mixed)
+    world = World(cfg)
+    states = [light.state for light in world.lights]
+    seen = Counter()
+    while world.t < cfg.duration_s - 1e-9:
+        t = world.t
+        queues = [light.queue_len for light in world.lights]
+        world.step()
+        for light, state, queue, seg in zip(world.lights, states, queues, mixed):
+            sig = seg.signal
+            assert light.state is state, (t, light.idx)
+            cycle = sig.green_s + sig.red_s
+            u = (t - sig.offset_s) % cycle
+            green = u < sig.green_s
+            assert (state.approach_green, state.crossable, state.remaining, state.queue_len) == (
+                green, u < sig.green_s - sig.all_red_gap_s,
+                sig.green_s - u if green else cycle - u, queue), (t, light.idx)
+            assert (state.green_s, state.red_s, state.green_end_margin_s) == (
+                sig.green_s, sig.red_s, sig.all_red_gap_s + sim.PLAN_MARGIN_S)
+            seen[light.idx, state.approach_green, state.crossable] += 1
+            seen[light.idx, "queue"] += queue > 0
+    # Every light shows its crossable green, its all-red gap, its red and a
+    # queue.
+    assert len(seen) == 3 * 4 and min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("technique", ["ncso", "csof"])

@@ -36,8 +36,15 @@ def red_state(remaining: float, queue: int = 0, green_s: float = 24.0) -> Signal
     )
 
 
+def table_for(state: SignalState, n_dep: int = 8, mu: float = MU) -> TokenTable:
+    """An empty table of ``n_dep`` slots whose offsets end where ``state``'s
+    green ends less its margin, as the engine builds a light's table."""
+    return TokenTable(mu, n_dep, state.green_s - state.green_end_margin_s)
+
+
 def fresh_table(n_dep: int = 8) -> TokenTable:
-    return TokenTable(mu=MU, n_dep=n_dep)
+    """A table for the default 24 s green without a margin."""
+    return table_for(green_state(24.0), n_dep)
 
 
 def approacher(vin: int, tti: float, state: SignalState, mode: Mode = Mode.NORMAL,
@@ -49,12 +56,34 @@ def approacher(vin: int, tti: float, state: SignalState, mode: Mode = Mode.NORMA
                       tti=request_tti(dist, speed, V_MAX, state))
 
 
+def ref_window(tau, mu, state):
+    """Slot ``tau``'s arrival window under ``state``, computed from ``mu``
+    and the state alone, independently of the table's offsets: the slot
+    spans ((tau-1)/mu, tau/mu) after the green start, its end pulled in by
+    the green-end margin; in green it is shifted back by the green already
+    elapsed and opens no earlier than now, in red on by the red remaining."""
+    if tau < 1:
+        raise ValueError("token index must be >= 1")
+    if mu <= 0:
+        raise ValueError("departure rate mu must be positive")
+    tsd = 1.0 / mu
+    a, b = (tau - 1) * tsd, tau * tsd
+    end = state.green_s - state.green_end_margin_s
+    b = end if end < b else b  # min(b, end), keeping b on a tie
+    if state.approach_green:
+        elapsed = state.green_s - state.remaining
+        a -= elapsed
+        return (a if a > 0.0 else 0.0), b - elapsed
+    r_r = state.remaining
+    return r_r + a, r_r + b
+
+
 def full_windows(mu, n_dep, state):
     """The window list of a light for one step, built in full: indexed by
     slot, None for index 0 and the queue's slots, then slot ``j``'s
-    ``arrival_window`` up to ``n_dep``."""
+    ``ref_window`` up to ``n_dep``."""
     first = state.queue_len + 1
-    return [None] * first + [arrival_window(j, mu, state) for j in range(first, n_dep + 1)]
+    return [None] * first + [ref_window(j, mu, state) for j in range(first, n_dep + 1)]
 
 
 def run_round(table, state, vehicles, ledger=None, seed=0):
@@ -67,7 +96,7 @@ def run_round(table, state, vehicles, ledger=None, seed=0):
                             random.Random(seed), random.Random(seed + 1)) is None
     slots = {e.vin: table.slot_of(e.vin) for e in vehicles if table.slot_of(e.vin) is not None}
     for slot in slots.values():
-        assert windows[slot] == arrival_window(slot, table.mu, state)
+        assert windows[slot] == ref_window(slot, MU, state)
     return slots
 
 
@@ -80,7 +109,8 @@ def assert_one_claim_per_slot(table, slots):
 def slot_bounds(tau: int, mu: float = MU) -> tuple[float, float]:
     """Slot ``tau``'s bounds after the green start: its arrival window as
     a green opens that is too long to clip it."""
-    return arrival_window(tau, mu, green_state(1e6, green_s=1e6))
+    state = green_state(1e6, green_s=1e6)
+    return arrival_window(table_for(state, tau, mu).offsets[tau], state)
 
 
 def test_arrival_window_slot_bounds():
@@ -91,10 +121,13 @@ def test_arrival_window_slot_bounds():
 
 
 def test_arrival_window_errors():
+    # Slot indices start at 1: slot 0 has no offsets and so no window.
+    table = fresh_table()
+    assert table.offsets[0] is None
+    with pytest.raises(TypeError):
+        arrival_window(table.offsets[0], green_state(24.0))
     with pytest.raises(ValueError):
-        arrival_window(0, MU, green_state(24.0))
-    with pytest.raises(ValueError):
-        arrival_window(1, 0.0, green_state(24.0))
+        TokenTable(0.0, 8, 24.0)
 
 
 def test_arrival_window_values():
@@ -103,14 +136,16 @@ def test_arrival_window_values():
     # 6 s into the green, windows are shifted by the 6 s elapsed.
     state = green_state(18.0)
     state.green_end_margin_s = 2.5
-    assert arrival_window(7, MU, state) == pytest.approx((12.018, 15.021), abs=0.001)
-    assert arrival_window(8, MU, state) == pytest.approx((15.021, 15.5), abs=0.001)
+    offsets = table_for(state).offsets
+    assert offsets[8] == pytest.approx((21.021, 21.5), abs=0.001)
+    assert arrival_window(offsets[7], state) == pytest.approx((12.018, 15.021), abs=0.001)
+    assert arrival_window(offsets[8], state) == pytest.approx((15.021, 15.5), abs=0.001)
     # A slot that opened 6 s into the green is open now.
-    assert arrival_window(2, MU, state) == pytest.approx((0.0, 0.006), abs=0.001)
+    assert arrival_window(offsets[2], state) == pytest.approx((0.0, 0.006), abs=0.001)
     state = red_state(12.0)
     state.green_end_margin_s = 2.5
-    assert arrival_window(1, MU, state) == pytest.approx((12.0, 15.003), abs=0.001)
-    assert arrival_window(8, MU, state) == pytest.approx((33.021, 33.5), abs=0.001)
+    assert arrival_window(offsets[1], state) == pytest.approx((12.0, 15.003), abs=0.001)
+    assert arrival_window(offsets[8], state) == pytest.approx((33.021, 33.5), abs=0.001)
 
 
 def test_allocate_green_basic():
@@ -118,7 +153,7 @@ def test_allocate_green_basic():
     state = green_state(24.0)
     slots = run_round(table, state, [approacher(11, 20.0, state)])
     assert slots == {11: 7}
-    lo, hi = arrival_window(7, MU, state)
+    lo, hi = arrival_window(table.offsets[7], state)
     assert lo <= 20.0 <= hi
     assert table.requests() == [(11, 7)]
 
@@ -126,7 +161,8 @@ def test_allocate_green_basic():
 def arrival_slot(tti: float, state: SignalState, n_dep: int = 8) -> int | None:
     """The slot a request for an arrival in ``tti`` seconds names: the
     first whose arrival window holds it."""
-    return tokens.arrival_slot(tti, full_windows(MU, n_dep, state), state, MU, n_dep)
+    return tokens.arrival_slot(tti, full_windows(MU, n_dep, state), state,
+                               table_for(state, n_dep).offsets)
 
 
 def test_allocate_green_beyond_remaining():
@@ -204,8 +240,8 @@ def test_two_fresh_requests_on_one_slot_leave_one_holder():
 
 def test_reassign_goes_to_a_free_slot_only():
     # A 30 s green has ten slots; slot 8 is taken in the same round.
-    table = fresh_table(n_dep=10)
     state = green_state(30.0, green_s=30.0)
+    table = table_for(state, n_dep=10)
     vehicles = [approacher(1, 20.0, state, Mode.RUSH), approacher(2, 19.5, state),
                 approacher(3, 22.0, state)]
     slots = run_round(table, state, vehicles)
@@ -301,13 +337,13 @@ def test_fresh_request_claims_the_arrival_slot():
         if slot is None:
             continue
         v = (e.vin, e.dist, speed, e.cap, e.mode)
-        table = fresh_table()
+        table = table_for(state)
         slots = run_round(table, state, [e])
-        if _ref_reachable(slot, v, state, table, V_MIN):
+        if _ref_reachable(slot, v, state, MU, V_MIN):
             assert slots[1] == slot
             seen["arrival slot"] += 1
         else:
-            assert slots.get(1) == _ref_first_free_reachable(v, state, table, V_MIN, set())
+            assert slots.get(1) == _ref_first_free_reachable(v, state, MU, 8, V_MIN, set())
             seen["fell back"] += 1
     assert min(seen["arrival slot"], seen["fell back"]) >= 10, seen
 
@@ -318,10 +354,11 @@ def test_non_cooperative_round_assumes_every_slot_free():
     vehicles = [approacher(1, 20.0, state), approacher(2, 19.5, state),
                 approacher(3, 50.0, state)]
     windows = [None]  # the light's window list for the step, shared by the searches
+    offsets = fresh_table().offsets
     got = {e.vin: slot for e in vehicles if e.tti is not None
-           and (slot := tokens.arrival_slot(e.tti, windows, state, MU, 8)) is not None}
+           and (slot := tokens.arrival_slot(e.tti, windows, state, offsets)) is not None}
     assert got == {1: 7, 2: 7}
-    assert windows[7] == arrival_window(7, MU, state)
+    assert windows[7] == ref_window(7, MU, state)
 
 
 def test_arrival_windows_match_the_full_window_list():
@@ -347,8 +384,9 @@ def test_arrival_windows_match_the_full_window_list():
         )
         # The list a round fills for this state; a vehicle that neither holds
         # nor requests lets it run without changing anything.
+        table = table_for(state, n_dep, mu)
         windows = [None] * (state.queue_len + 1)
-        allocation_round(TokenTable(mu, n_dep), state, windows, V_MIN,
+        allocation_round(table, state, windows, V_MIN,
                          [Approacher(0, 100.0, V_MAX, Mode.NORMAL, None)], CreditLedger(),
                          random.Random(0), random.Random(1))
         assert windows == full_windows(mu, n_dep, state)
@@ -367,8 +405,8 @@ def test_arrival_windows_match_the_full_window_list():
                 seen["on a window start" if e.tti == windows[slot][0] else "found"] += 1
             seen["no request" if e.tti is None else "edge" if e.tti in edges else "drawn"] += 1
             if e.tti is not None:
-                assert tokens.arrival_slot(e.tti, built, state, mu, n_dep) == slot
-                assert tokens.arrival_slot(e.tti, windows, state, mu, n_dep) == slot
+                assert tokens.arrival_slot(e.tti, built, state, table.offsets) == slot
+                assert tokens.arrival_slot(e.tti, windows, state, table.offsets) == slot
         assert built == windows[:len(built)]
         seen["green" if green else "red"] += 1
         seen["queue beyond the green" if state.queue_len >= n_dep else "slots offered"] += 1
@@ -453,15 +491,15 @@ def _ref_claimed(table):
     return {slot for _, slot in table.requests()}
 
 
-def _ref_reachable(slot, v, state, table, v_min):
+def _ref_reachable(slot, v, state, mu, v_min):
     _, dist, _, cap, _ = v
     return (slot > state.queue_len
-            and speed_band(dist, arrival_window(slot, table.mu, state), v_min, cap) is not None)
+            and speed_band(dist, ref_window(slot, mu, state), v_min, cap) is not None)
 
 
 def _ref_arrival_slot(tti, state, mu, n_dep):
     for j in range(state.queue_len + 1, n_dep + 1):
-        lo, hi = arrival_window(j, mu, state)
+        lo, hi = ref_window(j, mu, state)
         if lo <= tti <= hi:
             return j
     return None
@@ -475,24 +513,25 @@ def _ref_detect_conflicts(requests):
     return {tau: sorted(vins) for tau, vins in sorted(by_tau.items()) if len(vins) > 1}
 
 
-def _ref_first_free_reachable(v, state, table, v_min, occupied, start=1):
-    for j in range(max(start, state.queue_len + 1), table.n_dep + 1):
-        if j not in occupied and _ref_reachable(j, v, state, table, v_min):
+def _ref_first_free_reachable(v, state, mu, n_dep, v_min, occupied, start=1):
+    for j in range(max(start, state.queue_len + 1), n_dep + 1):
+        if j not in occupied and _ref_reachable(j, v, state, mu, v_min):
             return j
     return None
 
 
-def reference_round(table, state, v_min, vehicles, ledger, rng, tl_rng, seen):
+def reference_round(mu, table, state, v_min, vehicles, ledger, rng, tl_rng, seen):
+    n_dep = table.n_dep
     occupied_before = _ref_claimed(table)
     for v in vehicles:
         vin, dist, speed, cap, _ = v
         held = table.slot_of(vin)
-        if held is not None and not _ref_reachable(held, v, state, table, v_min):
+        if held is not None and not _ref_reachable(held, v, state, mu, v_min):
             table.release(vin)
             seen["released"] += 1
             held = None
         if held is not None:
-            upgrade = _ref_first_free_reachable(v, state, table, v_min, _ref_claimed(table))
+            upgrade = _ref_first_free_reachable(v, state, mu, n_dep, v_min, _ref_claimed(table))
             if upgrade is not None and upgrade < held:
                 table.claim(upgrade, vin)
                 seen["upgraded"] += 1
@@ -500,10 +539,10 @@ def reference_round(table, state, v_min, vehicles, ledger, rng, tl_rng, seen):
         tti = _ref_request_tti(dist, speed, cap, state)
         if tti is None:
             continue
-        slot = _ref_arrival_slot(tti, state, table.mu, table.n_dep)
+        slot = _ref_arrival_slot(tti, state, mu, n_dep)
         if (slot is None or slot in occupied_before
-                or not _ref_reachable(slot, v, state, table, v_min)):
-            slot = _ref_first_free_reachable(v, state, table, v_min, occupied_before)
+                or not _ref_reachable(slot, v, state, mu, v_min)):
+            slot = _ref_first_free_reachable(v, state, mu, n_dep, v_min, occupied_before)
             seen["fell_back"] += 1
         if slot is not None:
             table.claim(slot, vin)
@@ -517,12 +556,13 @@ def reference_round(table, state, v_min, vehicles, ledger, rng, tl_rng, seen):
         live = _ref_claimed(table)
         for vin in result.losers:
             table.release(vin)
-            alt = _ref_first_free_reachable(by_vin[vin], state, table, v_min, live, start=tau)
+            alt = _ref_first_free_reachable(by_vin[vin], state, mu, n_dep, v_min, live,
+                                            start=tau)
             if alt is not None:
                 table.claim(alt, vin)
                 live.add(alt)
                 seen["reassigned"] += 1
-    return {vin: arrival_window(slot, table.mu, state)
+    return {vin: ref_window(slot, mu, state)
             for vin, slot in table.requests() if vin in by_vin}
 
 
@@ -549,7 +589,7 @@ def _random_round(rng):
     else:
         green_arrival = (state.remaining, state.remaining + green_s)
     free = [j for j in range(state.queue_len + 1, n_dep + 1) if j not in claims.values()]
-    hot = [arrival_window(j, mu, state) for j in rng.sample(free, min(2, len(free)))]
+    hot = [ref_window(j, mu, state) for j in rng.sample(free, min(2, len(free)))]
     vehicles = []
     for vin in sorted(rng.sample(POOL, rng.randint(0, 12))):
         cap = rng.uniform(V_MIN, V_MAX)
@@ -558,7 +598,7 @@ def _random_round(rng):
         arrival = rng.choice([rng.uniform(0.0, 70.0), rng.uniform(*green_arrival),
                               rng.uniform(*rng.choice(hot or [green_arrival]))])
         if vin in claims and claims[vin] > state.queue_len and rng.random() < 0.8:
-            lo, hi = arrival_window(claims[vin], mu, state)
+            lo, hi = ref_window(claims[vin], mu, state)
             arrival = rng.uniform(lo, max(lo, hi))
         dist = speed * arrival if speed > 0 else rng.uniform(0.0, 400.0)
         vehicles.append((vin, dist, speed, cap, rng.choice(list(Mode))))
@@ -571,7 +611,7 @@ def _play(spec, run):
     """Run ``run(table, state, v_min, vehicles, ledger, rng, tl_rng)`` on a
     fresh copy of the round's inputs; returns everything it can change."""
     mu, n_dep, claims, state, vehicles, credits, v_min, seed = spec
-    table = TokenTable(mu, n_dep)
+    table = table_for(state, n_dep, mu)
     for vin, slot in claims.items():
         table.claim(slot, vin)
     ledger = CreditLedger()
@@ -603,7 +643,7 @@ def test_round_decides_as_the_reference_round():
     seen = Counter()
     for _ in range(3000):
         spec = _random_round(rng)
-        expected = _play(spec, lambda *args: reference_round(*args, seen))
+        expected = _play(spec, lambda *args: reference_round(spec[0], *args, seen))
         got = _play(spec, lambda table, state, v_min, vehicles, *rest: _round_windows(
             table, state, v_min, _approachers(vehicles, state), *rest))
         assert got == expected, spec

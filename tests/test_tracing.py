@@ -61,11 +61,15 @@ def test_tracer_keeps_every_engine_layer_on_a_csof_world():
     world._place(0, 0, 600.0, 13.89, Mode.NORMAL)
     tracer = _tracing_module().Tracer(sim)
     tracer.install()
+    steps = 0
     try:
         while world.t < 20.0:
             world.step()
+            steps += 1
     finally:
         tracer.uninstall()
     assert set(tracer.absent) <= ABSENT_TODAY, tracer.absent
+    # The engine writes each light's phase once per step.
+    assert tracer.counts["signals.state_at.calls"] == len(world.lights) * steps
     for layer in ENGINE_LAYERS:
         assert tracer.self_s[layer] > 0.0, layer

@@ -23,7 +23,10 @@ pairs the change wins (ties count for neither) and a verdict:
   the parent's by more than the parent's interquartile range;
 * ``worse``: the change's median is worse than the parent's by more than
   the metric's bound, a share of the parent's median;
-* ``unresolved``: anything else.
+* ``unchanged``: not worse, and the parent's interquartile range is within
+  that bound, or every run of the change beats every run of the parent;
+* ``unresolved``: anything else, where the runs spread wider than the
+  bound and cannot tell "no worse" from noise.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         verdict = "gain"
     elif -gap > bound * abs(p_med):
         verdict = "worse"
+    elif (p_q3 - p_q1 <= bound * abs(p_med)
+          or min(sign * c for c in change) > max(sign * p for p in parent)):
+        verdict = "unchanged"
     else:
         verdict = "unresolved"
     return {"parent": (p_q1, p_med, p_q3), "change": (c_q1, c_med, c_q3),
