@@ -10,6 +10,15 @@ vehicle, in vin order, from its planned target to its new speed under
 the density, comfort, car-following and stop-line clamps.  Energy,
 integration, queues and spawning follow.
 
+A *held* vehicle is queued, at rest, and waits at a light that is not
+crossable, so its target is 0.0.  That target from rest survives every
+clamp: the density cap is positive, the comfort band is the speed plus or
+minus ``ACCEL_LIMIT * dt``, and the car-following and stop-line bounds are
+non-negative.  Its new speed is 0.0 without the clamps or the gate, and
+its step from rest to rest books its idling and any armed stop and
+nothing else: it does not move, and every vehicle starts a step short of
+its stop line, so it cannot cross.
+
 Three techniques share identical road physics:
 
 * ``csof``  -- token table per light: a vehicle claims a free slot it can
@@ -225,9 +234,11 @@ class LightAgent:
 
     ``state``, the light's one ``SignalState``, is built with the light: its
     timing and its green-end margin (the all-red gap plus
-    ``PLAN_MARGIN_S``) hold for the run, and the start of each step writes
-    its phase and queue length in place.  The token ``table`` holds the
-    slots' arrival offsets from the green start, fixed for the run.
+    ``PLAN_MARGIN_S``) hold for the run, the start of each step writes its
+    phase in place, and the end of each step its ``queue_len``, the number
+    of the segment's vehicles flagged ``queued`` (the queue itself).  The
+    token ``table`` holds the slots' arrival offsets from the green start,
+    fixed for the run.
 
     Set at the start of each step: ``density_cap``, the segment's density
     speed cap; ``queued_target``, the target of a queued vehicle; ``t_q``,
@@ -241,11 +252,10 @@ class LightAgent:
     each a list of its vehicles in ascending pos, kept across steps (the lane
     index, from which each step derives ``Vehicle.lead``); the token ``table``,
     cleared at each allocation epoch; ``last_cross_t``, set at each crossing and
-    read by the gate's headway test; ``queue_len``, the number of the segment's
-    vehicles flagged ``queued`` (the queue itself), set at the end of each step;
-    and ``sum_idle``, ``sum_stops``, ``sum_energy``, the completed vehicles' totals."""
+    read by the gate's headway test; and ``sum_idle``, ``sum_stops``,
+    ``sum_energy``, the completed vehicles' totals."""
 
-    __slots__ = ("idx", "cfg", "cycle", "gate_headway", "table", "queue_len", "last_cross_t",
+    __slots__ = ("idx", "cfg", "cycle", "gate_headway", "table", "last_cross_t",
                  "line_at", "line_km", "v_min", "v_max", "cruise", "line_zone", "grade",
                  "cruise_step_j", "groups", "state", "density_cap", "queued_target", "t_q",
                  "slot_windows", "sum_idle", "sum_stops", "sum_energy")
@@ -261,7 +271,6 @@ class LightAgent:
             red_s=sig.red_s, green_end_margin_s=sig.all_red_gap_s + PLAN_MARGIN_S)
         self.table = TokenTable(mu, departures_per_green(mu, sig.green_s),
                                 sig.green_s - state.green_end_margin_s, cycle_id=-(10**9))
-        self.queue_len = 0
         self.last_cross_t = -math.inf
         self.line_at = seg_cfg.length_m
         self.line_km = seg_cfg.length_m / 1000.0
@@ -439,8 +448,7 @@ class World:
             cfg = light.cfg
             state = light.state
             state_at(cfg, t, state)
-            n = light.queue_len
-            state.queue_len = n
+            n = state.queue_len
             density = sum(map(len, light.groups)) / light.line_km / lanes
             density = saturated if saturated < density else density  # min, keeping density
             light.density_cap = density_speed(density, jam, light.v_max)
@@ -615,6 +623,12 @@ class World:
             d = light.line_at - v.pos
             if v.queued:
                 target = light.queued_target
+                if target == 0.0 == speed:
+                    # Held (queued at rest, the light not crossable): 0.0
+                    # from rest survives every clamp below, so the step is
+                    # 0.0 without them and without the gate.
+                    new_speeds.append(0.0)
+                    continue
             elif planning and d <= reach:
                 cap = v.cap
                 state = light.state
@@ -667,23 +681,26 @@ class World:
         # step, because its advance is below the gap.  It is at most
         # gap * dt / TIME_GAP_S, or (speed - ACCEL_LIMIT * dt) * dt when the
         # gap is at least speed * REACTION_TIME_S (``SimConfig`` keeps dt
-        # below both times).
+        # below both times).  The stop detector reads only the new speed, so
+        # it runs first; a step from rest to rest then ends there, as every
+        # vehicle starts a step short of its line and this one does not move.
         stop_speed = STOP_SPEED
         moving_speed = MOVING_SPEED
         last_seg = len(lights) - 1
         crossed_at = t + dt
         for v, sp in zip(fleet, new_speeds):
             seg_idx = v.seg
-            v.speed = sp
-            v.pos += sp * dt
-
             if sp < stop_speed:
                 v.idle[seg_idx] += dt
                 if v.stop_armed:
                     v.stops[seg_idx] += 1
                     v.stop_armed = False
+                if sp == 0.0 == v.speed:
+                    continue
             elif sp > moving_speed:
                 v.stop_armed = True
+            v.speed = sp
+            v.pos += sp * dt
 
             light = lights[seg_idx]
             line_at = light.line_at
@@ -764,7 +781,7 @@ class World:
                         light.table.release(v.vin)
                         n += 1
                         tail = v.pos - length
-            light.queue_len = n
+            light.state.queue_len = n
 
     def run(self) -> MetricsReport:
         steps = int(round(self.cfg.duration_s / self.cfg.dt_s))

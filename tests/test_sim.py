@@ -26,6 +26,7 @@ from coopspeed.sim import (
     World,
 )
 from coopspeed.tokens import TokenTable
+from tests.test_report_digests import ALL_CONFIGS
 from tests.test_tokens import ref_window
 
 
@@ -63,8 +64,8 @@ def test_each_light_writes_its_one_signal_state_in_place():
     # The mixed corridor: offsets 0, 12 and 30 s, all-red gaps 1, 1 and 2 s,
     # departure rates 0.333, 0.4 and 0.333.  Each light keeps the state it
     # was built with for the whole run, and every step writes into it the
-    # phase of that light's own timing at the step's start, and the queue
-    # length the previous step left.
+    # phase of that light's own timing at the step's start, and at its end
+    # the number of the light's queued vehicles.
     mixed = (
         SegmentConfig(length_m=700.0, grade=0.01),
         SegmentConfig(length_m=1000.0, v_min=5 * KMH, v_max=40 * KMH,
@@ -81,10 +82,10 @@ def test_each_light_writes_its_one_signal_state_in_place():
     seen = Counter()
     while world.t < cfg.duration_s - 1e-9:
         t = world.t
-        queues = [light.queue_len for light in world.lights]
         world.step()
-        for light, state, queue, seg in zip(world.lights, states, queues, mixed):
+        for light, state, seg in zip(world.lights, states, mixed):
             sig = seg.signal
+            queue = sum(v.queued for v in world.vehicles.values() if v.seg == light.idx)
             assert light.state is state, (t, light.idx)
             cycle = sig.green_s + sig.red_s
             u = (t - sig.offset_s) % cycle
@@ -368,11 +369,14 @@ def _check_lanes_and_accounting(world):
     """Each lane group of the index is in ascending pos with a vehicle
     length between neighbours, each light holds one group per lane of the
     corridor, the index holds every vehicle exactly once in its own lane,
-    every spawned vehicle is completed or in the network, and credits are
+    every vehicle starts the next step short of its stop line, every
+    spawned vehicle is completed or in the network, and credits are
     conserved."""
     length = world.cfg.vehicle_length_m
     for light in world.lights:
         assert len(light.groups) == world.cfg.lanes, (world.t, light.idx)
+        for group in light.groups:
+            assert all(v.pos < light.line_at for v in group), (world.t, light.idx)
     indexed = []
     for key, group in _lane_groups(world).items():
         assert all((v.seg, v.lane) == key for v in group), (world.t, key)
@@ -396,7 +400,7 @@ def test_invariants_hold_at_every_step(technique):
         _check_lanes_and_accounting(world)
         for light in world.lights:
             queued = [v for v in world.vehicles.values() if v.queued and v.seg == light.idx]
-            assert light.queue_len == len(queued), (world.t, light.idx)
+            assert light.state.queue_len == len(queued), (world.t, light.idx)
             queued_seen += len(queued)
             # Only csof keeps claims: one per slot, each held by an unqueued
             # vehicle approaching this light within activation distance.
@@ -447,6 +451,59 @@ def test_invariants_hold_on_random_corridors():
             _check_lanes_and_accounting(world)
         completed += world.completed
     assert completed > 0
+
+
+def test_a_held_step_counts_the_stop_a_refused_crossing_armed():
+    # Two vehicles side by side reach the line of the default light in the
+    # step that starts at 22.9 s, its last crossable step.  Vin 1 crosses
+    # and shuts the gate for 1/mu, so vin 2 is refused and left at rest
+    # 0.01 m short of the line, its stop detector still armed.  From then
+    # on it is held until the green: its first held step counts the stop,
+    # and each one adds dt to its idling and changes nothing else.
+    seg = SegmentConfig()
+    cfg = SimConfig(duration_s=60.0, technique="fixed", segments=(seg,), scripted_arrivals=())
+    pos = seg.length_m - ENTRY_SPEED * cfg.dt_s * 229.5
+    world = _placed(cfg, (0, 0, pos, ENTRY_SPEED), (0, 1, pos, ENTRY_SPEED))
+    while 1 in world.vehicles:
+        world.step()
+    assert world.t == pytest.approx(23.0)
+    v = world.vehicles[2]
+    assert (v.pos, v.speed, v.queued, v.stop_armed, v.stops) == (
+        seg.length_m - 0.01, 0.0, True, True, [0])
+    light = world.lights[0]
+    held = 0
+    while world.t < seg.signal.cycle_s - 1e-9:
+        idle, pos, energy = v.idle[0], v.pos, v.energy_j[0]
+        world.step()
+        held += 1
+        assert light.queued_target == 0.0, world.t
+        assert (v.idle[0], v.pos, v.speed, v.energy_j[0]) == (idle + cfg.dt_s, pos, 0.0, energy)
+        assert v.stops == [1] and not v.stop_armed, world.t
+    assert held == 370
+
+
+def test_held_steps_change_nothing_but_idling_on_the_saturated_input():
+    # The benchmark's saturated ``fixed`` input for 120 s: a held vehicle,
+    # queued at rest while its light is not crossable, ends its step at
+    # rest where it began, with dt more idling and no energy booked.
+    cfg = dict(ALL_CONFIGS)["bench-fixed_sat-1"]
+    world = World(cfg)
+    held_steps = 0
+    while world.t < 120.0 - 1e-9:
+        before = {}
+        for v in world.vehicles.values():
+            sig = cfg.segments[v.seg].signal
+            crossable = (world.t - sig.offset_s) % sig.cycle_s < sig.green_s - sig.all_red_gap_s
+            if v.queued and v.speed == 0.0 and not crossable:
+                before[v] = (v.seg, v.pos, list(v.idle), list(v.energy_j))
+        world.step()
+        _check_lanes_and_accounting(world)
+        for v, (seg, pos, idle, energy) in before.items():
+            idle[seg] += cfg.dt_s
+            assert (v.seg, v.pos, v.speed, v.idle, v.energy_j) == (seg, pos, 0.0, idle, energy), (
+                world.t, v.vin)
+        held_steps += len(before)
+    assert held_steps >= 1000, held_steps
 
 
 def test_caps_match_plan_cap_at_every_step():
