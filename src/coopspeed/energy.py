@@ -1,8 +1,7 @@
 """Per-step electric-vehicle energy accounting.
 
-``step_energy`` is the whole model: the corridor engine calls it once per
-vehicle and step, and it gives the step's total in joules as the sum of
-three signed terms:
+``step_energy`` is the whole model.  It gives one step's total in joules
+as the sum of three signed terms:
 
 * potential energy, ``m·g·Δh/η``: consumed uphill, recuperated downhill
   at the same rate, so a climb and the matching descent cancel;
@@ -15,6 +14,12 @@ three signed terms:
 The kinetic form is the one of power-based EV consumption models (Fiori,
 Ahn & Rakha 2016, *Applied Energy*).  Those models describe one vehicle,
 so its parameters are the constants below, the same in every scenario.
+
+The corridor engine (``World._accrue_energy``) calls ``step_energy`` for
+a step that changes speed, and for a steady step, one that keeps a
+non-zero speed, at a speed other than that of the vehicle's last steady
+step on its segment.  A steady step at that speed books again the float
+the last one kept, and a step at rest books nothing.
 """
 
 from __future__ import annotations

@@ -196,10 +196,16 @@ def _arrival_times(cfg: SimConfig, rng: random.Random) -> Iterator[float]:
 class Vehicle:
     """``lead`` (the next vehicle in its lane group, None at the front) and
     ``cap`` (its planning ceiling) hold for one step only: ``World._caps`` writes
-    both before lane changes, and ``World._leaders`` refreshes ``lead`` after a move."""
+    both before lane changes, and ``World._leaders`` refreshes ``lead`` after a move.
+
+    ``steady_speed`` is the speed of the vehicle's last steady step on its
+    segment, one that kept a non-zero speed, and ``steady_j`` the energy that
+    step booked; ``World._accrue_energy`` books it again for a steady step at
+    that speed.  ``steady_speed`` is NaN at spawn and is reset to NaN when the
+    vehicle crosses into the next segment, whose grade may differ."""
 
     __slots__ = ("vin", "mode", "seg", "lane", "pos", "speed", "lead", "cap", "queued", "idle",
-                 "stops", "energy_j", "stop_armed", "spawned_at")
+                 "stops", "energy_j", "steady_speed", "steady_j", "stop_armed", "spawned_at")
 
     def __init__(self, vin: int, mode: Mode, seg: int, lane: int, pos: float,
                  speed: float, n_segments: int, spawned_at: float) -> None:
@@ -215,6 +221,8 @@ class Vehicle:
         self.idle = [0.0] * n_segments
         self.stops = [0] * n_segments
         self.energy_j = [0.0] * n_segments
+        self.steady_speed = math.nan
+        self.steady_j = 0.0
         self.stop_armed = speed > MOVING_SPEED
         self.spawned_at = spawned_at
 
@@ -229,8 +237,7 @@ class LightAgent:
     ``line_km``, the same in km; the speed band ``v_min``, ``v_max``;
     ``cruise``, the speed of a vehicle entering or cruising on the segment;
     ``line_zone``, the distance to the line within which the line may bind;
-    the ``grade``; and ``cruise_step_j``, the float ``step_energy`` gives
-    for a step at ``cruise`` throughout.
+    and the ``grade``.
 
     ``state``, the light's one ``SignalState``, is built with the light: its
     timing and its green-end margin (the all-red gap plus
@@ -257,10 +264,10 @@ class LightAgent:
 
     __slots__ = ("idx", "cfg", "cycle", "gate_headway", "table", "last_cross_t",
                  "line_at", "line_km", "v_min", "v_max", "cruise", "line_zone", "grade",
-                 "cruise_step_j", "groups", "state", "density_cap", "queued_target", "t_q",
-                 "slot_windows", "sum_idle", "sum_stops", "sum_energy")
+                 "groups", "state", "density_cap", "queued_target", "t_q", "slot_windows",
+                 "sum_idle", "sum_stops", "sum_energy")
 
-    def __init__(self, idx: int, seg_cfg: SegmentConfig, lanes: int, dt: float) -> None:
+    def __init__(self, idx: int, seg_cfg: SegmentConfig, lanes: int) -> None:
         self.idx = idx
         self.cfg = sig = seg_cfg.signal
         self.cycle = sig.cycle_s
@@ -276,10 +283,9 @@ class LightAgent:
         self.line_km = seg_cfg.length_m / 1000.0
         self.v_min = seg_cfg.v_min
         self.v_max = seg_cfg.v_max
-        self.cruise = cruise = min(ENTRY_SPEED, seg_cfg.v_max)
+        self.cruise = min(ENTRY_SPEED, seg_cfg.v_max)
         self.line_zone = TIME_GAP_S * seg_cfg.v_max + 5.0
         self.grade = seg_cfg.grade
-        self.cruise_step_j = step_energy(cruise, cruise, dt, seg_cfg.grade * cruise * dt)
         self.groups: list[list[Vehicle]] = [[] for _ in range(lanes)]
         self.density_cap = self.queued_target = self.t_q = 0.0
         self.slot_windows: list[tuple[float, float] | None] = []
@@ -350,7 +356,7 @@ class World:
         self._pending_spawns = 0
         self._arrivals = _arrival_times(cfg, self.rng_arrivals)
         self._next_arrival = next(self._arrivals, None)
-        self.lights = [LightAgent(i, s, cfg.lanes, cfg.dt_s) for i, s in enumerate(cfg.segments)]
+        self.lights = [LightAgent(i, s, cfg.lanes) for i, s in enumerate(cfg.segments)]
 
     # -- spawning ----------------------------------------------------------
 
@@ -716,6 +722,7 @@ class World:
                 if seg_idx != last_seg:
                     v.pos -= line_at
                     v.seg = seg_idx + 1
+                    v.steady_speed = math.nan  # the next segment's grade may differ
                     insort(lights[v.seg].groups[v.lane], v, key=_pos)
                     continue
                 del vehicles[v.vin]
@@ -732,20 +739,27 @@ class World:
     def _accrue_energy(self, fleet: list[Vehicle], new_speeds: list[float]) -> None:
         """Book each vehicle's step, from its speed now to its new speed, on
         the segment it is on; runs before either changes.  A step at rest
-        is skipped: it books exactly +0.0 J, which changes no total.  A step
-        at the segment's cruise speed throughout books the segment's
-        constant for it, the float ``step_energy`` gives for that step."""
+        is skipped: it books exactly +0.0 J, which changes no total.  A
+        steady step, one that keeps a non-zero speed, depends only on that
+        speed and the segment's grade (``dt`` is fixed for the run): at the
+        vehicle's ``steady_speed`` it books ``steady_j`` again, the float
+        ``step_energy`` gave for it, and at any other speed it calls
+        ``step_energy`` and keeps the result.  Speeds are never -0.0, so
+        equal speeds give equal floats."""
         energy = step_energy
         dt = self.cfg.dt_s
         lights = self.lights
         for v, sp in zip(fleet, new_speeds):
-            if sp or v.speed:
+            speed = v.speed
+            if sp != speed:
                 seg_idx = v.seg
-                light = lights[seg_idx]
-                if sp == v.speed == light.cruise:
-                    v.energy_j[seg_idx] += light.cruise_step_j
-                else:
-                    v.energy_j[seg_idx] += energy(v.speed, sp, dt, light.grade * sp * dt)
+                v.energy_j[seg_idx] += energy(speed, sp, dt, lights[seg_idx].grade * sp * dt)
+            elif sp:
+                seg_idx = v.seg
+                if sp != v.steady_speed:
+                    v.steady_speed = sp
+                    v.steady_j = energy(sp, sp, dt, lights[seg_idx].grade * sp * dt)
+                v.energy_j[seg_idx] += v.steady_j
 
     def _update_queues(self) -> None:
         """Queue bookkeeping: join when stopped at the line or the lane's

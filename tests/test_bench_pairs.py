@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -48,7 +50,7 @@ def test_all_runs_every_workload_in_the_files_order(monkeypatch, capsys):
     # its summary in turn.  The fake starts no process; its result line
     # carries every end-to-end metric.
     spec = json.loads(bench_pairs.SPEC.read_text())
-    line = json.dumps({"correct": True, "failed": 0, "metrics": {
+    line = json.dumps({"correct": True, "attempted": 6000, "failed": 0, "metrics": {
         m["name"]: {"value": 1.0} for m in spec["end_to_end"]}})
     workloads = []
 
@@ -64,6 +66,39 @@ def test_all_runs_every_workload_in_the_files_order(monkeypatch, capsys):
     assert workloads == [name for name in names for _ in range(4)]
     summaries = [line for line in capsys.readouterr().out.splitlines() if "pairs" in line]
     assert [line.split(",")[0] for line in summaries] == names
+
+
+def _pairs_with_failures(monkeypatch, parent, change):
+    """Run two pairs of ``csof_peak`` whose parent runs fail ``parent`` and
+    whose change runs fail ``change``, each a (failed, attempted) count.
+    The fake starts no process; it tells the sides by their directory."""
+    spec = json.loads(bench_pairs.SPEC.read_text())
+    metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+
+    def fake_run(cmd, cwd, **kwargs):
+        failed, attempted = parent if cwd == Path("parent") else change
+        line = json.dumps({"correct": True, "attempted": attempted, "failed": failed,
+                           "metrics": metrics})
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"{line}\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "parent", "change", "--workload",
+                                      "csof_peak", "--pairs", "2"])
+    return bench_pairs.main()
+
+
+def test_a_pair_compares_the_share_of_failed_steps(monkeypatch, capsys):
+    # A faster side runs more rounds in the same seconds: twice the rounds
+    # fail twice the steps at the same share, and the pair goes on.
+    assert _pairs_with_failures(monkeypatch, (3, 6000), (6, 12000)) == 0
+    pairs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("pair")]
+    assert len(pairs) == 2
+    assert all("failed 0.050%/0.050%" in line for line in pairs)
+    # A higher share on either side stops the script with exit status 1.
+    for parent, change in [((3, 6000), (7, 12000)), ((4, 6000), (6, 12000))]:
+        with pytest.raises(SystemExit) as stop:
+            _pairs_with_failures(monkeypatch, parent, change)
+        assert isinstance(stop.value.code, str) and stop.value.code.startswith("pair 1:")
 
 
 # Parent runs with median 100 and quartiles 97.75 and 102.25.

@@ -871,27 +871,66 @@ def test_config_indices_must_be_integers(make):
         make()
 
 
+def _lone_trip_steps(technique, grade, dt):
+    """The steps of a lone vehicle, placed at the cruise speed at the start
+    of a two-segment corridor graded ``grade`` then ``-grade``, as
+    (speed before, speed after, segment) until it leaves.  The second
+    light's offset of 12 s makes a green wave at the cruise speed: the line
+    of SI1 is green at t = 72 s and that of SI2 at 144 s.  After every step,
+    each segment's running ``energy_j`` must equal by ``repr`` the sum of
+    that segment's own ``step_energy`` calls, one per step not at rest."""
+    segments = (SegmentConfig(grade=grade),
+                SegmentConfig(grade=-grade, signal=SignalConfig(offset_s=12.0)))
+    cfg = SimConfig(dt_s=dt, technique=technique, arrival_rate_veh_s=0.0, segments=segments)
+    world = _placed(cfg, (0, 0, 0.0, min(ENTRY_SPEED, segments[0].v_max)))
+    v = world.vehicles[1]
+    expected = [0.0, 0.0]
+    steps = []
+    while v.vin in world.vehicles:
+        assert world.t < 300.0
+        speed, seg = v.speed, v.seg
+        world.step()
+        if speed or v.speed:
+            expected[seg] += step_energy(speed, v.speed, dt, segments[seg].grade * v.speed * dt)
+        steps.append((speed, v.speed, seg))
+        assert list(map(repr, v.energy_j)) == list(map(repr, expected)), (world.t, steps[-1])
+    return steps
+
+
 @pytest.mark.parametrize("grade", [0.01, -0.01])
 @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
 def test_a_cruising_step_books_what_step_energy_gives(grade, dt):
-    # A lone vehicle at the cruise speed keeps it until it comes within
-    # the activation distance of the line; each of those steps books the
-    # segment's cruise-step constant, which must be the same float as the
-    # step's own ``step_energy`` call: the running totals match by ``repr``
-    # after every step.
-    segment = SegmentConfig(grade=grade)
-    cruise = min(ENTRY_SPEED, segment.v_max)
-    world = _placed(SimConfig(dt_s=dt, segments=(segment,)), (0, 0, 0.0, cruise))
-    v = world.vehicles[1]
-    expected = 0.0
-    steps = 0
-    while segment.length_m - v.pos > world.cfg.activation_distance_m:
-        world.step()
-        expected += step_energy(cruise, cruise, dt, grade * cruise * dt)
-        steps += 1
-        assert v.speed == cruise
-        assert repr(v.energy_j[0]) == repr(expected), steps
-    assert steps > 100
+    # A lone ``fixed`` vehicle on the green wave cruises throughout, so every
+    # step after the first on a segment books the float its first steady
+    # step kept.  The segments' grades differ: the float kept on the first
+    # segment must not be booked on the second.
+    cruise = min(ENTRY_SPEED, SegmentConfig().v_max)
+    steps = _lone_trip_steps("fixed", grade, dt)
+    assert {(before, after) for before, after, _ in steps} == {(cruise, cruise)}
+    per_segment = Counter(seg for *_, seg in steps)
+    assert per_segment[0] > 100 and per_segment[1] > 100, per_segment
+
+
+@pytest.mark.parametrize("grade", [0.01, -0.01])
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+def test_a_steady_step_at_a_planned_speed_books_what_step_energy_gives(grade, dt):
+    # A lone ``csof`` vehicle on the green wave plans speeds inside its
+    # band and holds them: on each segment, steady steps at speeds other
+    # than the cruise speed come fresh (the speed differs from the last
+    # steady step's on the segment, so its float is computed and kept) and
+    # repeated (the kept float is booked again).
+    cruise = min(ENTRY_SPEED, SegmentConfig().v_max)
+    seen = Counter()
+    kept = None  # the speed of the last steady step on the segment
+    on = 0
+    for before, after, seg in _lone_trip_steps("csof", grade, dt):
+        if seg != on:
+            kept, on = None, seg
+        if before == after != 0.0:
+            if after != cruise:
+                seen[seg, "repeated" if after == kept else "fresh"] += 1
+            kept = after
+    assert min(seen[seg, kind] for seg in (0, 1) for kind in ("fresh", "repeated")) > 0, seen
 
 
 @pytest.mark.parametrize("technique, seed", [("csof", 2), ("ncso", 3), ("fixed", 4)])

@@ -361,6 +361,23 @@ def test_non_cooperative_round_assumes_every_slot_free():
     assert windows[7] == ref_window(7, MU, state)
 
 
+def _random_light(rng, queue_beyond):
+    """A random light: its departure rate, its slots per green and its
+    state, green or red at a random phase, with a queue of up to
+    ``queue_beyond`` vehicles more than the green serves."""
+    mu = rng.choice([MU, rng.uniform(0.2, 0.6)])
+    n_dep = rng.randint(1, 10)
+    green_s, red_s = rng.uniform(6.0, 40.0), rng.uniform(10.0, 50.0)
+    green = rng.random() < 0.5
+    state = SignalState(
+        approach_green=green, crossable=green,
+        remaining=rng.uniform(0.05, green_s if green else red_s),
+        green_s=green_s, red_s=red_s, queue_len=rng.randint(0, n_dep + queue_beyond),
+        green_end_margin_s=rng.choice([0.0, rng.uniform(0.0, 3.0)]),
+    )
+    return mu, n_dep, state
+
+
 def test_arrival_windows_match_the_full_window_list():
     # The non-cooperative search builds windows only as far as it needs,
     # into a list the step's later searches share, and stops at the first
@@ -372,16 +389,8 @@ def test_arrival_windows_match_the_full_window_list():
     rng = random.Random(18)
     seen = Counter()
     for _ in range(3000):
-        mu = rng.choice([MU, rng.uniform(0.2, 0.6)])
-        n_dep = rng.randint(1, 10)
-        green_s, red_s = rng.uniform(6.0, 40.0), rng.uniform(10.0, 50.0)
-        green = rng.random() < 0.5
-        state = SignalState(
-            approach_green=green, crossable=green,
-            remaining=rng.uniform(0.05, green_s if green else red_s),
-            green_s=green_s, red_s=red_s, queue_len=rng.randint(0, n_dep + 2),
-            green_end_margin_s=rng.choice([0.0, rng.uniform(0.0, 3.0)]),
-        )
+        mu, n_dep, state = _random_light(rng, queue_beyond=2)
+        green = state.approach_green
         # The list a round fills for this state; a vehicle that neither holds
         # nor requests lets it run without changing anything.
         table = table_for(state, n_dep, mu)
@@ -569,16 +578,8 @@ def reference_round(mu, table, state, v_min, vehicles, ledger, rng, tl_rng, seen
 def _random_round(rng):
     """One round's inputs: the table's claims, the signal, the vehicles
     as (vin, dist, speed, cap, mode), credits and the games' seed."""
-    mu = rng.choice([MU, rng.uniform(0.2, 0.6)])
-    n_dep = rng.randint(1, 10)
-    green_s, red_s = rng.uniform(6.0, 40.0), rng.uniform(10.0, 50.0)
-    green = rng.random() < 0.5
-    state = SignalState(
-        approach_green=green, crossable=green,
-        remaining=rng.uniform(0.05, green_s if green else red_s),
-        green_s=green_s, red_s=red_s, queue_len=rng.randint(0, n_dep + 1),
-        green_end_margin_s=rng.choice([0.0, rng.uniform(0.0, 3.0)]),
-    )
+    mu, n_dep, state = _random_light(rng, queue_beyond=1)
+    green, green_s = state.approach_green, state.green_s
     n_claims = rng.randint(0, n_dep)
     claims = dict(zip(rng.sample(POOL, n_claims), rng.sample(range(1, n_dep + 1), n_claims)))
     # Arrivals crowd into the coming green and into two of its free slots,
@@ -695,3 +696,40 @@ def test_a_round_leaves_no_listed_vehicle_on_a_slot_it_cannot_reach():
         spec = _random_round(rng)
         assert _play(spec, unreachable_holders)[0] == [], spec
     assert held > 300
+
+
+def _random_reach(rng):
+    """One vehicle's view of one light: the window list the round fills for
+    a random signal timing, phase and queue, and an ``Approacher`` at a
+    random distance with a cap of at least ``v_min``; returns the list, the
+    vehicle and ``v_min``."""
+    mu, n_dep, state = _random_light(rng, queue_beyond=1)
+    v_min = rng.choice([0.0, V_MIN, rng.uniform(0.0, V_MIN)])
+    cap = rng.choice([v_min, V_MAX, rng.uniform(v_min, V_MAX)])
+    # Distances that put the arrival at cap inside the coming green are
+    # common, so many vehicles can reach a run of several slots.
+    arrival = (rng.uniform(0.0, 70.0) if state.approach_green
+               else rng.uniform(0.0, state.remaining + state.green_s))
+    dist = rng.choice([rng.uniform(0.0, 600.0), rng.uniform(0.5, 1.5) * cap * arrival])
+    return full_windows(mu, n_dep, state), Approacher(0, dist, cap, Mode.NORMAL, None), v_min
+
+
+def test_the_slots_a_vehicle_can_reach_are_consecutive():
+    # Window ends never decrease in slot order, so the band's bounds
+    # dist / t_hi and dist / t_lo never increase: the slots whose band meets
+    # [v_min, cap] form one run.  A scan over the slots may then stop at the
+    # first unreachable slot after a reachable one.
+    rng = random.Random(19)
+    seen = Counter()
+    for _ in range(20000):
+        windows, e, v_min = _random_reach(rng)
+        reach = [j for j in range(1, len(windows)) if _reachable(j, e, windows, v_min)]
+        if not reach:
+            continue
+        assert reach == list(range(reach[0], reach[-1] + 1)), (windows, e, v_min)
+        seen["reachable"] += 1
+        seen["several"] += len(reach) > 1
+        seen["unreachable on both sides"] += (
+            windows[reach[0] - 1] is not None and reach[-1] + 1 < len(windows))
+        seen["v_min 0"] += v_min == 0.0
+    assert min(seen.values()) >= 100, seen

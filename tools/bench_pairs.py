@@ -12,8 +12,10 @@ where R is the file's ``run_seconds``, the run length of the benchmark
 itself.  The side that runs first alternates from pair to pair, and
 ``PYTHONDONTWRITEBYTECODE=1`` keeps both sides without a bytecode cache,
 which would move ``setup_s`` and ``peak_rss_mb``.  The script exits 1 as
-soon as a run is not ``correct`` or the two runs of a pair differ in
-``failed``.
+soon as a run is not ``correct`` or the two runs of a pair differ in their
+share of failed steps, ``failed / attempted``: a run repeats whole rounds
+until its seconds pass, so a faster side runs more rounds and fails more
+steps at the same share.
 
 For each end-to-end metric of BENCHMARK.json it prints every pair, each
 side's median and quartiles, the change/parent ratio of the medians, the
@@ -63,6 +65,11 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
             "ratio": c_med / p_med, "wins": wins, "verdict": verdict}
 
 
+def failed_share(result: dict) -> float:
+    """The share of a run's attempted steps that failed its checks."""
+    return result["failed"] / result["attempted"]
+
+
 def run_once(spec: dict, checkout: Path, workload: str, seed: int) -> dict:
     cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
            "--seconds", str(spec["run_seconds"])]
@@ -87,12 +94,14 @@ def run_pairs(spec: dict, args: argparse.Namespace, workload: str) -> None:
         for side in order:
             runs[side].append(run_once(spec, getattr(args, side), workload, args.seed))
         parent, change = runs["parent"][-1], runs["change"][-1]
-        if parent["failed"] != change["failed"]:
-            sys.exit(f"pair {k + 1}: failed {parent['failed']} (parent) against "
-                     f"{change['failed']} (change)")
-        print(f"pair {k + 1} ({order[0]} first): " + "  ".join(
-            f"{m['name']} {parent['metrics'][m['name']]['value']:.5g}/"
-            f"{change['metrics'][m['name']]['value']:.5g}" for m in metrics), flush=True)
+        p_share, c_share = failed_share(parent), failed_share(change)
+        if p_share != c_share:
+            sys.exit(f"pair {k + 1}: failed {parent['failed']} of {parent['attempted']} "
+                     f"(parent) against {change['failed']} of {change['attempted']} (change)")
+        print(f"pair {k + 1} ({order[0]} first): failed {p_share:.3%}/{c_share:.3%}  "
+              + "  ".join(f"{m['name']} {parent['metrics'][m['name']]['value']:.5g}/"
+                          f"{change['metrics'][m['name']]['value']:.5g}" for m in metrics),
+              flush=True)
     print(f"{workload}, {args.pairs} pairs, parent/change; "
           "median [quartiles] parent -> change:")
     for m in metrics:
