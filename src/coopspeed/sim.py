@@ -32,14 +32,14 @@ Under ``csof``, each step every light with a participant runs
 ``tokens.allocation_round`` over the unqueued vehicles within activation
 distance that hold a claim or submit a request.  A vehicle's token is its
 claim in the light's table, released when the vehicle crosses or joins
-the queue; the round changes only the table and fills the light's window
-list for the step (``LightAgent.slot_windows``).  Under ``ncso`` there is
-no round: a vehicle that submits a request takes its arrival slot, which
+the queue; the round changes only the table and fills its window list for
+the step (``TokenTable.windows``).  Under ``ncso`` there is no round: a
+vehicle that submits a request takes its arrival slot, which
 ``tokens.arrival_slot`` finds in that list.  Either way the planner aims
 at the window of the vehicle's slot in the list.
-Tables live in per-light allocation epochs: an epoch opens at a red
-start and closes when the following green ends, so slots granted during
-red carry into the green they target and everything expires with it.
+A light's table is cleared when its light turns red, so slots granted
+during red carry into the green they target and everything expires with
+it.
 """
 
 from __future__ import annotations
@@ -157,6 +157,12 @@ class SimConfig:
             raise ValueError(f"technique must be one of {TECHNIQUES}")
         if not self.segments:
             raise ValueError("need at least one segment")
+        top = max(s.v_max for s in self.segments)  # no vehicle ever moves faster
+        if any(s.length_m <= top * self.dt_s for s in self.segments[1:]):
+            # A crossing vehicle lands up to one step's advance into the next
+            # segment; a shorter segment would leave it past that segment's line.
+            raise ValueError("every segment after the first must be longer than one step "
+                             "at the corridor's top speed")
         if self.activation_distance_m < 0:
             raise ValueError("activation distance must be non-negative")
         if self.activation_distance_m > min(s.length_m for s in self.segments):
@@ -231,8 +237,8 @@ class LightAgent:
     """Runtime record of one segment and the light at its end: every phase
     of ``World.step`` reads the segment's facts here.
 
-    Fixed for the run: ``idx``; the signal timing ``cfg`` and its
-    ``cycle``; ``gate_headway``, the gate's least time between crossings
+    Fixed for the run: ``idx``; the signal timing ``cfg``;
+    ``gate_headway``, the gate's least time between crossings
     (1/mu less a 1e-9 s tolerance); the stop-line position ``line_at`` and
     ``line_km``, the same in km; the speed band ``v_min``, ``v_max``;
     ``cruise``, the speed of a vehicle entering or cruising on the segment;
@@ -245,39 +251,35 @@ class LightAgent:
     phase in place, and the end of each step its ``queue_len``, the number
     of the segment's vehicles flagged ``queued`` (the queue itself).  The
     token ``table`` holds the slots' arrival offsets from the green start,
-    fixed for the run.
+    fixed for the run, and the step's arrival windows, reset at the start of
+    each step, where both techniques read a vehicle's window.
 
     Set at the start of each step: ``density_cap``, the segment's density
-    speed cap; ``queued_target``, the target of a queued vehicle; ``t_q``,
-    the time the queue takes to clear plus the arrival bias; and
-    ``slot_windows``, the arrival windows indexed by slot, None up to the
-    queue's last slot, then filled by the ``csof`` round or extended by
-    ``ncso`` searches; both techniques read a vehicle's window there in the
-    one-pass loop.
+    speed cap; ``queued_target``, the target of a queued vehicle; and
+    ``t_q``, the time the queue takes to clear plus the arrival bias.
 
     Changed during the run: ``groups``, the segment's ``SimConfig.lanes`` lanes,
     each a list of its vehicles in ascending pos, kept across steps (the lane
-    index, from which each step derives ``Vehicle.lead``); the token ``table``,
-    cleared at each allocation epoch; ``last_cross_t``, set at each crossing and
+    index, from which each step derives ``Vehicle.lead``); the ``table``'s claims,
+    cleared when the light turns red; ``last_cross_t``, set at each crossing and
     read by the gate's headway test; and ``sum_idle``, ``sum_stops``,
     ``sum_energy``, the completed vehicles' totals."""
 
-    __slots__ = ("idx", "cfg", "cycle", "gate_headway", "table", "last_cross_t",
+    __slots__ = ("idx", "cfg", "gate_headway", "table", "last_cross_t",
                  "line_at", "line_km", "v_min", "v_max", "cruise", "line_zone", "grade",
-                 "groups", "state", "density_cap", "queued_target", "t_q", "slot_windows",
+                 "groups", "state", "density_cap", "queued_target", "t_q",
                  "sum_idle", "sum_stops", "sum_energy")
 
     def __init__(self, idx: int, seg_cfg: SegmentConfig, lanes: int) -> None:
         self.idx = idx
         self.cfg = sig = seg_cfg.signal
-        self.cycle = sig.cycle_s
         mu = sig.departure_rate
         self.gate_headway = 1.0 / mu - 1e-9
         self.state = state = SignalState(
             approach_green=False, crossable=False, remaining=0.0, green_s=sig.green_s,
             red_s=sig.red_s, green_end_margin_s=sig.all_red_gap_s + PLAN_MARGIN_S)
         self.table = TokenTable(mu, departures_per_green(mu, sig.green_s),
-                                sig.green_s - state.green_end_margin_s, cycle_id=-(10**9))
+                                sig.green_s - state.green_end_margin_s)
         self.last_cross_t = -math.inf
         self.line_at = seg_cfg.length_m
         self.line_km = seg_cfg.length_m / 1000.0
@@ -288,7 +290,6 @@ class LightAgent:
         self.grade = seg_cfg.grade
         self.groups: list[list[Vehicle]] = [[] for _ in range(lanes)]
         self.density_cap = self.queued_target = self.t_q = 0.0
-        self.slot_windows: list[tuple[float, float] | None] = []
         self.sum_idle, self.sum_stops, self.sum_energy = 0.0, 0, 0.0
 
 
@@ -405,7 +406,7 @@ class World:
     def _maintain_tokens(self, fleet: list[Vehicle]) -> None:
         """Run each light's ``csof`` allocation round over its approaching
         vehicles that hold or request a slot; a round writes only the light's
-        table and fills its ``slot_windows``.  A vehicle that does neither
+        table and fills its window list.  A vehicle that does neither
         cannot change the round, so it is left out, and a light with no
         participant runs no round: it has no holder."""
         reach = self.cfg.activation_distance_m
@@ -425,8 +426,8 @@ class World:
                 per_light[v.seg].append(Approacher(vin, d, cap, v.mode, tti))
         for light, entries in zip(lights, per_light):
             if entries:
-                allocation_round(light.table, light.state, light.slot_windows, light.v_min,
-                                 entries, self.ledger, self.rng_games, self.rng_tl)
+                allocation_round(light.table, light.state, light.v_min, entries, self.ledger,
+                                 self.rng_games, self.rng_tl)
 
     def _plan_cap(self, v: Vehicle, leader: Vehicle | None, light: LightAgent) -> float:
         """Achievable speed ceiling for planning: the road limit, or what
@@ -443,9 +444,8 @@ class World:
     # -- main loop ---------------------------------------------------------
 
     def _signal_phase_bookkeeping(self) -> None:
-        """Set each light's per-step facts (see ``LightAgent``) and clear
-        its table when a new allocation epoch opens: an epoch opens at a
-        red start and ends with its green."""
+        """Set each light's per-step facts (see ``LightAgent``), reset its
+        table's window list and clear its claims when the light turns red."""
         t = self.t
         jam = JAM_DENSITY_VEH_KM_LANE
         saturated = DENSITY_CAP_RATIO * jam  # the density saturates at the cap ratio
@@ -453,7 +453,10 @@ class World:
         for light in self.lights:
             cfg = light.cfg
             state = light.state
+            was_green = state.approach_green
             state_at(cfg, t, state)
+            if was_green and not state.approach_green:
+                light.table.clear()
             n = state.queue_len
             density = sum(map(len, light.groups)) / light.line_km / lanes
             density = saturated if saturated < density else density  # min, keeping density
@@ -461,11 +464,7 @@ class World:
             # Queued vehicles wait for a crossable light.
             light.queued_target = light.v_max if state.crossable else 0.0
             light.t_q = queue_clear_time(n, cfg.departure_rate) + ARRIVAL_BIAS_S
-            light.slot_windows = [None] * (n + 1)
-
-            epoch = math.floor((t - cfg.offset_s - cfg.green_s) / light.cycle)
-            if epoch != light.table.cycle_id:
-                light.table.clear(epoch)
+            light.table.reset_windows(n)
 
     def _by_lane(self) -> list[LightAgent]:
         """The lane index: the lights, whose ``groups`` hold each lane's
@@ -640,11 +639,10 @@ class World:
                 state = light.state
                 if ncso:
                     tti = request_tti(d, speed, cap, state)
-                    slot = None if tti is None else arrival_slot(
-                        tti, light.slot_windows, state, light.table.offsets)
+                    slot = None if tti is None else arrival_slot(tti, light.table, state)
                 else:
                     slot = light.table.slot_of(v.vin)
-                window = None if slot is None else light.slot_windows[slot]
+                window = None if slot is None else light.table.windows[slot]
                 target = plan(speed, d, light.v_min, cap, state, window, light.t_q).speed
             else:
                 target = light.cruise

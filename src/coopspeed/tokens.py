@@ -18,15 +18,16 @@ computed once when it is built (``TokenTable.offsets``), and
 ``arrival_window`` shifts one slot's offsets by the signal phase: it is
 the one mapping from a slot to the arrival times that meet it.  The
 table is a round's only output; the planner aims at the window of a
-holder's slot in the window list the round fills.
+holder's slot in the table's window list (``TokenTable.windows``), which
+the round fills.
 
 A round's participants are the light's approaching vehicles that hold a
 claim or submit a request (``request_tti`` is not None).  Any other
 vehicle leaves the table, the credits and the games' draws untouched,
 so the engine leaves it out.  The non-cooperative technique runs no
-round and reads no table: as it plans, each vehicle that submits a
+round and reads no claim: as it plans, each vehicle that submits a
 request aims at the window of the slot ``arrival_slot`` finds, which the
-search reads from the same list, extending it as far as it needs.
+search reads from the table's list, extending it as far as it needs.
 """
 
 from __future__ import annotations
@@ -40,15 +41,22 @@ from .signals import SignalState
 
 
 class TokenTable:
-    """Per-approach, per-cycle claims on green-window slots, keyed by vehicle.
+    """One light's green-window slots: their claims, keyed by vehicle, and
+    their arrival windows for the step.
 
     ``offsets[tau]``, fixed for the run, is the span of arrival times after
     the green start that meets slot ``tau`` of ``n_dep``: ((tau-1)/mu,
     tau/mu), its end pulled in to ``green_end`` so that arrivals dodge the
     all-red gap.  Index 0 holds None.
+
+    ``windows``, indexed by slot, holds None for index 0 and the slots the
+    standing queue discharges through (``reset_windows``), then the windows
+    under the step's signal state as far as they were built:
+    ``allocation_round`` builds them all, ``arrival_slot`` only as far as
+    its search reaches.
     """
 
-    def __init__(self, mu: float, n_dep: int, green_end: float, cycle_id: int = 0) -> None:
+    def __init__(self, mu: float, n_dep: int, green_end: float) -> None:
         if mu <= 0:
             raise ValueError("departure rate mu must be positive")
         tsd = 1.0 / mu
@@ -57,8 +65,12 @@ class TokenTable:
             b = tau * tsd
             self.offsets.append(((tau - 1) * tsd, green_end if green_end < b else b))
         self.n_dep = n_dep
-        self.cycle_id = cycle_id
+        self.windows: list[tuple[float, float] | None] = [None]
         self._slot_of: dict[int, int] = {}
+
+    def reset_windows(self, queue_len: int) -> None:
+        """Start the step's window list for a queue of ``queue_len``."""
+        self.windows = [None] * (queue_len + 1)
 
     def claim(self, slot: int, vin: int) -> None:
         """Claim ``slot`` for ``vin``, replacing any earlier claim of ``vin``."""
@@ -82,9 +94,8 @@ class TokenTable:
         """Free the slot claimed by ``vin``; no-op returning False if none."""
         return self._slot_of.pop(vin, None) is not None
 
-    def clear(self, cycle_id: int) -> None:
-        """Start a fresh cycle; all outstanding tokens expire."""
-        self.cycle_id = cycle_id
+    def clear(self) -> None:
+        """All outstanding tokens expire: the light has turned red."""
         self._slot_of.clear()
 
 
@@ -145,18 +156,15 @@ def request_tti(dist: float, speed: float, cap: float, state: SignalState) -> fl
     return None
 
 
-def arrival_slot(tti: float, windows: list[tuple[float, float] | None], state: SignalState,
-                 offsets: list[tuple[float, float] | None]) -> int | None:
-    """First slot whose arrival window holds ``tti``, or None.
+def arrival_slot(tti: float, table: TokenTable, state: SignalState) -> int | None:
+    """First slot of ``table`` whose window under ``state`` holds ``tti``, or None.
 
-    ``windows`` is indexed by slot and holds None for index 0 and for the
-    slots the standing queue discharges through, then the windows under
-    ``state`` as far as they were built: ``allocation_round`` fills them
-    all, and a search appends a window only when it reaches a slot the list
-    lacks.  ``offsets`` are the light's ``TokenTable.offsets``.  The search
-    stops at the first window that opens after ``tti``: window starts never
-    decrease in slot order, so no later window holds it.
+    The search appends a window to ``table.windows`` only when it reaches a
+    slot the list lacks.  It stops at the first window that opens after
+    ``tti``: window starts never decrease in slot order, so no later window
+    holds it.
     """
+    windows, offsets = table.windows, table.offsets
     for j in range(state.queue_len + 1, len(offsets)):
         if j == len(windows):
             windows.append(arrival_window(offsets[j], state))
@@ -200,7 +208,6 @@ def _first_free_reachable(e: Approacher, windows: list[tuple[float, float] | Non
 def allocation_round(
     table: TokenTable,
     state: SignalState,
-    windows: list[tuple[float, float] | None],
     v_min: float,
     vehicles: Sequence[Approacher],
     ledger: CreditLedger,
@@ -208,9 +215,9 @@ def allocation_round(
     tl_rng,
 ) -> None:
     """One cooperative allocation round for one light; the table is its
-    only output.  The round fills ``windows``, the light's window list for
-    the step as ``arrival_slot`` takes it, in place up to slot
-    ``table.n_dep``, so a holder reads its window at the slot it holds.
+    only output.  The round fills ``table.windows``, the step's window list
+    under ``state``, in place up to slot ``table.n_dep``, so a holder reads
+    its window there at the slot it holds.
 
     ``vehicles`` are the light's approaching, unqueued vehicles in
     ascending VIN order.  Only a vehicle that holds a claim in ``table``
@@ -240,7 +247,7 @@ def allocation_round(
     order.  A loser moves only to a slot nobody claims, so it never joins
     a contested slot still to be settled.
     """
-    offsets = table.offsets
+    offsets, windows = table.offsets, table.windows
     first = state.queue_len + 1  # the first slot the queue leaves free
     end = table.n_dep + 1
     windows.extend(arrival_window(offsets[j], state) for j in range(len(windows), end))
@@ -261,7 +268,7 @@ def allocation_round(
             live[held] -= 1
         if e.tti is None:
             continue
-        slot = arrival_slot(e.tti, windows, state, offsets)
+        slot = arrival_slot(e.tti, table, state)
         if slot is None or before[slot] or not _reachable(slot, e, windows, v_min):
             slot = _first_free_reachable(e, windows, v_min, before, first, end)
         if slot is not None:

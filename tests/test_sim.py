@@ -54,36 +54,50 @@ def test_token_table_matches_tokens_at_every_step():
                         and light.line_at - v.pos <= cfg.activation_distance_m}
             assert set(vins) <= in_round, (world.t, light.idx, requests)
             for slot in slots:
-                assert light.slot_windows[slot] == ref_window(
+                assert light.table.windows[slot] == ref_window(
                     slot, light.cfg.departure_rate, light.state), (world.t, light.idx, slot)
             held += len(slots)
     assert held > 1000, held
 
 
+def test_a_table_is_cleared_exactly_when_its_light_turns_red():
+    # Slot 1 is claimed for a vin no vehicle has before every step from the
+    # second on.  With no vehicle no round runs, so only a clear removes the
+    # claim.  The first green ends 20.0 s into the run in exact arithmetic,
+    # but the signal state still reads green at t = 20.0 s, by 3e-15 s: a
+    # clear that took the phase from a formula of its own came a step early.
+    signal = SignalConfig(green_s=10.283125944818355, red_s=40.0, offset_s=60.0)
+    cfg = SimConfig(duration_s=600.0, dt_s=0.5, technique="csof", scripted_arrivals=(),
+                    segments=(SegmentConfig(signal=signal),))
+    world = World(cfg)
+    light = world.lights[0]
+    world.step()
+    red_starts = []
+    while world.t < cfg.duration_s - 1e-9:
+        light.table.claim(1, 999)
+        was_green = light.state.approach_green
+        t = world.t
+        world.step()
+        turned_red = was_green and not light.state.approach_green
+        assert (light.table.slot_of(999) is None) == turned_red, t
+        red_starts += [t] * turned_red
+    assert red_starts[0] == 20.5 and len(red_starts) > 10, red_starts
+
+
 def test_each_light_writes_its_one_signal_state_in_place():
-    # The mixed corridor: offsets 0, 12 and 30 s, all-red gaps 1, 1 and 2 s,
-    # departure rates 0.333, 0.4 and 0.333.  Each light keeps the state it
-    # was built with for the whole run, and every step writes into it the
-    # phase of that light's own timing at the step's start, and at its end
-    # the number of the light's queued vehicles.
-    mixed = (
-        SegmentConfig(length_m=700.0, grade=0.01),
-        SegmentConfig(length_m=1000.0, v_min=5 * KMH, v_max=40 * KMH,
-                      signal=SignalConfig(green_s=30.0, red_s=30.0, offset_s=12.0,
-                                          departure_rate=0.4)),
-        SegmentConfig(length_m=600.0, v_max=70 * KMH, grade=-0.01,
-                      signal=SignalConfig(green_s=20.0, red_s=40.0, all_red_gap_s=2.0,
-                                          offset_s=30.0)),
-    )
-    cfg = SimConfig(duration_s=300.0, seed=2, technique="csof", arrival_rate_veh_s=600 / 3600,
-                    segments=mixed)
+    # The digests' mixed corridor: offsets 0, 12 and 30 s, all-red gaps 1, 1
+    # and 2 s, departure rates 0.333, 0.4 and 0.333.  Each light keeps the
+    # state it was built with for the whole run, and every step writes into
+    # it the phase of that light's own timing at the step's start, and at
+    # its end the number of the light's queued vehicles.
+    cfg = dict(ALL_CONFIGS)["mixed-csof"]
     world = World(cfg)
     states = [light.state for light in world.lights]
     seen = Counter()
     while world.t < cfg.duration_s - 1e-9:
         t = world.t
         world.step()
-        for light, state, seg in zip(world.lights, states, mixed):
+        for light, state, seg in zip(world.lights, states, cfg.segments):
             sig = seg.signal
             queue = sum(v.queued for v in world.vehicles.values() if v.seg == light.idx)
             assert light.state is state, (t, light.idx)
@@ -807,6 +821,33 @@ def test_a_segment_needs_a_positive_top_speed():
     with pytest.raises(ValueError, match="v_max > 0"):
         SegmentConfig(v_min=0.0, v_max=0.0)
     SegmentConfig(v_min=0.0, v_max=1.0)
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_a_segment_after_the_first_must_outlast_a_step_at_top_speed(technique):
+    # A crossing vehicle lands up to one step at the corridor's top speed
+    # into the next segment.  On a 1 m middle segment, 1.667 m at 60 km/h
+    # and dt 0.1 s, a lone vehicle started a step 1.389 m into it: fixed
+    # went on, and csof and ncso raised in the planner at t = 14.6 s.
+    top_step = 60 * KMH * 0.1
+    signal = SignalConfig(green_s=500.0, red_s=10.0)
+
+    def corridor(middle, **demand):
+        segments = tuple(SegmentConfig(length_m=length, signal=signal)
+                         for length in (200.0, middle, 200.0))
+        return SimConfig(duration_s=300.0, technique=technique, activation_distance_m=1.0,
+                         segments=segments, **demand)
+
+    for middle in (1.0, top_step):
+        with pytest.raises(ValueError, match="longer than one step"):
+            corridor(middle, scripted_arrivals=(0.0,))
+    # The first segment is exempt: vehicles enter at its start.
+    SimConfig(segments=(SegmentConfig(length_m=1.0), SegmentConfig()), activation_distance_m=1.0)
+    world = World(corridor(math.nextafter(top_step, math.inf), arrival_rate_veh_s=0.2))
+    while world.t < world.cfg.duration_s - 1e-9:
+        world.step()
+        _check_lanes_and_accounting(world)
+    assert world.completed > 40, world.completed
 
 
 def test_the_lane_count_is_the_corridors():

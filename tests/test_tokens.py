@@ -91,12 +91,12 @@ def run_round(table, state, vehicles, ledger=None, seed=0):
     after checking that the window list the round fills holds the arrival
     window of that slot."""
     ledger = CreditLedger() if ledger is None else ledger
-    windows = [None] * (state.queue_len + 1)
-    assert allocation_round(table, state, windows, V_MIN, vehicles, ledger,
+    table.reset_windows(state.queue_len)
+    assert allocation_round(table, state, V_MIN, vehicles, ledger,
                             random.Random(seed), random.Random(seed + 1)) is None
     slots = {e.vin: table.slot_of(e.vin) for e in vehicles if table.slot_of(e.vin) is not None}
     for slot in slots.values():
-        assert windows[slot] == ref_window(slot, MU, state)
+        assert table.windows[slot] == ref_window(slot, MU, state)
     return slots
 
 
@@ -161,8 +161,9 @@ def test_allocate_green_basic():
 def arrival_slot(tti: float, state: SignalState, n_dep: int = 8) -> int | None:
     """The slot a request for an arrival in ``tti`` seconds names: the
     first whose arrival window holds it."""
-    return tokens.arrival_slot(tti, full_windows(MU, n_dep, state), state,
-                               table_for(state, n_dep).offsets)
+    table = table_for(state, n_dep)
+    table.windows = full_windows(MU, n_dep, state)
+    return tokens.arrival_slot(tti, table, state)
 
 
 def test_allocate_green_beyond_remaining():
@@ -287,20 +288,18 @@ def test_token_inside_queue_lead_in_is_released():
 def test_table_clear_expires_tokens():
     table = fresh_table()
     table.claim(7, 1)
-    table.clear(cycle_id=1)
+    table.clear()
     assert table.slot_of(1) is None
-    assert table.cycle_id == 1
 
 
 def test_clear_then_round_releases_stale_cycle_tokens():
     table = fresh_table()
     table.claim(7, 1)
-    table.clear(cycle_id=1)
+    table.clear()
     # The old claim is gone and the request is made again in the new cycle.
     state = green_state(24.0)
     slots = run_round(table, state, [approacher(1, 20.0, state)])
     assert slots == {1: 7}
-    assert table.cycle_id == 1
     assert_one_claim_per_slot(table, slots)
 
 
@@ -353,12 +352,12 @@ def test_non_cooperative_round_assumes_every_slot_free():
     state = green_state(24.0)
     vehicles = [approacher(1, 20.0, state), approacher(2, 19.5, state),
                 approacher(3, 50.0, state)]
-    windows = [None]  # the light's window list for the step, shared by the searches
-    offsets = fresh_table().offsets
+    table = fresh_table()  # its window list for the step is shared by the searches
+    table.reset_windows(state.queue_len)
     got = {e.vin: slot for e in vehicles if e.tti is not None
-           and (slot := tokens.arrival_slot(e.tti, windows, state, offsets)) is not None}
+           and (slot := tokens.arrival_slot(e.tti, table, state)) is not None}
     assert got == {1: 7, 2: 7}
-    assert windows[7] == ref_window(7, MU, state)
+    assert table.windows[7] == ref_window(7, MU, state)
 
 
 def _random_light(rng, queue_beyond):
@@ -394,10 +393,10 @@ def test_arrival_windows_match_the_full_window_list():
         # The list a round fills for this state; a vehicle that neither holds
         # nor requests lets it run without changing anything.
         table = table_for(state, n_dep, mu)
-        windows = [None] * (state.queue_len + 1)
-        allocation_round(table, state, windows, V_MIN,
-                         [Approacher(0, 100.0, V_MAX, Mode.NORMAL, None)], CreditLedger(),
-                         random.Random(0), random.Random(1))
+        table.reset_windows(state.queue_len)
+        allocation_round(table, state, V_MIN, [Approacher(0, 100.0, V_MAX, Mode.NORMAL, None)],
+                         CreditLedger(), random.Random(0), random.Random(1))
+        windows = table.windows
         assert windows == full_windows(mu, n_dep, state)
         edges = [edge for window in windows if window is not None for edge in window]
         vehicles = []
@@ -407,15 +406,17 @@ def test_arrival_windows_match_the_full_window_list():
                 draws += [rng.choice(edges)] * 2
             tti = rng.choice(draws)
             vehicles.append(Approacher(vin, 100.0, V_MAX, Mode.NORMAL, tti))
-        built = [None] * (state.queue_len + 1)
+        searched = table_for(state, n_dep, mu)
+        searched.reset_windows(state.queue_len)
         for e in vehicles:
             slot = None if e.tti is None else _ref_arrival_slot(e.tti, state, mu, n_dep)
             if slot is not None:
                 seen["on a window start" if e.tti == windows[slot][0] else "found"] += 1
             seen["no request" if e.tti is None else "edge" if e.tti in edges else "drawn"] += 1
             if e.tti is not None:
-                assert tokens.arrival_slot(e.tti, built, state, table.offsets) == slot
-                assert tokens.arrival_slot(e.tti, windows, state, table.offsets) == slot
+                assert tokens.arrival_slot(e.tti, searched, state) == slot
+                assert tokens.arrival_slot(e.tti, table, state) == slot
+        built = searched.windows
         assert built == windows[:len(built)]
         seen["green" if green else "red"] += 1
         seen["queue beyond the green" if state.queue_len >= n_dep else "slots offered"] += 1
@@ -633,10 +634,10 @@ def _round_windows(table, state, v_min, entries, *rest):
     """Run the round over ``entries`` (``Approacher``s); returns ``vin ->
     window`` for each of them left holding a slot, read from the table and
     from the window list the round filled."""
-    windows = [None] * (state.queue_len + 1)
-    allocation_round(table, state, windows, v_min, entries, *rest)
+    table.reset_windows(state.queue_len)
+    allocation_round(table, state, v_min, entries, *rest)
     listed = {e.vin for e in entries}
-    return {vin: windows[slot] for vin, slot in table.requests() if vin in listed}
+    return {vin: table.windows[slot] for vin, slot in table.requests() if vin in listed}
 
 
 def test_round_decides_as_the_reference_round():
@@ -686,11 +687,11 @@ def test_a_round_leaves_no_listed_vehicle_on_a_slot_it_cannot_reach():
     def unreachable_holders(table, state, v_min, vehicles, *rest):
         nonlocal held
         entries = _approachers(vehicles, state)
-        windows = [None] * (state.queue_len + 1)
-        allocation_round(table, state, windows, v_min, entries, *rest)
+        table.reset_windows(state.queue_len)
+        allocation_round(table, state, v_min, entries, *rest)
         holders = [(e, slot) for e in entries if (slot := table.slot_of(e.vin)) is not None]
         held += len(holders)
-        return [e.vin for e, slot in holders if not _reachable(slot, e, windows, v_min)]
+        return [e.vin for e, slot in holders if not _reachable(slot, e, table.windows, v_min)]
 
     for _ in range(1000):
         spec = _random_round(rng)
