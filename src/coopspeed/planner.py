@@ -30,6 +30,11 @@ class PlanResult(NamedTuple):
     window: tuple[float, float] | None = None
 
 
+# ``plan`` builds its result with the tuple constructor, which is what the
+# namedtuple's own ``__new__`` calls after binding its arguments.
+_new_result = tuple.__new__
+
+
 def density_speed(density: float, max_density: float, v_max: float) -> float:
     """Linear density-speed law: v_max at an empty road, 0 at max density."""
     if max_density <= 0:
@@ -104,54 +109,55 @@ def plan(
     if not 0 <= v_min <= v_max:
         raise ValueError("need 0 <= v_min <= v_max")
     cur_tti = dist / speed if speed > 0 else math.inf
-    t_g, t_r = state.green_s, state.red_s
-    margin = state.green_end_margin_s
 
     if state.approach_green:
         r_g = state.remaining
         if slot_window is not None:
             if cur_tti <= r_g:
-                s = plan_to_window(speed, dist, v_min, v_max, slot_window, max_speed=False)
+                s = plan_to_window(speed, dist, v_min, v_max, slot_window, False)
                 if s is not None:
-                    return PlanResult(s, "green_c1", slot_window)
+                    return _new_result(PlanResult, (s, "green_c1", slot_window))
             else:
-                s = plan_to_window(speed, dist, v_min, v_max, slot_window, max_speed=True)
+                s = plan_to_window(speed, dist, v_min, v_max, slot_window, True)
                 if s is not None:
-                    return PlanResult(s, "green_c2_accel", slot_window)
+                    return _new_result(PlanResult, (s, "green_c2_accel", slot_window))
         elif cur_tti <= r_g:
             # In-green arrival but no token (queue lead-in or lost game):
             # aim beyond the queue, before green ends.
-            window = (t_q, r_g - margin)
-            s = plan_to_window(speed, dist, v_min, v_max, window, max_speed=False)
+            window = (t_q, r_g - state.green_end_margin_s)
+            s = plan_to_window(speed, dist, v_min, v_max, window, False)
             if s is not None:
-                return PlanResult(s, "green_c1", window)
+                return _new_result(PlanResult, (s, "green_c1", window))
+        t_r = state.red_s
         if cur_tti > r_g + t_r and slot_window is None:
             # Next-cycle green; no token yet, keep the current speed,
             # clamped to the band as in ``plan_to_window``.
             s = v_min if v_min > speed else speed
             s = v_max if v_max < s else s
-            return PlanResult(s, "green_c3", None)
-        window = (r_g + t_r + t_q, r_g + t_r + t_g - margin)
-        s = plan_to_window(speed, dist, v_min, v_max, window, max_speed=True)
+            return _new_result(PlanResult, (s, "green_c3", None))
+        window = (r_g + t_r + t_q, r_g + t_r + state.green_s - state.green_end_margin_s)
+        s = plan_to_window(speed, dist, v_min, v_max, window, True)
         if s is not None:
-            return PlanResult(s, "green_c2_defer", window)
-        return PlanResult(v_min, "queue_join", None)
+            return _new_result(PlanResult, (s, "green_c2_defer", window))
+        return _new_result(PlanResult, (v_min, "queue_join", None))
 
     r_r = state.remaining
     if slot_window is not None:
-        s = plan_to_window(speed, dist, v_min, v_max, slot_window, max_speed=False)
+        s = plan_to_window(speed, dist, v_min, v_max, slot_window, False)
         if s is not None:
-            return PlanResult(s, "red_c2", slot_window)
+            return _new_result(PlanResult, (s, "red_c2", slot_window))
+    t_g = state.green_s
     if cur_tti <= r_r + t_g:
         # Early arrival (or denied token): meet the upcoming green once
         # the queue has cleared.
-        window = (r_r + t_q, r_r + t_g - margin)
-        s = plan_to_window(speed, dist, v_min, v_max, window, max_speed=True)
+        window = (r_r + t_q, r_r + t_g - state.green_end_margin_s)
+        s = plan_to_window(speed, dist, v_min, v_max, window, True)
         if s is not None:
-            return PlanResult(s, "red_c1", window)
-        return PlanResult(v_min, "queue_join", None)
-    window = (r_r + t_g + t_r + t_q, r_r + t_r + 2.0 * t_g - margin)
-    s = plan_to_window(speed, dist, v_min, v_max, window, max_speed=True)
+            return _new_result(PlanResult, (s, "red_c1", window))
+        return _new_result(PlanResult, (v_min, "queue_join", None))
+    t_r = state.red_s
+    window = (r_r + t_g + t_r + t_q, r_r + t_r + 2.0 * t_g - state.green_end_margin_s)
+    s = plan_to_window(speed, dist, v_min, v_max, window, True)
     if s is not None:
-        return PlanResult(s, "red_c3", window)
-    return PlanResult(v_min, "queue_join", None)
+        return _new_result(PlanResult, (s, "red_c3", window))
+    return _new_result(PlanResult, (v_min, "queue_join", None))

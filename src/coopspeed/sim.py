@@ -256,7 +256,12 @@ class LightAgent:
 
     Set at the start of each step: ``density_cap``, the segment's density
     speed cap; ``queued_target``, the target of a queued vehicle; and
-    ``t_q``, the time the queue takes to clear plus the arrival bias.
+    ``t_q``, the time the queue takes to clear plus the arrival bias.  Two
+    of them are recomputed only when their count changes: ``density_cap``
+    when the segment's vehicle count does (``density_count`` holds the
+    count it was computed from) and ``t_q`` when the queue length does
+    (``t_q_count``).  Each is a function of its count and of facts fixed for
+    the run.
 
     Changed during the run: ``groups``, the segment's ``SimConfig.lanes`` lanes,
     each a list of its vehicles in ascending pos, kept across steps (the lane
@@ -267,8 +272,8 @@ class LightAgent:
 
     __slots__ = ("idx", "cfg", "gate_headway", "table", "last_cross_t",
                  "line_at", "line_km", "v_min", "v_max", "cruise", "line_zone", "grade",
-                 "groups", "state", "density_cap", "queued_target", "t_q",
-                 "sum_idle", "sum_stops", "sum_energy")
+                 "groups", "state", "density_cap", "density_count", "queued_target",
+                 "t_q", "t_q_count", "sum_idle", "sum_stops", "sum_energy")
 
     def __init__(self, idx: int, seg_cfg: SegmentConfig, lanes: int) -> None:
         self.idx = idx
@@ -290,6 +295,7 @@ class LightAgent:
         self.grade = seg_cfg.grade
         self.groups: list[list[Vehicle]] = [[] for _ in range(lanes)]
         self.density_cap = self.queued_target = self.t_q = 0.0
+        self.density_count = self.t_q_count = -1  # no count yet: the first step sets both facts
         self.sum_idle, self.sum_stops, self.sum_energy = 0.0, 0, 0.0
 
 
@@ -457,13 +463,18 @@ class World:
             state_at(cfg, t, state)
             if was_green and not state.approach_green:
                 light.table.clear()
-            n = state.queue_len
-            density = sum(map(len, light.groups)) / light.line_km / lanes
-            density = saturated if saturated < density else density  # min, keeping density
-            light.density_cap = density_speed(density, jam, light.v_max)
+            count = sum(map(len, light.groups))
+            if count != light.density_count:
+                light.density_count = count
+                density = count / light.line_km / lanes
+                density = saturated if saturated < density else density  # min, keeping density
+                light.density_cap = density_speed(density, jam, light.v_max)
             # Queued vehicles wait for a crossable light.
             light.queued_target = light.v_max if state.crossable else 0.0
-            light.t_q = queue_clear_time(n, cfg.departure_rate) + ARRIVAL_BIAS_S
+            n = state.queue_len
+            if n != light.t_q_count:
+                light.t_q_count = n
+                light.t_q = queue_clear_time(n, cfg.departure_rate) + ARRIVAL_BIAS_S
             light.table.reset_windows(n)
 
     def _by_lane(self) -> list[LightAgent]:
@@ -510,13 +521,21 @@ class World:
         """Overtake when the adjacent lane allows a higher speed and has
         safe time gaps fore and aft.  Returns whether any vehicle moved.
 
+        A vehicle keeps its lane when it is queued or stopped, when its own
+        cap is within 0.3 m/s of the road limit, or on the final approach,
+        30 m before the line.  Before the first move the own cap is
+        ``v.cap`` and the cap test comes before the final-approach test,
+        which needs no lane lookup either; after a move ``_plan_cap`` gives
+        the own cap unless the own-lane leader, found by bisection, is
+        ``v.lead`` from before any move, so the final-approach test comes
+        first.  Each test only skips the vehicle, so their order changes
+        no decision.
+
         Each other lane is tried, cheapest test first: the cap its trial
         leader allows (``_plan_cap``'s arithmetic, written out as in
         ``_caps``) must beat the vehicle's own by 0.5 m/s, the front gap
         must fit the vehicle's speed, and the rear gap to the nearest
-        follower must fit the fastest follower.  Before the first move the
-        own cap is ``v.cap``; after one, ``_plan_cap`` gives it unless the
-        own-lane leader, found by bisection, is ``v.lead`` from before any move.
+        follower must fit the fastest follower.
         """
         length = VEHICLE_LENGTH_M
         standstill = STANDSTILL_GAP_M
@@ -528,6 +547,11 @@ class World:
             if v.queued or v.speed < stop_speed:
                 continue
             light = lights[v.seg]
+            v_max = light.v_max
+            if not moved:
+                cap_here = v.cap
+                if cap_here >= v_max - 0.3:
+                    continue  # near the road limit already: keep the lane
             pos = v.pos
             if light.line_at - pos < 30.0:
                 continue  # no weaving on the final approach
@@ -537,11 +561,9 @@ class World:
                 i = bisect_right(group, pos, key=_pos)
                 lead = group[i] if i < len(group) else None
                 cap_here = v.cap if lead is v.lead else self._plan_cap(v, lead, light)
-            else:
-                cap_here = v.cap
-            v_min, v_max = light.v_min, light.v_max
-            if cap_here >= v_max - 0.3:
-                continue  # near the road limit already: keep the lane
+                if cap_here >= v_max - 0.3:
+                    continue
+            v_min = light.v_min
             wanted = cap_here + 0.5
             for lane, other in enumerate(seg_lanes):
                 if lane == v.lane:

@@ -198,10 +198,22 @@ def _first_free_reachable(e: Approacher, windows: list[tuple[float, float] | Non
     slot the queue leaves free (an upgrade stops at the held slot); a
     game's loser scans from the slot it lost.  Either way the vehicle
     gets the earliest free slot it can meet in that range.
+
+    The scan ends at the first free slot it cannot reach that opens too
+    late, one the vehicle would reach before it opens even at ``v_min``:
+    window starts never decrease in slot order and correctly rounded
+    division keeps ``dist / t_lo`` from increasing, so every later slot
+    opens too late as well, and none left in the range is reachable.
     """
+    dist = e.dist
     for j in range(start, stop):
-        if not occupied[j] and _reachable(j, e, windows, v_min):
+        if occupied[j]:
+            continue
+        if _reachable(j, e, windows, v_min):
             return j
+        t_lo = windows[j][0]
+        if t_lo > 0.0 and dist / t_lo < v_min:
+            return None
     return None
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from coopspeed.games import Mode
 from coopspeed.planner import (
+    PlanResult,
     density_speed,
     plan,
     plan_to_window,
@@ -199,6 +200,9 @@ def test_output_always_within_limits():
         tok = token(rng.randint(1, 8), state) if rng.random() < 0.4 else None
         res = plan(*k, state, tok, t_q=rng.uniform(0.0, 20.0))
         assert V_MIN - 1e-9 <= res.speed <= V_MAX + 1e-9
+        # The benchmark's tracer reads ``.case`` off the result.
+        assert type(res) is PlanResult
+        assert res == (res.speed, res.case, res.window)
 
 
 def test_window_soundness_against_interval_oracle():

@@ -86,34 +86,60 @@ def test_a_table_is_cleared_exactly_when_its_light_turns_red():
 
 def test_each_light_writes_its_one_signal_state_in_place():
     # The digests' mixed corridor: offsets 0, 12 and 30 s, all-red gaps 1, 1
-    # and 2 s, departure rates 0.333, 0.4 and 0.333.  Each light keeps the
-    # state it was built with for the whole run, and every step writes into
-    # it the phase of that light's own timing at the step's start, and at
-    # its end the number of the light's queued vehicles.
-    cfg = dict(ALL_CONFIGS)["mixed-csof"]
-    world = World(cfg)
-    states = [light.state for light in world.lights]
-    seen = Counter()
-    while world.t < cfg.duration_s - 1e-9:
-        t = world.t
-        world.step()
-        for light, state, seg in zip(world.lights, states, cfg.segments):
-            sig = seg.signal
-            queue = sum(v.queued for v in world.vehicles.values() if v.seg == light.idx)
-            assert light.state is state, (t, light.idx)
-            cycle = sig.green_s + sig.red_s
-            u = (t - sig.offset_s) % cycle
-            green = u < sig.green_s
-            assert (state.approach_green, state.crossable, state.remaining, state.queue_len) == (
-                green, u < sig.green_s - sig.all_red_gap_s,
-                sig.green_s - u if green else cycle - u, queue), (t, light.idx)
-            assert (state.green_s, state.red_s, state.green_end_margin_s) == (
-                sig.green_s, sig.red_s, sig.all_red_gap_s + sim.PLAN_MARGIN_S)
-            seen[light.idx, state.approach_green, state.crossable] += 1
-            seen[light.idx, "queue"] += queue > 0
-    # Every light shows its crossable green, its all-red gap, its red and a
-    # queue.
-    assert len(seen) == 3 * 4 and min(seen.values()) > 0, seen
+    # and 2 s, departure rates 0.333, 0.4 and 0.333; and the three-lane
+    # corridor.  Each light keeps the state it was built with for the whole
+    # run, and every step writes into it the phase of that light's own
+    # timing at the step's start, and at its end the number of the light's
+    # queued vehicles.  The light's other per-step facts follow from the
+    # segment's vehicle count and queue length at the step's start, although
+    # the engine recomputes two of them only when their count changes.
+    jam = sim.JAM_DENSITY_VEH_KM_LANE
+    # In its first 120 s the three-lane corridor's vehicles reach its first
+    # light only.
+    for name, until, covered in (("mixed-ncso", None, 3), ("3lane-ncso", 120.0, 1)):
+        cfg = dict(ALL_CONFIGS)[name]
+        until = cfg.duration_s if until is None else until
+        world = World(cfg)
+        states = [light.state for light in world.lights]
+        seen = Counter()
+        prev = [(0, 0)] * len(world.lights)  # no vehicle yet
+        while world.t < until - 1e-9:
+            t = world.t
+            before = [(sum(v.seg == light.idx for v in world.vehicles.values()),
+                       sum(v.queued for v in world.vehicles.values() if v.seg == light.idx))
+                      for light in world.lights]
+            world.step()
+            for light, state, seg, (count, queued) in zip(world.lights, states, cfg.segments,
+                                                          before):
+                sig = seg.signal
+                queue = sum(v.queued for v in world.vehicles.values() if v.seg == light.idx)
+                assert light.state is state, (name, t, light.idx)
+                cycle = sig.green_s + sig.red_s
+                u = (t - sig.offset_s) % cycle
+                green = u < sig.green_s
+                assert (state.approach_green, state.crossable, state.remaining,
+                        state.queue_len) == (
+                    green, u < sig.green_s - sig.all_red_gap_s,
+                    sig.green_s - u if green else cycle - u, queue), (name, t, light.idx)
+                assert (state.green_s, state.red_s, state.green_end_margin_s) == (
+                    sig.green_s, sig.red_s, sig.all_red_gap_s + sim.PLAN_MARGIN_S)
+                density = min(count / (seg.length_m / 1000.0) / cfg.lanes,
+                              sim.DENSITY_CAP_RATIO * jam)
+                assert (light.density_cap, light.queued_target, light.t_q) == (
+                    seg.v_max * (1.0 - density / jam),
+                    seg.v_max if state.crossable else 0.0,
+                    queued / sig.departure_rate + sim.ARRIVAL_BIAS_S), (name, t, light.idx)
+                seen[light.idx, state.approach_green, state.crossable] += 1
+                seen[light.idx, "queue"] += queue > 0
+                prev_count, prev_queued = prev[light.idx]
+                seen[light.idx, "count moves, queue stays"] += (
+                    count != prev_count and queued == prev_queued)
+            prev = before
+        # Each covered light shows its crossable green, its all-red gap, its
+        # red, a queue, and a step whose vehicle count differs from the step
+        # before's while its queue length does not.
+        assert len(seen) == len(cfg.segments) * 5, (name, seen)
+        assert min(n for key, n in seen.items() if key[0] < covered) > 0, (name, seen)
 
 
 @pytest.mark.parametrize("technique", ["ncso", "csof"])

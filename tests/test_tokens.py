@@ -734,3 +734,29 @@ def test_the_slots_a_vehicle_can_reach_are_consecutive():
             windows[reach[0] - 1] is not None and reach[-1] + 1 < len(windows))
         seen["v_min 0"] += v_min == 0.0
     assert min(seen.values()) >= 100, seen
+
+
+def test_a_slot_scan_stops_only_where_no_later_slot_is_reachable():
+    # ``_first_free_reachable`` ends its scan at the first free slot it
+    # cannot reach that opens too late, one the vehicle would reach early
+    # even at v_min.  On random views, occupancies and ranges it returns the
+    # slot a scan of the whole range returns, and the early end fires.
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(20000):
+        windows, e, v_min = _random_reach(rng)
+        free = [j for j in range(1, len(windows)) if windows[j] is not None]
+        if not free:
+            continue
+        start = rng.randint(free[0], len(windows) - 1)
+        stop = rng.randint(start, len(windows))
+        occupied = [0] + [rng.random() < 0.4 for _ in range(len(windows) - 1)]
+        expected = next((j for j in range(start, stop)
+                         if not occupied[j] and _reachable(j, e, windows, v_min)), None)
+        assert tokens._first_free_reachable(e, windows, v_min, occupied, start, stop) == (
+            expected), (windows, e, v_min, occupied, start, stop)
+        late = [j for j in range(start, stop) if not occupied[j]
+                and windows[j][0] > 0.0 and e.dist / windows[j][0] < v_min]
+        seen["stops early"] += bool(late) and expected is None and late[0] < stop - 1
+        seen["found"] += expected is not None
+    assert min(seen.values()) >= 100, seen

@@ -73,3 +73,33 @@ def test_tracer_keeps_every_engine_layer_on_a_csof_world():
     assert tracer.counts["signals.state_at.calls"] == len(world.lights) * steps
     for layer in ENGINE_LAYERS:
         assert tracer.self_s[layer] > 0.0, layer
+
+
+def test_tracer_counts_every_queue_join_the_planner_returns(monkeypatch):
+    # csof at 900 veh/h builds a queue within four minutes.  A wrapper
+    # installed under the tracer counts the planner's queue joins from the
+    # results it passes on; the tracer reads the same results off its own
+    # wrapper.
+    cfg = SimConfig(duration_s=240.0, technique="csof", arrival_rate_veh_s=0.25, seed=1)
+    world = World(cfg)
+    plan, joins = sim.plan, []
+
+    def counted_plan(*args):
+        result = plan(*args)
+        joins.append(result[1] == "queue_join")
+        return result
+
+    monkeypatch.setattr(sim, "plan", counted_plan)
+    tracer = _tracing_module().Tracer(sim)
+    tracer.install()
+    longest_queue = 0
+    try:
+        while world.t < cfg.duration_s - 1e-9:
+            world.step()
+            longest_queue = max(longest_queue, *(light.state.queue_len for light in world.lights))
+    finally:
+        tracer.uninstall()
+    assert longest_queue > 0
+    assert sum(joins) > 0, len(joins)
+    assert tracer.counts["planner.plan.calls"] == len(joins)
+    assert tracer.counts["planner.queue_join"] == sum(joins)
